@@ -102,7 +102,9 @@ def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
     """Boolean admissibility matrix for ``spec``.
 
     A band admits columns j with |i - j| <= w/2, clipped to the sequence, so
-    interior rows see w+1 positions and boundary rows fewer.
+    interior rows see w+1 positions and boundary rows fewer. A causal mask
+    treats its rows as the last ``n_rows`` of ``n_cols`` positions: row i
+    admits columns j <= i + n_cols - n_rows.
     """
     if n_rows < 1 or n_cols < 1:
         raise UsageError("mask dimensions must be >= 1")
@@ -116,7 +118,9 @@ def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
         j = np.arange(n_cols)[None, :]
         return np.abs(i - j) <= half
     if spec.kind == "causal":
-        i = np.arange(n_rows)[:, None]
+        if n_rows > n_cols:
+            raise UsageError("causal masks need at least as many columns as rows")
+        i = np.arange(n_rows)[:, None] + (n_cols - n_rows)
         j = np.arange(n_cols)[None, :]
         return j <= i
     if spec.kind == "explicit":
@@ -226,6 +230,57 @@ def _swap_last(x):
 # -----------------------------------------------------------------------------
 
 
+def project_heads(x, weight, bias, config: AttentionConfig):
+    """Project [..., n, d] states and split them into heads:
+    [..., heads, n, head_dim]."""
+    return _split_heads(ops.linear(x, weight, bias), config.n_heads, config.head_dim)
+
+
+def attend(
+    q,
+    k,
+    v,
+    params: AttentionParams,
+    config: AttentionConfig,
+    mask: np.ndarray | None,
+    counter: OpCounter | None = None,
+    return_weights: bool = False,
+):
+    """Scaled dot-product attention over already projected, head-split
+    queries [..., heads, n, head_dim] and keys/values [..., heads, m,
+    head_dim], followed by the output projection back to [..., n, d].
+
+    The mask [n, m] is shared across leading axes and heads; ``mask=None``
+    means every pair is admitted. Masked pairs get an additive penalty whose
+    exponent underflows to exactly zero.
+    """
+    n = q.shape[-2]
+    m = k.shape[-2]
+    if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
+        raise ShapeError("query/key/value leading shapes disagree")
+    batch = int(np.prod(q.shape[:-3])) if len(q.shape) > 3 else 1
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
+        if not mask.any(axis=1).all():
+            raise UsageError("attention row with no admitted positions")
+    h = config.n_heads
+    q = ops.scale(q, 1.0 / math.sqrt(config.head_dim))  # pre-scale: one less score-sized copy
+    scores = ops.matmul(q, _swap_last(k))
+    if mask is not None and not mask.all():
+        scores = ops.add_const(scores, ops.NEG_MASK * (~mask))
+    probs = ops.softmax_last(scores)
+    del scores, q, k
+    ctx = _merge_heads(ops.matmul(probs, v), config.d_model)
+    out = ops.linear(ctx, params.wo, params.bo)
+    if counter is not None:
+        counter.add(batch * h * (int(mask.sum()) if mask is not None else n * m))
+    if return_weights:
+        return out, probs.data.copy()
+    return out
+
+
 def multi_head_attention(
     q_in,
     k_in,
@@ -243,34 +298,12 @@ def multi_head_attention(
     admitted. One head with identity projections reduces to plain
     softmax(q k^T / sqrt(d)) v.
     """
-    n = q_in.shape[-2]
-    m = k_in.shape[-2]
-    if v_in.shape[-2] != m or k_in.shape[:-2] != q_in.shape[:-2]:
-        raise ShapeError("query/key/value leading shapes disagree")
-    batch = int(np.prod(q_in.shape[:-2])) if len(q_in.shape) > 2 else 1
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
-        if not mask.any(axis=1).all():
-            raise UsageError("attention row with no admitted positions")
-    h, dh = config.n_heads, config.head_dim
-    q = _split_heads(ops.linear(q_in, params.wq, params.bq), h, dh)
-    k = _split_heads(ops.linear(k_in, params.wk, params.bk), h, dh)
-    v = _split_heads(ops.linear(v_in, params.wv, params.bv), h, dh)
-    q = ops.scale(q, 1.0 / math.sqrt(dh))  # pre-scale: one less score-sized copy
-    scores = ops.matmul(q, _swap_last(k))
-    if mask is not None and not mask.all():
-        scores = ops.add_const(scores, ops.NEG_MASK * (~mask))
-    probs = ops.softmax_last(scores)
-    del scores, q, k
-    ctx = _merge_heads(ops.matmul(probs, v), config.d_model)
-    out = ops.linear(ctx, params.wo, params.bo)
-    if counter is not None:
-        counter.add(batch * h * (int(mask.sum()) if mask is not None else n * m))
-    if return_weights:
-        return out, probs.data.copy()
-    return out
+    return attend(
+        project_heads(q_in, params.wq, params.bq, config),
+        project_heads(k_in, params.wk, params.bk, config),
+        project_heads(v_in, params.wv, params.bv, config),
+        params, config, mask, counter, return_weights,
+    )
 
 
 def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
@@ -327,9 +360,9 @@ def local_self_attention(
     bias, block, nb = _band_block_bias(n, w)
     n_pad = nb * block
 
-    q = _split_heads(ops.linear(x, params.wq, params.bq), h, dh)
-    k = _split_heads(ops.linear(x, params.wk, params.bk), h, dh)
-    v = _split_heads(ops.linear(x, params.wv, params.bv), h, dh)
+    q = project_heads(x, params.wq, params.bq, config)
+    k = project_heads(x, params.wk, params.bk, config)
+    v = project_heads(x, params.wv, params.bv, config)
 
     q = ops.scale(q, 1.0 / math.sqrt(dh))
     q_blk = ops.reshape(ops.pad_axis(q, -2, 0, n_pad - n), lead + (h, nb, block, dh))
@@ -399,25 +432,11 @@ def cross_attention_topdown(
     branch is added onto the token states so a zero-weight branch is a no-op.
     Leading batch axes pass through.
     """
-    n = e.shape[-2]
-    m = s.shape[-2]
-    if m < 1:
+    if s.shape[-2] < 1:
         raise UsageError("cross attention requires at least one segment")
     if e.shape[:-2] != s.shape[:-2]:
         raise ShapeError("token/segment leading shapes disagree")
-    batch = int(np.prod(e.shape[:-2])) if len(e.shape) > 2 else 1
-    h, dh = config.n_heads, config.head_dim
-    q = _split_heads(ops.linear(e, params.wq, params.bq), h, dh)
-    k = _split_heads(ops.linear(s, params.wk, params.bk), h, dh)
-    v = _split_heads(ops.linear(s, params.wv, params.bv), h, dh)
-    q = ops.scale(q, 1.0 / math.sqrt(dh))
-    probs = ops.softmax_last(ops.matmul(q, _swap_last(k)))
-    del q, k
-    ctx = _merge_heads(ops.matmul(probs, v), config.d_model)
-    branch = ops.layer_norm(ops.linear(ctx, params.wo, params.bo), ln_gain, ln_bias, eps)
-    out = ops.add(e, branch)
-    if counter is not None:
-        counter.add(batch * h * n * m)
-    if return_weights:
-        return out, probs.data.copy()
-    return out
+    res = multi_head_attention(e, s, s, params, config, None, counter, return_weights)
+    branch = res[0] if return_weights else res
+    out = ops.add(e, ops.layer_norm(branch, ln_gain, ln_bias, eps))
+    return (out, res[1]) if return_weights else out

@@ -30,12 +30,14 @@ from .attention import (
     AttentionParams,
     MaskSpec,
     OpCounter,
+    attend,
     band_popcount,
     build_mask,
     cross_attention_topdown,
     init_attention_params,
     local_self_attention,
     multi_head_attention,
+    project_heads,
 )
 from .pooling import (
     SegmentationSpec,
@@ -45,7 +47,7 @@ from .pooling import (
     segment_index_map,
 )
 from .rng import RngStream
-from .tensor import ConfigError, Parameter, Tensor, UsageError
+from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, recording
 
 PAD_ID = 0
 BOS_ID = 1
@@ -209,6 +211,44 @@ class _DecoderLayer:
     ffn: _FfnParams
 
 
+@dataclass
+class _LayerKV:
+    self_k: Tensor | None = None
+    self_v: Tensor | None = None
+    cross_k: Tensor | None = None
+    cross_v: Tensor | None = None
+
+
+class DecodeCache:
+    """Keys and values that let :meth:`Model.decode` continue a prefix.
+
+    Per decoder layer it holds the self-attention keys and values of the
+    ``length`` positions decoded so far and the cross-attention keys and
+    values of the encoder output, each [B, heads, positions, head_dim] with
+    one row per batch row of the decode calls.
+    """
+
+    def __init__(self, n_layers: int):
+        self.length = 0
+        self.batch_shape: tuple = ()  # leading shape of the decoded ids
+        self.layers = [_LayerKV() for _ in range(n_layers)]
+
+    def select(self, rows) -> None:
+        """Keep batch rows ``rows`` (in that order, repeats allowed), e.g.
+        the parents of the beams a search step kept."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(self.batch_shape) != 1 or rows.ndim != 1 or (
+            rows.size and (rows.min() < 0 or rows.max() >= self.batch_shape[0])
+        ):
+            raise UsageError(f"cannot select rows {rows.tolist()} of a batch {self.batch_shape}")
+        self.batch_shape = rows.shape
+        for kv in self.layers:
+            for f in fields(kv):
+                t = getattr(kv, f.name)
+                if t is not None:
+                    setattr(kv, f.name, Tensor(t.data[rows]))
+
+
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
     """For each token, the covering segment with the nearest window center
     (ties to the lower segment index)."""
@@ -229,6 +269,11 @@ def top_down_concat_update(e, segs, assignment, proj_w, proj_b, ln: _LnParams,
     cat = ops.concat([e, gathered], axis=-1)
     branch = ops.layer_norm(ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
     return ops.add(e, branch)
+
+
+def _residual(x, branch, ln: _LnParams):
+    """x + LayerNorm(branch): the residual stream itself is never normalized."""
+    return ops.add(x, ops.layer_norm(branch, ln.gain, ln.bias, LN_EPS))
 
 
 # -----------------------------------------------------------------------------
@@ -379,27 +424,14 @@ class Model:
         pos = ops.embedding(self.pos_enc, np.arange(n))
         return ops.add(tok, pos)
 
-    def _attn_sublayer(self, x, layer, counter, kind, context=None):
+    def _attn_sublayer(self, x, layer, counter, kind):
+        """Encoder self-attention sublayer; ``kind`` is "local" or "full"."""
         cfg = self.config.attention
         if kind == "local":
             branch = local_self_attention(x, layer.attn, cfg, counter)
-        elif kind == "full":
-            branch = multi_head_attention(x, x, x, layer.attn, cfg, None, counter)
-        elif kind == "causal":
-            t = x.shape[-2]
-            mask = build_mask(MaskSpec.causal(), t, t)
-            branch = multi_head_attention(x, x, x, layer.self_attn, cfg, mask, counter)
-        elif kind == "enc_dec":
-            branch = multi_head_attention(x, context, context, layer.cross, cfg, None, counter)
         else:
-            raise UsageError(f"unknown sublayer kind {kind}")
-        ln = {
-            "local": getattr(layer, "ln_attn", None),
-            "full": getattr(layer, "ln_attn", None),
-            "causal": getattr(layer, "ln_self", None),
-            "enc_dec": getattr(layer, "ln_cross", None),
-        }[kind]
-        return ops.add(x, ops.layer_norm(branch, ln.gain, ln.bias, LN_EPS))
+            branch = multi_head_attention(x, x, x, layer.attn, cfg, None, counter)
+        return _residual(x, branch, layer.ln_attn)
 
     def _ffn_sublayer(self, x, ffn: _FfnParams):
         return ops.ffn_block(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2, ffn.ln.gain, ffn.ln.bias, LN_EPS)
@@ -478,11 +510,16 @@ class Model:
 
     # -- decoder ----------------------------------------------------------------
 
-    def decode(self, prefix_ids, enc_out, counter: OpCounter | None = None) -> Tensor:
+    def decode(self, prefix_ids, enc_out, counter: OpCounter | None = None,
+               cache: DecodeCache | None = None) -> Tensor:
         """Next-token logits at every prefix position under a causal mask.
 
         Accepts one prefix [T] or a batch [B, T] aligned with batched encoder
-        output [B, N, d].
+        output [B, N, d]. With ``cache``, the ids continue the
+        ``cache.length`` positions that earlier calls decoded: only the new
+        positions run, attending the cached keys and values, and the cache
+        is extended with theirs. Its cross-attention keys and values are
+        projected from ``enc_out`` on the first call and reused after.
         """
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim not in (1, 2):
@@ -490,19 +527,29 @@ class Model:
         t = ids.shape[-1]
         if t < 1:
             raise UsageError("decoder prefix must be non-empty")
-        if t > self.config.max_positions:
+        past = 0 if cache is None else cache.length
+        if past + t > self.config.max_positions:
             raise UsageError(
-                f"prefix length {t} exceeds max_positions {self.config.max_positions}"
+                f"prefix length {past + t} exceeds max_positions {self.config.max_positions}"
             )
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise UsageError(f"token id out of range [0, {self.config.vocab_size})")
+        if past and ids.shape[:-1] != cache.batch_shape:
+            raise ShapeError(
+                f"prefix batch {ids.shape[:-1]} != cached batch {cache.batch_shape}"
+            )
         y = ops.add(
-            ops.embedding(self.tok_emb, ids), ops.embedding(self.pos_dec, np.arange(t))
+            ops.embedding(self.tok_emb, ids),
+            ops.embedding(self.pos_dec, np.arange(past, past + t)),
         )
-        for layer in self.decoder:
-            y = self._attn_sublayer(y, layer, counter, "causal")
-            y = self._attn_sublayer(y, layer, counter, "enc_dec", context=enc_out)
-            y = self._ffn_sublayer(y, layer.ffn)
+        mask = build_mask(MaskSpec.causal(), t, past + t)
+        for i, layer in enumerate(self.decoder):
+            y = self._decoder_layer_forward(
+                y, layer, enc_out, mask, counter, None if cache is None else cache.layers[i]
+            )
+        if cache is not None:
+            cache.length += t
+            cache.batch_shape = ids.shape[:-1]
         if self.out_w is not None:
             return ops.linear(y, self.out_w)
         logits = ops.matmul(
@@ -511,56 +558,104 @@ class Model:
         )
         return ops.reshape(logits, y.shape[:-1] + (self.config.vocab_size,))
 
+    def _decoder_layer_forward(self, y, layer: _DecoderLayer, enc_out, mask, counter,
+                               kv: _LayerKV | None) -> Tensor:
+        """Causal self-attention over the past and new positions, attention
+        to the encoder output, feed-forward."""
+        cfg = self.config.attention
+        sa, ca = layer.self_attn, layer.cross
+        q = project_heads(y, sa.wq, sa.bq, cfg)
+        k = project_heads(y, sa.wk, sa.bk, cfg)
+        v = project_heads(y, sa.wv, sa.bv, cfg)
+        if kv is not None:
+            if kv.self_k is not None:
+                k = ops.concat([kv.self_k, k], axis=-2)
+                v = ops.concat([kv.self_v, v], axis=-2)
+            kv.self_k, kv.self_v = k, v
+        y = _residual(y, attend(q, k, v, sa, cfg, mask, counter), layer.ln_self)
+        q = project_heads(y, ca.wq, ca.bq, cfg)
+        if kv is not None and kv.cross_k is not None:
+            k, v = kv.cross_k, kv.cross_v
+        else:
+            k = project_heads(enc_out, ca.wk, ca.bk, cfg)
+            v = project_heads(enc_out, ca.wv, ca.bv, cfg)
+            if kv is not None:
+                kv.cross_k, kv.cross_v = k, v
+        y = _residual(y, attend(q, k, v, ca, cfg, None, counter), layer.ln_cross)
+        return self._ffn_sublayer(y, layer.ffn)
+
     def generate(self, source_ids, max_len: int, strategy: str = "greedy",
                  beam_size: int = 1, eos_id: int = EOS_ID,
-                 weights=None, labels=None) -> list[int]:
-        """Emit up to ``max_len`` tokens; the terminating eos, when produced,
-        is included in the returned sequence.
+                 weights=None, labels=None,
+                 counter: OpCounter | None = None) -> list[int]:
+        """Emit up to ``max_len`` tokens for one source sequence [N]; the
+        terminating eos, when produced, is included in the returned sequence.
 
         Greedy breaks ties toward the lowest token id; beam search is
-        length-normalized and fully deterministic.
+        length-normalized and fully deterministic. Decoding is incremental:
+        each step runs the decoder on the newest token only, through
+        :meth:`decode` with a :class:`DecodeCache`, and all open beams step
+        together as one batch. Nothing is recorded on an active tape.
+        ``counter`` receives the encoder's score evaluations and, per step,
+        ``rows * n_heads * n_decoder_layers * (t + 1 + N)`` for ``rows`` open
+        beams after ``t`` earlier positions.
         """
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
-        enc = self.encode(source_ids, weights=weights, labels=labels)
-        if strategy == "greedy" or (strategy == "beam" and beam_size == 1):
-            prefix = [BOS_ID]
-            out: list[int] = []
-            for _ in range(max_len):
-                logits = self.decode(prefix, enc)
-                nxt = int(np.argmax(logits.data[-1]))
-                out.append(nxt)
-                if nxt == eos_id:
-                    break
-                prefix.append(nxt)
-            return out
-        if strategy != "beam":
-            raise UsageError(f"unknown generation strategy {strategy!r}")
-        return self._beam(enc, max_len, beam_size, eos_id)
+        if beam_size < 1:
+            raise UsageError("beam_size must be >= 1")
+        if np.ndim(source_ids) != 1:
+            raise UsageError("generate expects one source sequence [N]")
+        with recording(None):
+            enc = self.encode(source_ids, counter, weights=weights, labels=labels)
+            enc = ops.reshape(enc, (1,) + enc.shape)  # the batch of the first step
+            if strategy == "greedy" or (strategy == "beam" and beam_size == 1):
+                return self._greedy(enc, max_len, eos_id, counter)
+            if strategy != "beam":
+                raise UsageError(f"unknown generation strategy {strategy!r}")
+            return self._beam(enc, max_len, beam_size, eos_id, counter)
 
-    def _beam(self, enc, max_len: int, beam_size: int, eos_id: int) -> list[int]:
-        # Hypotheses: (emitted ids, total logprob, finished).
+    def _greedy(self, enc, max_len: int, eos_id: int, counter) -> list[int]:
+        cache = DecodeCache(len(self.decoder))
+        tok = BOS_ID
+        out: list[int] = []
+        for _ in range(max_len):
+            logits = self.decode([[tok]], enc, counter, cache).data[0, -1]
+            tok = int(np.argmax(logits))
+            out.append(tok)
+            if tok == eos_id:
+                break
+        return out
+
+    def _beam(self, enc, max_len: int, beam_size: int, eos_id: int, counter) -> list[int]:
+        cache = DecodeCache(len(self.decoder))
+        # Hypotheses: (emitted ids, total logprob, finished). Open ones own
+        # the cache rows, in list order.
         hyps = [((), 0.0, False)]
         for _ in range(max_len):
+            last = [[ids[-1] if ids else BOS_ID] for ids, _, done in hyps if not done]
+            if not last:
+                break
+            logits = self.decode(last, enc, counter, cache).data[:, -1]
+            # Candidates carry the cache row of their parent (-1: finished).
             candidates = []
-            any_open = False
+            row = 0
             for ids, logp, done in hyps:
                 if done:
-                    candidates.append((ids, logp, True))
+                    candidates.append((ids, logp, True, -1))
                     continue
-                any_open = True
-                logits = self.decode([BOS_ID] + list(ids), enc).data[-1]
-                logprobs = logits - _logsumexp(logits)
+                logprobs = logits[row] - _logsumexp(logits[row])
                 top = np.argsort(-logprobs, kind="stable")[: beam_size]
                 for tok in top:
                     tok = int(tok)
                     candidates.append(
-                        (ids + (tok,), logp + float(logprobs[tok]), tok == eos_id)
+                        (ids + (tok,), logp + float(logprobs[tok]), tok == eos_id, row)
                     )
-            if not any_open:
-                break
+                row += 1
             candidates.sort(key=lambda h: (-(h[1] / len(h[0])), h[0]))
-            hyps = candidates[:beam_size]
+            kept = candidates[:beam_size]
+            cache.select([h[3] for h in kept if not h[2]])
+            hyps = [h[:3] for h in kept]
         best = max(hyps, key=lambda h: (h[1] / max(1, len(h[0])), [-i for i in h[0]]))
         return list(best[0])
 

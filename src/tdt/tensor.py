@@ -228,9 +228,10 @@ def current_tape():
 
 
 class recording:
-    """Context manager that directs operations onto ``tape``."""
+    """Context manager that directs operations onto ``tape``; ``None``
+    suspends recording."""
 
-    def __init__(self, tape: Tape):
+    def __init__(self, tape: Tape | None):
         self.tape = tape
         self._prev = None
 

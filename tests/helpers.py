@@ -1,8 +1,11 @@
-"""Shared test oracles: finite differences, dense attention, scalar loops.
+"""Shared test oracles: finite differences, dense attention, scalar loops,
+full-prefix generation.
 
 The oracles here are deliberately independent of the library's compute paths:
 dense attention is an explicit per-head loop, pooling oracles walk windows
-one token at a time, and gradients come from central finite differences.
+one token at a time, gradients come from central finite differences, and the
+generation oracles re-decode the whole prefix of one hypothesis at a time
+instead of stepping a key/value cache.
 """
 
 from __future__ import annotations
@@ -159,3 +162,63 @@ def random_params_attention(rng: RngStream, d_model: int, prefix: str = "t"):
     from tdt.attention import init_attention_params
 
     return init_attention_params(rng, d_model, prefix)
+
+
+# -----------------------------------------------------------------------------
+# Generation oracles: full-prefix decoding, one hypothesis at a time
+# -----------------------------------------------------------------------------
+
+
+def _logsumexp(v: np.ndarray) -> float:
+    m = float(v.max())
+    return m + float(np.log(np.exp(v - m).sum()))
+
+
+def reference_greedy(model, source_ids, max_len: int, eos_id: int) -> list[int]:
+    """Greedy search that re-decodes the whole prefix for every token."""
+    from tdt import BOS_ID
+
+    enc = model.encode(source_ids)
+    prefix = [BOS_ID]
+    out: list[int] = []
+    for _ in range(max_len):
+        logits = model.decode(prefix, enc)
+        nxt = int(np.argmax(logits.data[-1]))
+        out.append(nxt)
+        if nxt == eos_id:
+            break
+        prefix.append(nxt)
+    return out
+
+
+def reference_beam(model, source_ids, max_len: int, beam_size: int, eos_id: int,
+                   trace: list | None = None) -> list[int]:
+    """Length-normalized beam search with one full-prefix decode per open
+    hypothesis per step. ``trace`` receives the hypotheses kept at each step
+    as (ids, total logprob, finished) tuples."""
+    from tdt import BOS_ID
+
+    enc = model.encode(source_ids)
+    hyps = [((), 0.0, False)]
+    for _ in range(max_len):
+        candidates = []
+        any_open = False
+        for ids, logp, done in hyps:
+            if done:
+                candidates.append((ids, logp, True))
+                continue
+            any_open = True
+            logits = model.decode([BOS_ID] + list(ids), enc).data[-1]
+            logprobs = logits - _logsumexp(logits)
+            top = np.argsort(-logprobs, kind="stable")[:beam_size]
+            for tok in top:
+                tok = int(tok)
+                candidates.append((ids + (tok,), logp + float(logprobs[tok]), tok == eos_id))
+        if not any_open:
+            break
+        candidates.sort(key=lambda h: (-(h[1] / len(h[0])), h[0]))
+        hyps = candidates[:beam_size]
+        if trace is not None:
+            trace.append(list(hyps))
+    best = max(hyps, key=lambda h: (h[1] / max(1, len(h[0])), [-i for i in h[0]]))
+    return list(best[0])

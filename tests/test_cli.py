@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from tdt import Model, desk_config, load_model, save_model
 from tdt.cli import run_cli
 from tdt.checkpoint import read_checkpoint
 
@@ -73,6 +74,19 @@ def test_train_eval_generate_round_trip(tmp_path, capsys):
     assert code == 0
     ids = [int(v) for v in out.split()]
     assert 1 <= len(ids) <= 4
+
+
+def test_generate_beam_matches_library(tmp_path, capsys):
+    ckpt = tmp_path / "model.tdtx"
+    save_model(Model(desk_config(), seed=11), ckpt)
+    source = [3, 9, 14, 5, 27, 8, 40, 12]
+    code, out, _ = run(
+        capsys, "generate", "--ckpt", str(ckpt), "--source", ",".join(map(str, source)),
+        "--max-len", "6", "--strategy", "beam", "--beam", "4",
+    )
+    assert code == 0
+    expected = load_model(ckpt).generate(source, max_len=6, strategy="beam", beam_size=4)
+    assert [int(v) for v in out.split()] == expected
 
 
 def test_train_determinism_across_invocations(tmp_path, capsys):

@@ -1,0 +1,191 @@
+"""Cached incremental generation against full-prefix oracles, its score
+budget, its tape isolation and its position bound."""
+
+import numpy as np
+import pytest
+
+from tdt import (
+    BOS_ID,
+    EOS_ID,
+    Model,
+    OpCounter,
+    RngStream,
+    ShapeError,
+    Tape,
+    Tensor,
+    UsageError,
+    decode_score_budget,
+    desk_config,
+    encode_score_budget,
+    recording,
+)
+from tdt.model import DecodeCache
+
+from helpers import reference_beam, reference_greedy
+
+NO_EOS = -1  # no token id is negative, so generation runs to max_len
+
+
+def _cfg(**kw):
+    base = dict(vocab_size=40, d_model=16, n_heads=2, n_bottom_up=1,
+                n_segment_layers=1, n_top_down=1, n_decoder_layers=2,
+                window=4, kernel_size=4, stride=3, max_positions=48)
+    base.update(kw)
+    return desk_config(**base)
+
+
+def _src(seed, n, cfg):
+    return RngStream(seed).randint(3, cfg.vocab_size, n)
+
+
+def _eos_heavy_model(seed):
+    """Doubling the eos output column makes eos a frequent beam candidate,
+    so finished hypotheses are carried next to open ones."""
+    m = Model(_cfg(tie_output=False), seed=seed)
+    m.out_w.value.data[:, EOS_ID] *= 2.0
+    return m
+
+
+def test_cached_step_logits_match_full_decode():
+    cfg = _cfg()
+    m = Model(cfg, seed=1)
+    enc = m.encode(_src(2, 20, cfg))
+    prefix = [BOS_ID] + list(_src(3, 11, cfg))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    batch_enc = Tensor(enc.data[None])
+    for t in range(len(prefix)):
+        step = m.decode([prefix[t:t + 1]], batch_enc, cache=cache).data[0, -1]
+        full = m.decode(prefix[: t + 1], enc).data[-1]
+        assert np.max(np.abs(step - full)) <= 1e-12
+    assert cache.length == len(prefix)
+
+
+def test_cached_rows_follow_select():
+    cfg = _cfg()
+    m = Model(cfg, seed=4)
+    enc = m.encode(_src(5, 18, cfg))
+    a, b = [BOS_ID, 5, 6, 7], [BOS_ID, 8, 9, 10]
+    cache = DecodeCache(cfg.n_decoder_layers)
+    both = Tensor(np.stack([enc.data, enc.data]))
+    m.decode([a[:3], b[:3]], both, cache=cache)
+    cache.select([1, 1, 0])  # rows: b, b, a
+    step = m.decode([[b[3]], [a[3]], [a[3]]], both, cache=cache).data[:, -1]
+    full_b = m.decode(b, enc).data[-1]
+    ab = [BOS_ID, 8, 9, a[3]]  # row 1 carries b's past with a's next token
+    full_ab = m.decode(ab, enc).data[-1]
+    full_a = m.decode(a, enc).data[-1]
+    for got, want in zip(step, (full_b, full_ab, full_a)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_matches_full_prefix_oracle(seed):
+    cfg = _cfg()
+    m = Model(cfg, seed=seed)
+    src = _src(10 + seed, 24, cfg)
+    for eos in (EOS_ID, NO_EOS):
+        assert m.generate(src, 12, eos_id=eos) == reference_greedy(m, src, 12, eos)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("beam", (2, 3, 4))
+def test_beam_matches_per_hypothesis_oracle(seed, beam):
+    cfg = _cfg()
+    m = Model(cfg, seed=seed)
+    src = _src(20 + seed, 24, cfg)
+    got = m.generate(src, 8, "beam", beam_size=beam, eos_id=NO_EOS)
+    assert got == reference_beam(m, src, 8, beam, NO_EOS)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 3, 4, 5))
+@pytest.mark.parametrize("beam", (2, 3, 4))
+def test_beam_with_finished_hypotheses_matches_oracle(seed, beam):
+    m = _eos_heavy_model(seed)
+    src = _src(30 + seed, 16, m.config)
+    trace: list = []
+    want = reference_beam(m, src, 8, beam, EOS_ID, trace)
+    assert m.generate(src, 8, "beam", beam_size=beam) == want
+    # the rig works: some step keeps finished hypotheses beside open ones
+    assert any(
+        any(done for *_, done in hyps) and not all(done for *_, done in hyps)
+        for hyps in trace
+    )
+
+
+def test_generate_records_no_tape():
+    cfg = _cfg()
+    m = Model(cfg, seed=2)
+    src = _src(4, 16, cfg)
+    tape = Tape()
+    with recording(tape):
+        m.generate(src, 5)
+        m.generate(src, 5, "beam", beam_size=3)
+    assert len(tape) == 0
+
+
+def test_greedy_score_budget_equals_one_full_decode():
+    cfg = _cfg()
+    m = Model(cfg, seed=3)
+    n, length = 20, 9
+    counter = OpCounter()
+    out = m.generate(_src(6, n, cfg), length, eos_id=NO_EOS, counter=counter)
+    assert len(out) == length
+    decoder_share = counter.score_evals - cfg.n_heads * encode_score_budget(cfg, n)
+    assert decoder_share == cfg.n_heads * decode_score_budget(cfg, length, n)
+
+
+def test_beam_score_budget_counts_open_rows_per_step():
+    cfg = _cfg()
+    m = Model(cfg, seed=3)
+    n, length, beam = 20, 7, 4
+    counter = OpCounter()
+    m.generate(_src(6, n, cfg), length, "beam", beam_size=beam, eos_id=NO_EOS,
+               counter=counter)
+    # step t decodes one row at t = 0 and ``beam`` rows after; each row
+    # scores t + 1 causal and n cross pairs per head per decoder layer
+    expected = sum(
+        (1 if t == 0 else beam) * cfg.n_heads * cfg.n_decoder_layers * ((t + 1) + n)
+        for t in range(length)
+    )
+    decoder_share = counter.score_evals - cfg.n_heads * encode_score_budget(cfg, n)
+    assert decoder_share == expected
+
+
+@pytest.mark.parametrize("strategy,beam", [("greedy", 1), ("beam", 3)])
+def test_position_bound_raises_usage_error_at_the_oracle_step(strategy, beam):
+    cfg = _cfg(max_positions=12)
+    m = Model(cfg, seed=7)
+    src = _src(8, 10, cfg)
+    msg = "prefix length 13 exceeds max_positions 12"
+    with pytest.raises(UsageError, match=msg):
+        m.generate(src, 20, strategy, beam_size=beam, eos_id=NO_EOS)
+    with pytest.raises(UsageError, match=msg):
+        if beam == 1:
+            reference_greedy(m, src, 20, NO_EOS)
+        else:
+            reference_beam(m, src, 20, beam, NO_EOS)
+    # the last position that fits still decodes
+    assert len(m.generate(src, 12, strategy, beam_size=beam, eos_id=NO_EOS)) == 12
+
+
+def test_generate_rejects_bad_beam_size_and_batched_source():
+    cfg = _cfg()
+    m = Model(cfg, seed=5)
+    src = _src(9, 10, cfg)
+    with pytest.raises(UsageError):
+        m.generate(src, 4, "beam", beam_size=0)
+    with pytest.raises(UsageError):
+        m.generate(np.stack([src, src]), 4)
+
+
+def test_cache_rejects_mismatched_batch_and_rows():
+    cfg = _cfg()
+    m = Model(cfg, seed=6)
+    enc = m.encode(_src(10, 12, cfg))
+    both = Tensor(np.stack([enc.data, enc.data]))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    m.decode([[BOS_ID], [BOS_ID]], both, cache=cache)
+    with pytest.raises(ShapeError):
+        m.decode([[5], [6], [7]], both, cache=cache)
+    with pytest.raises(UsageError):
+        cache.select([0, 2])
