@@ -1,17 +1,21 @@
-"""Attention kernels: banded local self-attention, full self-attention over
-segments, and token-segment cross-attention, plus exact score-evaluation
-accounting.
+"""Attention: one core, :func:`attend`, with a dense scorer and a banded
+scorer, plus masks and exact score-evaluation accounting.
 
-Local attention is the engineering point: it never materializes an N x N
-score matrix. Queries are processed in blocks of w/2 positions, each block
-scoring only its own and adjacent key blocks, so live memory grows with
-N * w. Masked slots get a -1e30 additive penalty whose exponent underflows
-to exactly zero, meaning tokens outside the band cannot influence a row even
-at the bit level.
+Every attention the model runs (bottom-up local, segment full, token-segment
+cross, decoder self and cross) is the same sequence in :func:`attend`:
+scale, score, softmax, context, output projection, count. The mask picks the
+scorer. A band that leaves some pair out selects the banded scorer, which
+never materializes an N x N score matrix: queries are processed in blocks of
+w/2 positions, each block scoring only its own and adjacent key blocks, so
+live memory grows with N * w. Everything else is scored densely. Masked
+slots get a -1e30 additive penalty whose exponent underflows to exactly
+zero, meaning tokens outside the mask cannot influence a row even at the
+bit level. :func:`multi_head_attention`, :func:`local_self_attention` and
+:func:`cross_attention_topdown` are thin entry points over the core.
 
-The :class:`OpCounter` tallies query-key dot products per forward pass; for
-every kernel the increment equals the number of admitted query-key pairs
-summed over heads, which :func:`count_budget` predicts in closed form.
+The :class:`OpCounter` tallies query-key dot products per forward pass; the
+increment equals the number of admitted query-key pairs summed over heads,
+which :func:`count_budget` predicts in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError
+from .tensor import ConfigError, Parameter, ShapeError, UsageError
 
 
 @dataclass(frozen=True)
@@ -236,76 +240,6 @@ def project_heads(x, weight, bias, config: AttentionConfig):
     return _split_heads(ops.linear(x, weight, bias), config.n_heads, config.head_dim)
 
 
-def attend(
-    q,
-    k,
-    v,
-    params: AttentionParams,
-    config: AttentionConfig,
-    mask: np.ndarray | None,
-    counter: OpCounter | None = None,
-    return_weights: bool = False,
-):
-    """Scaled dot-product attention over already projected, head-split
-    queries [..., heads, n, head_dim] and keys/values [..., heads, m,
-    head_dim], followed by the output projection back to [..., n, d].
-
-    The mask [n, m] is shared across leading axes and heads; ``mask=None``
-    means every pair is admitted. Masked pairs get an additive penalty whose
-    exponent underflows to exactly zero.
-    """
-    n = q.shape[-2]
-    m = k.shape[-2]
-    if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
-        raise ShapeError("query/key/value leading shapes disagree")
-    batch = int(np.prod(q.shape[:-3])) if len(q.shape) > 3 else 1
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
-        if not mask.any(axis=1).all():
-            raise UsageError("attention row with no admitted positions")
-    h = config.n_heads
-    q = ops.scale(q, 1.0 / math.sqrt(config.head_dim))  # pre-scale: one less score-sized copy
-    scores = ops.matmul(q, _swap_last(k))
-    if mask is not None and not mask.all():
-        scores = ops.add_const(scores, ops.NEG_MASK * (~mask))
-    probs = ops.softmax_last(scores)
-    del scores, q, k
-    ctx = _merge_heads(ops.matmul(probs, v), config.d_model)
-    out = ops.linear(ctx, params.wo, params.bo)
-    if counter is not None:
-        counter.add(batch * h * (int(mask.sum()) if mask is not None else n * m))
-    if return_weights:
-        return out, probs.data.copy()
-    return out
-
-
-def multi_head_attention(
-    q_in,
-    k_in,
-    v_in,
-    params: AttentionParams,
-    config: AttentionConfig,
-    mask: np.ndarray | None,
-    counter: OpCounter | None = None,
-    return_weights: bool = False,
-):
-    """Scaled dot-product attention over an explicit (possibly dense) mask.
-
-    Works on [..., n, d] inputs whose leading axes agree; the mask is shared
-    across leading axes and heads. ``mask=None`` means every pair is
-    admitted. One head with identity projections reduces to plain
-    softmax(q k^T / sqrt(d)) v.
-    """
-    return attend(
-        project_heads(q_in, params.wq, params.bq, config),
-        project_heads(k_in, params.wk, params.bk, config),
-        project_heads(v_in, params.wv, params.bv, config),
-        params, config, mask, counter, return_weights,
-    )
-
-
 def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     """Additive mask bias for blocked banded attention.
 
@@ -331,101 +265,127 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     return bias, block, nb
 
 
-def local_self_attention(
-    x,
-    params: AttentionParams,
-    config: AttentionConfig,
-    counter: OpCounter | None = None,
-    return_weights: bool = False,
-):
-    """Windowed self-attention: each token attends w/2 neighbors per side plus
-    itself, truncated at the boundaries.
+def _band_weights_dense(probs: np.ndarray, n: int, block: int, nb: int) -> np.ndarray:
+    """Scatter blocked band weights [h, nb, block, 3*block] into [h, n, n]."""
+    i, r, s = np.ogrid[:nb, :block, : 3 * block]
+    q_abs, j_abs = np.broadcast_arrays(i * block + r, (i - 1) * block + s)
+    keep = (q_abs < n) & (j_abs >= 0) & (j_abs < n)
+    dense = np.zeros((probs.shape[0], n, n), dtype=np.float64)
+    dense[:, q_abs[keep], j_abs[keep]] = probs[:, keep]
+    return dense
 
-    Saturated windows (w >= 2(N-1)) dispatch to the dense kernel so the result
-    is bit-identical to full attention. Otherwise the banded path touches only
-    neighbor blocks and its live memory is O(N * w): queries are processed in
-    blocks of w/2 positions scoring their own and adjacent key blocks, with
-    nothing N x N ever materialized. Leading batch axes pass through.
+
+def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
+           mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
+           return_weights: bool = False):
+    """Scaled dot-product attention over already projected, head-split
+    queries [..., heads, n, head_dim] and keys/values [..., heads, m,
+    head_dim], followed by the output projection back to [..., n, d]. Every
+    attention in the library runs here: scale, score, softmax, context,
+    output projection, count.
+
+    ``mask`` is a boolean [n, m] array shared across leading axes and heads,
+    a :class:`MaskSpec`, or None (every pair admitted). Masked pairs get an
+    additive penalty whose exponent underflows to exactly zero. A band that
+    leaves some pair out (w < 2(n-1)) selects the banded scorer: queries go
+    in blocks of w/2 positions that score only their own and adjacent key
+    blocks, so nothing n x n is materialized and live memory is O(n * w).
+    Every other mask is scored densely.
     """
-    n = x.shape[-2]
-    w = config.window
-    if w is None or w >= 2 * (n - 1):
-        mask = None if w is None else build_mask(MaskSpec.band(w), n, n)
-        return multi_head_attention(
-            x, x, x, params, config, mask, counter, return_weights
-        )
-    lead = x.shape[:-2]
+    n = q.shape[-2]
+    m = k.shape[-2]
+    if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
+        raise ShapeError("query/key/value leading shapes disagree")
+    lead = q.shape[:-3]
     batch = int(np.prod(lead)) if lead else 1
     h, dh = config.n_heads, config.head_dim
-    bias, block, nb = _band_block_bias(n, w)
-    n_pad = nb * block
-
-    q = project_heads(x, params.wq, params.bq, config)
-    k = project_heads(x, params.wk, params.bk, config)
-    v = project_heads(x, params.wv, params.bv, config)
-
-    q = ops.scale(q, 1.0 / math.sqrt(dh))
-    q_blk = ops.reshape(ops.pad_axis(q, -2, 0, n_pad - n), lead + (h, nb, block, dh))
-    k_blk = ops.reshape(
-        ops.pad_axis(k, -2, block, n_pad - n + block), lead + (h, nb + 2, block, dh)
-    )
-    v_blk = ops.reshape(
-        ops.pad_axis(v, -2, block, n_pad - n + block), lead + (h, nb + 2, block, dh)
-    )
-    del q, k, v
-
-    # Scores against the left / center / right key blocks, assembled into
-    # [..., h, nb, block, 3*block]; neighbor stacks are never materialized.
-    scores = ops.concat(
-        [
-            ops.matmul(q_blk, _swap_last(ops.slice_axis(k_blk, -3, s, nb + s)))
-            for s in range(3)
-        ],
-        axis=-1,
-    )
-    del k_blk
-    scores = ops.add_const(scores, bias)
-    probs = ops.softmax_last(scores)
-    del scores
-    ctx = None
-    for s in range(3):
-        part = ops.matmul(
-            ops.slice_axis(probs, -1, s * block, (s + 1) * block),
-            ops.slice_axis(v_blk, -3, s, nb + s),
-        )
-        ctx = part if ctx is None else ops.add(ctx, part)
-    del v_blk
-    ctx = ops.slice_axis(ops.reshape(ctx, lead + (h, n_pad, dh)), -2, 0, n)
+    window = None
+    if isinstance(mask, MaskSpec):
+        if mask.kind == "band" and n == m and mask.window < 2 * (n - 1):
+            window, mask = mask.window, None
+        else:
+            mask = build_mask(mask, n, m)
+    elif mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
+        if not mask.any(axis=1).all():
+            raise UsageError("attention row with no admitted positions")
+    q = ops.scale(q, 1.0 / math.sqrt(dh))  # pre-scale: one less score-sized copy
+    if window is None:
+        scores = ops.matmul(q, _swap_last(k))
+        if mask is not None and not mask.all():
+            scores = ops.add_const(scores, ops.NEG_MASK * (~mask))
+        probs = ops.softmax_last(scores)
+        del scores, q, k
+        ctx = ops.matmul(probs, v)
+        pairs = int(mask.sum()) if mask is not None else n * m
+    else:
+        bias, block, nb = _band_block_bias(n, window)
+        n_pad = nb * block
+        q_blk = ops.reshape(ops.pad_axis(q, -2, 0, n_pad - n), lead + (h, nb, block, dh))
+        kv_shape = lead + (h, nb + 2, block, dh)  # one zero block of padding per side
+        k_blk = ops.reshape(ops.pad_axis(k, -2, block, n_pad - n + block), kv_shape)
+        v_blk = ops.reshape(ops.pad_axis(v, -2, block, n_pad - n + block), kv_shape)
+        del q, k, v
+        # Scores against the left / center / right key blocks, assembled into
+        # [..., h, nb, block, 3*block]; neighbor stacks are never materialized.
+        scores = ops.concat([ops.matmul(q_blk, _swap_last(ops.slice_axis(k_blk, -3, s, nb + s)))
+                             for s in range(3)], axis=-1)
+        del k_blk
+        scores = ops.add_const(scores, bias)
+        probs = ops.softmax_last(scores)
+        del scores
+        ctx = None
+        for s in range(3):
+            part = ops.matmul(
+                ops.slice_axis(probs, -1, s * block, (s + 1) * block),
+                ops.slice_axis(v_blk, -3, s, nb + s),
+            )
+            ctx = part if ctx is None else ops.add(ctx, part)
+        del v_blk
+        ctx = ops.slice_axis(ops.reshape(ctx, lead + (h, n_pad, dh)), -2, 0, n)
+        pairs = band_popcount(n, window)
     out = ops.linear(_merge_heads(ctx, config.d_model), params.wo, params.bo)
     if counter is not None:
-        counter.add(batch * h * band_popcount(n, w))
-    if return_weights:
-        if lead:
-            raise UsageError("return_weights supports unbatched input only")
-        dense = np.zeros((h, n, n), dtype=np.float64)
-        p = probs.data
-        for i in range(nb):
-            j_lo = (i - 1) * block
-            for s in range(3 * block):
-                j = j_lo + s
-                if 0 <= j < n:
-                    rows = np.arange(i * block, min((i + 1) * block, n))
-                    dense[:, rows, j] = p[:, i, : len(rows), s]
-        return out, dense
-    return out
+        counter.add(batch * h * pairs)
+    if not return_weights:
+        return out
+    if window is None:
+        return out, probs.data.copy()
+    if lead:
+        raise UsageError("return_weights supports unbatched input only")
+    return out, _band_weights_dense(probs.data, n, block, nb)
 
 
-def cross_attention_topdown(
-    e,
-    s,
-    params: AttentionParams,
-    ln_gain: Parameter,
-    ln_bias: Parameter,
-    config: AttentionConfig,
-    counter: OpCounter | None = None,
-    eps: float = 1e-5,
-    return_weights: bool = False,
-):
+def multi_head_attention(q_in, k_in, v_in, params: AttentionParams, config: AttentionConfig,
+                         mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
+                         return_weights: bool = False):
+    """Project [..., n, d] queries and [..., m, d] keys/values into heads and
+    :func:`attend` under ``mask``. One head with identity projections reduces
+    to plain softmax(q k^T / sqrt(d)) v."""
+    return attend(
+        project_heads(q_in, params.wq, params.bq, config),
+        project_heads(k_in, params.wk, params.bk, config),
+        project_heads(v_in, params.wv, params.bv, config),
+        params, config, mask, counter, return_weights,
+    )
+
+
+def local_self_attention(x, params: AttentionParams, config: AttentionConfig,
+                         counter: OpCounter | None = None, return_weights: bool = False):
+    """Self-attention under ``config.window``: each token attends w/2
+    neighbors per side plus itself, truncated at the boundaries; a window
+    of None means full attention. A window that covers every pair
+    (w >= 2(N-1)) is scored densely, bit-identical to full attention."""
+    mask = None if config.window is None else MaskSpec.band(config.window)
+    return multi_head_attention(x, x, x, params, config, mask, counter, return_weights)
+
+
+def cross_attention_topdown(e, s, params: AttentionParams, ln_gain: Parameter,
+                            ln_bias: Parameter, config: AttentionConfig,
+                            counter: OpCounter | None = None, eps: float = 1e-5,
+                            return_weights: bool = False):
     """Token-segment correction: e + LayerNorm(W_o concat_heads(attn(e -> s))).
 
     Every token attends every segment (N*M pairs per head); the normalized
@@ -437,6 +397,5 @@ def cross_attention_topdown(
     if e.shape[:-2] != s.shape[:-2]:
         raise ShapeError("token/segment leading shapes disagree")
     res = multi_head_attention(e, s, s, params, config, None, counter, return_weights)
-    branch = res[0] if return_weights else res
-    out = ops.add(e, ops.layer_norm(branch, ln_gain, ln_bias, eps))
+    out = ops.residual_ln(e, res[0] if return_weights else res, ln_gain, ln_bias, eps)
     return (out, res[1]) if return_weights else out

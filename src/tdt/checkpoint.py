@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"TDTX"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
     u32    length of the UTF-8 JSON header
     bytes  JSON header: {"kind": ..., "config": {...}}
     u32    number of parameters
@@ -14,12 +14,17 @@ Layout (all integers little-endian):
         bytes little-endian flat data
 
 Compute always runs in f64; the f32 tag is a storage-only option. A save /
-load / save round trip is byte-identical.
+load / save round trip is byte-identical. Version 2 dropped the ``dropout``
+config field and the parameters nothing reads (the segment and top-down
+tables of ``topdown_mode="none"``, a tagger's decoder), so version 1 files
+are rejected. Every malformed file raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -27,7 +32,7 @@ import numpy as np
 from .tensor import CheckpointError, Parameter
 
 MAGIC = b"TDTX"
-VERSION = 1
+VERSION = 2
 _DTYPES = {"f64": 0, "f32": 1}
 
 
@@ -58,10 +63,11 @@ def write_checkpoint(path, kind: str, config: dict, params: dict, dtype: str = "
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError("checkpoint truncated")
-    return buf
+    """Read ``n`` bytes, refusing before the read when fewer are left."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"checkpoint truncated: {n} bytes wanted, {left} left")
+    return fh.read(n)
 
 
 def read_checkpoint(path) -> tuple[str, dict, dict, str]:
@@ -86,7 +92,10 @@ def read_checkpoint(path) -> tuple[str, dict, dict, str]:
         storage = "f64"
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, nlen).decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8: {exc}") from exc
             (tag,) = struct.unpack("<B", _read_exact(fh, 1))
             if tag not in (0, 1):
                 raise CheckpointError(f"{path}: parameter {name}: unknown dtype tag {tag}")
@@ -96,7 +105,7 @@ def read_checkpoint(path) -> tuple[str, dict, dict, str]:
                 struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
             )
             np_dtype = "<f8" if tag == 0 else "<f4"
-            nbytes = int(np.prod(shape, dtype=np.int64)) * (8 if tag == 0 else 4)
+            nbytes = math.prod(shape) * (8 if tag == 0 else 4)
             data = np.frombuffer(_read_exact(fh, nbytes), dtype=np_dtype).reshape(shape)
             arrays[name] = data.astype(np.float64)
         if fh.read(1):

@@ -54,9 +54,12 @@ def _load_config(args, **overrides) -> ModelConfig:
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, encoding="utf-8") as fh:
             try:
-                d.update(json.load(fh))
+                fields = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
+        if not isinstance(fields, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        d.update(fields)
     d.update(overrides)
     return ModelConfig.from_dict(d)
 

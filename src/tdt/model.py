@@ -10,6 +10,11 @@ Encoding runs in three stages over token states of shape [N, d_model]:
    cross-attention (or a concatenation projection in the ablation variant),
    injecting document-global context back into every position.
 
+Every encoder layer of every stage is one block: self-attention under the
+stage's window (none for segments), the top-down update where the layer has
+one, and a feed-forward sublayer. With ``topdown_mode="none"`` only stage 1
+runs, and the other stages' parameters are not built.
+
 A standard causal decoder attends the final token states only. Every
 sublayer has the form ``x + LayerNorm(branch)``: the residual stream is
 never normalized, so a zero-weight branch is exactly the identity.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -36,7 +42,6 @@ from .attention import (
     cross_attention_topdown,
     init_attention_params,
     local_self_attention,
-    multi_head_attention,
     project_heads,
 )
 from .pooling import (
@@ -44,7 +49,6 @@ from .pooling import (
     labels_to_weights,
     pool_average,
     pool_weighted,
-    segment_index_map,
 )
 from .rng import RngStream
 from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, recording
@@ -61,6 +65,13 @@ BRANCH_GAIN_INIT = 0.1
 
 POOLING_MODES = ("avg", "ada", "oracle_ada")
 TOPDOWN_MODES = ("cross", "concat", "none")
+
+# Value checks per ModelConfig field annotation; "X | None" also admits None.
+_FIELD_CHECKS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,6 @@ class ModelConfig:
     pooling_mode: str = "avg"
     topdown_mode: str = "cross"
     tie_output: bool = True
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.vocab_size < 4:
@@ -111,10 +121,16 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(ModelConfig)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a mapping of fields, got {type(d).__name__}")
+        types = {f.name: f.type for f in fields(ModelConfig)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in d.items():
+            base, _, optional = types[name].partition(" | ")
+            if not ((value is None and optional == "None") or _FIELD_CHECKS[base](value)):
+                raise ConfigError(f"config field {name} must be {types[name]}, got {value!r}")
         return ModelConfig(**d)
 
     def config_hash(self) -> str:
@@ -144,30 +160,6 @@ def paper_config(**overrides) -> ModelConfig:
         max_positions=16384,
     )
     return replace(base, **overrides)
-
-
-# -----------------------------------------------------------------------------
-# State wrappers
-# -----------------------------------------------------------------------------
-
-
-@dataclass
-class TokenStates:
-    states: Tensor
-    length: int
-
-    def __post_init__(self):
-        if self.states.shape[0] != self.length:
-            raise UsageError("token state rows must equal the true length")
-
-
-@dataclass
-class SegmentStates:
-    states: Tensor
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
 
 
 # -----------------------------------------------------------------------------
@@ -251,29 +243,33 @@ class DecodeCache:
 
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
     """For each token, the covering segment with the nearest window center
-    (ties to the lower segment index)."""
-    starts = np.array([s for s, _ in segment_index_map(n_tokens, spec)])
-    centers = starts + (spec.kernel - 1) / 2.0
-    assign = np.zeros(n_tokens, dtype=np.int64)
-    for i in range(n_tokens):
-        covering = np.nonzero((starts <= i) & (i < starts + spec.kernel))[0]
-        best = covering[np.argmin(np.abs(i - centers[covering]))]
-        assign[i] = best
-    return assign
+    (ties to the lower segment index).
+
+    Segment j is centred at j*stride + (kernel-1)/2, so the nearest centre
+    to token i is j = round((i - (kernel-1)/2) / stride) with halves rounded
+    down, (2i - kernel + stride) // (2*stride) in integers. The segments
+    covering i are those with i - kernel < j*stride <= i; distance to the
+    centre is convex in j, so the nearest covering segment is that j clipped
+    into the covering range.
+    """
+    i = np.arange(n_tokens, dtype=np.int64)
+    k, d = spec.kernel, spec.stride
+    nearest = (2 * i - k + d) // (2 * d)
+    first = np.maximum(0, (i - k) // d + 1)  # lowest j with j*d > i - k
+    last = np.minimum(i // d, spec.n_segments(n_tokens) - 1)
+    return np.clip(nearest, first, last)
 
 
 def top_down_concat_update(e, segs, assignment, proj_w, proj_b, ln: _LnParams,
                            eps: float = LN_EPS):
     """Concat ablation update: e + LN(proj([e_i ; s_assign(i)]))."""
-    gathered = ops.take_rows(segs, assignment)
-    cat = ops.concat([e, gathered], axis=-1)
-    branch = ops.layer_norm(ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
-    return ops.add(e, branch)
+    cat = ops.concat([e, ops.take_rows(segs, assignment)], axis=-1)
+    return ops.residual_ln(e, ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
 
 
 def _residual(x, branch, ln: _LnParams):
     """x + LayerNorm(branch): the residual stream itself is never normalized."""
-    return ops.add(x, ops.layer_norm(branch, ln.gain, ln.bias, LN_EPS))
+    return ops.residual_ln(x, branch, ln.gain, ln.bias, LN_EPS)
 
 
 # -----------------------------------------------------------------------------
@@ -295,30 +291,31 @@ class Model:
         rng = RngStream(seed).split("init")
         c = config
 
+        # Without top-down inference the segment stage and the top-down layers
+        # never run, so their parameters are not built.
+        hierarchical = c.topdown_mode != "none"
+
         self.tok_emb = self._emb(rng, "embed.token", (c.vocab_size, c.d_model))
         self.pos_enc = self._emb(rng, "embed.pos_enc", (c.max_positions, c.d_model))
         self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
-        self.max_segments = c.segmentation.n_segments(c.max_positions)
-        self.pos_seg = self._emb(rng, "embed.pos_seg", (self.max_segments, c.d_model))
+        self.pos_seg = None
+        if hierarchical:
+            m = c.segmentation.n_segments(c.max_positions)
+            self.pos_seg = self._emb(rng, "embed.pos_seg", (m, c.d_model))
+        self.out_w = None
         if not c.tie_output:
             self.out_w = self._emb(rng, "out.weight", (c.d_model, c.vocab_size))
-        else:
-            self.out_w = None
 
         self.bottom_up = [
             self._encoder_layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)
         ]
         self.segment_layers = [
-            self._encoder_layer(rng, f"segment.{i}") for i in range(c.n_segment_layers)
+            self._encoder_layer(rng, f"segment.{i}")
+            for i in range(c.n_segment_layers if hierarchical else 0)
         ]
         self.top_down = [
-            self._encoder_layer(
-                rng,
-                f"top_down.{i}",
-                with_cross=(c.topdown_mode == "cross"),
-                with_concat=(c.topdown_mode == "concat"),
-            )
-            for i in range(c.n_top_down)
+            self._encoder_layer(rng, f"top_down.{i}", c.topdown_mode)
+            for i in range(c.n_top_down if hierarchical else 0)
         ]
         self.decoder = [
             self._decoder_layer(rng, f"decoder.{i}") for i in range(c.n_decoder_layers)
@@ -364,16 +361,18 @@ class Model:
             ln=self._ln(f"{prefix}.ln"),
         )
 
-    def _encoder_layer(self, rng, prefix, with_cross=False, with_concat=False) -> _EncoderLayer:
+    def _encoder_layer(self, rng, prefix, topdown: str = "none") -> _EncoderLayer:
+        """Self-attention and FFN parameters, plus the top-down update's for
+        a top-down layer (``topdown`` "cross" or "concat")."""
         layer = _EncoderLayer(
             attn=self._attn(rng, f"{prefix}.attn"),
             ln_attn=self._ln(f"{prefix}.ln_attn"),
             ffn=self._ffn(rng, f"{prefix}.ffn"),
         )
-        if with_cross:
+        if topdown == "cross":
             layer.cross = self._attn(rng, f"{prefix}.cross")
             layer.ln_cross = self._ln(f"{prefix}.ln_cross")
-        if with_concat:
+        if topdown == "concat":
             d = self.config.d_model
             r = rng.split(f"{prefix}.concat")
             layer.concat_w = self._register(
@@ -394,6 +393,13 @@ class Model:
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
+
+    def encoder_params(self) -> dict[str, Parameter]:
+        """The parameters :meth:`encode` reads: all but the decoder side."""
+        return {
+            name: p for name, p in self.params.items()
+            if not name.startswith(("decoder.", "embed.pos_dec", "out.weight"))
+        }
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -424,24 +430,33 @@ class Model:
         pos = ops.embedding(self.pos_enc, np.arange(n))
         return ops.add(tok, pos)
 
-    def _attn_sublayer(self, x, layer, counter, kind):
-        """Encoder self-attention sublayer; ``kind`` is "local" or "full"."""
-        cfg = self.config.attention
-        if kind == "local":
-            branch = local_self_attention(x, layer.attn, cfg, counter)
-        else:
-            branch = multi_head_attention(x, x, x, layer.attn, cfg, None, counter)
-        return _residual(x, branch, layer.ln_attn)
-
     def _ffn_sublayer(self, x, ffn: _FfnParams):
         return ops.ffn_block(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2, ffn.ln.gain, ffn.ln.bias, LN_EPS)
 
-    def encode_bottom_up(self, x, counter: OpCounter | None = None) -> Tensor:
-        """N1 blocks of local self-attention + feed-forward."""
-        for layer in self.bottom_up:
-            x = self._attn_sublayer(x, layer, counter, "local")
+    def _encoder_blocks(self, x, layers, cfg: AttentionConfig, counter,
+                        segs=None, assign=None) -> Tensor:
+        """Run each layer as one encoder block: self-attention under
+        ``cfg``, then the top-down update the layer has parameters for
+        (cross-attention to ``segs``, or the concat projection of each
+        token's ``assign``-ed segment), then the FFN. Each step rebinds
+        ``x``, so a step's input is freed as soon as the next one runs."""
+        for layer in layers:
+            x = _residual(x, local_self_attention(x, layer.attn, cfg, counter), layer.ln_attn)
+            if layer.cross is not None:
+                x = cross_attention_topdown(
+                    x, segs, layer.cross, layer.ln_cross.gain, layer.ln_cross.bias,
+                    cfg, counter, LN_EPS,
+                )
+            elif layer.concat_w is not None:
+                x = top_down_concat_update(
+                    x, segs, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
+                )
             x = self._ffn_sublayer(x, layer.ffn)
         return x
+
+    def encode_bottom_up(self, x, counter: OpCounter | None = None) -> Tensor:
+        """N1 blocks of local self-attention + feed-forward."""
+        return self._encoder_blocks(x, self.bottom_up, self.config.attention, counter)
 
     def _resolve_pool_weights(self, shape, weights, labels) -> np.ndarray | None:
         mode = self.config.pooling_mode
@@ -461,52 +476,33 @@ class Model:
     def encode_segments(self, x, counter: OpCounter | None = None,
                         weights=None, labels=None) -> Tensor:
         """Pool token states into segments and run N2 full-attention blocks."""
+        if self.pos_seg is None:
+            raise UsageError('topdown_mode="none" has no segment stage')
         spec = self.config.segmentation
         p = self._resolve_pool_weights(x.shape[:-1], weights, labels)
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
         m = segs.shape[-2]
         segs = ops.add(segs, ops.embedding(self.pos_seg, np.arange(m)))
-        for layer in self.segment_layers:
-            segs = self._attn_sublayer(segs, layer, counter, "full")
-            segs = self._ffn_sublayer(segs, layer.ffn)
-        return segs
+        full = AttentionConfig(self.config.d_model, self.config.n_heads)
+        return self._encoder_blocks(segs, self.segment_layers, full, counter)
 
     def encode_top_down(self, x, segs, counter: OpCounter | None = None) -> Tensor:
-        """N3 blocks of local attention, token-segment cross-attention, FFN."""
-        cfg = self.config.attention
-        for layer in self.top_down:
-            x = self._attn_sublayer(x, layer, counter, "local")
-            x = cross_attention_topdown(
-                x, segs, layer.cross, layer.ln_cross.gain, layer.ln_cross.bias,
-                cfg, counter, LN_EPS,
-            )
-            x = self._ffn_sublayer(x, layer.ffn)
-        return x
-
-    def encode_top_down_concat(self, x, segs, counter: OpCounter | None = None) -> Tensor:
-        """Ablation variant: the cross-attention step is replaced by projecting
-        [token ; assigned segment] back to d_model."""
-        n = x.shape[-2]
-        assign = token_segment_assignment(n, self.config.segmentation)
-        for layer in self.top_down:
-            x = self._attn_sublayer(x, layer, counter, "local")
-            x = top_down_concat_update(
-                x, segs, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
-            )
-            x = self._ffn_sublayer(x, layer.ffn)
-        return x
+        """N3 blocks of local attention, the top-down update from the segment
+        states (token-segment cross-attention, or the concat ablation's
+        projection of [token ; nearest covering segment]), and FFN."""
+        assign = None
+        if self.config.topdown_mode == "concat":
+            assign = token_segment_assignment(x.shape[-2], self.config.segmentation)
+        return self._encoder_blocks(x, self.top_down, self.config.attention, counter, segs, assign)
 
     def encode(self, token_ids, counter: OpCounter | None = None,
                weights=None, labels=None) -> Tensor:
-        """Full encoder pass; composition depends on ``topdown_mode``."""
-        x = self.embed(token_ids)
-        x = self.encode_bottom_up(x, counter)
+        """Full encoder pass; ``topdown_mode="none"`` stops after bottom-up."""
+        x = self.encode_bottom_up(self.embed(token_ids), counter)
         if self.config.topdown_mode == "none":
             return x
         segs = self.encode_segments(x, counter, weights=weights, labels=labels)
-        if self.config.topdown_mode == "cross":
-            return self.encode_top_down(x, segs, counter)
-        return self.encode_top_down_concat(x, segs, counter)
+        return self.encode_top_down(x, segs, counter)
 
     # -- decoder ----------------------------------------------------------------
 

@@ -191,10 +191,6 @@ def sum_all(x) -> Tensor:
     return _record(out, (x,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def mean_all(x) -> Tensor:
-    return scale(sum_all(x), 1.0 / _data(x).size)
-
-
 # -----------------------------------------------------------------------------
 # Nonlinearities and normalization
 # -----------------------------------------------------------------------------
@@ -444,15 +440,18 @@ def dropout(x, rate: float, rng) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
-    """Position-wise feed-forward sublayer: x + LN(W2 * gelu(W1 x + b1) + b2).
+def residual_ln(x, branch, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
+    """The sublayer rule x + LN(branch).
 
     The residual passes through untouched; only the branch is normalized, so a
     zero-weight branch leaves the input exactly unchanged.
     """
-    h = gelu(linear(x, w1, b1))
-    branch = linear(h, w2, b2)
     return add(x, layer_norm(branch, ln_gain, ln_bias, eps))
+
+
+def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
+    """Position-wise feed-forward sublayer: x + LN(W2 * gelu(W1 x + b1) + b2)."""
+    return residual_ln(x, linear(gelu(linear(x, w1, b1)), w2, b2), ln_gain, ln_bias, eps)
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:

@@ -11,6 +11,7 @@ non-finite loss aborts the run and restores the last good snapshot.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,39 +55,17 @@ class TrainReport:
         }
 
 
-def _pool_kwargs(model: Model, instance) -> dict:
-    """Pooling inputs for one instance; training feeds oracle labels for both
-    adaptive modes (the learned tagger only enters at evaluation time)."""
-    mode = model.config.pooling_mode
-    if mode == "avg":
-        return {}
-    if instance.labels is None:
-        raise ConfigError(f"pooling_mode={mode} requires instances with oracle labels")
-    return {"labels": instance.labels}
-
-
 def instance_loss(model: Model, instance, tape: Tape | None = None, loss_scale: float = 1.0):
     """Cross-entropy of teacher-forced decoding for one instance."""
-    dec_in = [BOS_ID] + list(instance.target)
-    dec_out = list(instance.target) + [EOS_ID]
-
-    def run():
-        enc = model.encode(instance.source, **_pool_kwargs(model, instance))
-        logits = model.decode(dec_in, enc)
-        loss = ops.cross_entropy(logits, np.array(dec_out), PAD_ID)
-        return loss if loss_scale == 1.0 else ops.scale(loss, loss_scale)
-
-    if tape is None:
-        return run()
-    with recording(tape):
-        return run()
+    return batch_loss(model, [instance], tape, loss_scale)
 
 
 def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: float = 1.0):
     """Cross-entropy averaged over a same-shape batch in one stacked forward.
 
     All instances must share source and target lengths; the value equals the
-    mean of the per-instance losses.
+    mean of the per-instance losses. Training feeds oracle labels to both
+    adaptive pooling modes (the learned tagger only enters at evaluation).
     """
     instances = list(instances)
     src = np.array([inst.source for inst in instances], dtype=np.int64)
@@ -99,16 +78,10 @@ def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: fl
             raise ConfigError(f"pooling_mode={mode} requires instances with oracle labels")
         kwargs["labels"] = np.array([inst.labels for inst in instances], dtype=np.int64)
 
-    def run():
-        enc = model.encode(src, **kwargs)
-        logits = model.decode(dec_in, enc)
+    with recording(tape) if tape is not None else nullcontext():
+        logits = model.decode(dec_in, model.encode(src, **kwargs))
         loss = ops.cross_entropy(logits, dec_out, PAD_ID)
         return loss if loss_scale == 1.0 else ops.scale(loss, loss_scale)
-
-    if tape is None:
-        return run()
-    with recording(tape):
-        return run()
 
 
 def _shape_groups(instances) -> list[list]:
@@ -172,11 +145,7 @@ def train(
             batch = [task_fn(root.split(f"train/{step}/{j}")) for j in range(batch_size)]
             for group in _shape_groups(batch):
                 tape = Tape()
-                share = len(group) / batch_size
-                if len(group) == 1:
-                    loss = instance_loss(model, group[0], tape, loss_scale=share)
-                else:
-                    loss = batch_loss(model, group, tape, loss_scale=share)
+                loss = batch_loss(model, group, tape, loss_scale=len(group) / batch_size)
                 backward(loss, tape)
                 total += loss.item()
             opt.step()
@@ -253,7 +222,8 @@ class Tagger:
     """Encoder plus a per-token scoring head.
 
     The raw head logits are used directly as pooling weights at evaluation
-    time (the per-window softmax does its own normalization).
+    time (the per-window softmax does its own normalization). ``params``
+    holds what :meth:`logits` reads: the encoder side and the head.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -265,24 +235,17 @@ class Tagger:
         d = config.d_model
         self.head_w = Parameter("tagger.head.w", rng.split("w").normal((d, 1), std=0.02))
         self.head_b = Parameter("tagger.head.b", np.zeros(1))
-        self.params = dict(self.encoder.params)
+        self.params = self.encoder.encoder_params()
         self.params["tagger.head.w"] = self.head_w
         self.params["tagger.head.b"] = self.head_b
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def logits(self, token_ids, tape: Tape | None = None):
+    def logits(self, token_ids):
         ids = np.asarray(token_ids, dtype=np.int64)
-
-        def run():
-            enc = self.encoder.encode(ids)
-            return ops.reshape(ops.linear(enc, self.head_w, self.head_b), ids.shape)
-
-        if tape is None:
-            return run()
-        with recording(tape):
-            return run()
+        enc = self.encoder.encode(ids)
+        return ops.reshape(ops.linear(enc, self.head_w, self.head_b), ids.shape)
 
     def weights(self, token_ids) -> np.ndarray:
         return self.logits(token_ids).data.copy()

@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, dense attention, scalar loops,
-full-prefix generation.
+segment assignment, full-prefix generation.
 
 The oracles here are deliberately independent of the library's compute paths:
 dense attention is an explicit per-head loop, pooling oracles walk windows
@@ -158,6 +158,20 @@ def layer_norm_oracle(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out
 
 
+def reference_segment_assignment(n_tokens: int, spec) -> np.ndarray:
+    """Token-by-token nearest covering window centre, ties to the lower
+    segment index."""
+    from tdt.pooling import segment_index_map
+
+    starts = np.array([s for s, _ in segment_index_map(n_tokens, spec)])
+    centers = starts + (spec.kernel - 1) / 2.0
+    assign = np.zeros(n_tokens, dtype=np.int64)
+    for i in range(n_tokens):
+        covering = np.nonzero((starts <= i) & (i < starts + spec.kernel))[0]
+        assign[i] = covering[np.argmin(np.abs(i - centers[covering]))]
+    return assign
+
+
 def random_params_attention(rng: RngStream, d_model: int, prefix: str = "t"):
     from tdt.attention import init_attention_params
 
@@ -222,3 +236,19 @@ def reference_beam(model, source_ids, max_len: int, beam_size: int, eos_id: int,
             trace.append(list(hyps))
     best = max(hyps, key=lambda h: (h[1] / max(1, len(h[0])), [-i for i in h[0]]))
     return list(best[0])
+
+
+# -----------------------------------------------------------------------------
+# Checkpoint layout
+# -----------------------------------------------------------------------------
+
+
+def first_param_offsets(blob: bytes) -> tuple[int, int]:
+    """Byte offsets of the first parameter's name and first extent in a
+    checkpoint: magic, version, header length and header, count, then
+    name length, name, dtype tag, ndim, extents."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    at = 12 + hlen + 4
+    nlen = int.from_bytes(blob[at : at + 4], "little")
+    name_at = at + 4
+    return name_at, name_at + nlen + 1 + 4

@@ -389,3 +389,38 @@ def test_attention_config_validation():
         AttentionConfig(10, 3)
     with pytest.raises(ConfigError):
         AttentionConfig(8, 2, window=3)
+
+
+# -----------------------------------------------------------------------------
+# attend: the banded scorer against the dense oracle
+# -----------------------------------------------------------------------------
+
+def _banded_cases():
+    """(N, w, heads): N=1, N < w/2, N one off a multiple of the block w/2,
+    the saturating w = 2(N-1) beside the widest band below it, then random
+    draws."""
+    cases = [
+        (1, 4, 1), (3, 8, 2), (2, 2, 1), (7, 6, 2), (11, 6, 1), (9, 4, 2),
+        (13, 8, 3), (15, 8, 1), (6, 10, 2), (10, 18, 1), (10, 16, 2),
+    ]
+    rng = RngStream(404)
+    for _ in range(8):
+        n = int(rng.randint(2, 34, 1)[0])
+        cases.append((n, 2 * int(rng.randint(1, n, 1)[0]), int(rng.randint(1, 4, 1)[0])))
+    return cases
+
+
+@pytest.mark.parametrize("lead", [(2,), (2, 3)])
+def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
+    for trial, (n, w, heads) in enumerate(_banded_cases()):
+        d = 4 * heads
+        x = RngStream(trial).normal(lead + (n, d))
+        p = _params(500 + trial, d)
+        counter = OpCounter()
+        out = local_self_attention(Tensor(x), p, AttentionConfig(d, heads, w), counter)
+        mask = build_mask(MaskSpec.band(w), n, n)
+        rows, got = x.reshape(-1, n, d), out.data.reshape(-1, n, d)
+        for b in range(rows.shape[0]):
+            expected = dense_attention_oracle(rows[b], rows[b], rows[b], p, heads, mask)
+            assert np.max(np.abs(got[b] - expected)) <= 1e-10, (lead, n, w, heads)
+        assert counter.score_evals == int(np.prod(lead)) * heads * band_popcount(n, w)

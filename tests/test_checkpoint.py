@@ -5,6 +5,7 @@ import pytest
 
 from tdt import CheckpointError, Model, RngStream, desk_config, load_model, save_model
 from tdt.checkpoint import read_checkpoint, write_checkpoint
+from helpers import first_param_offsets
 
 
 def _model(seed=0, **kw):
@@ -106,3 +107,36 @@ def test_loading_preserves_concat_variant_params(tmp_path):
     assert loaded.config.topdown_mode == "concat"
     ids = RngStream(2).randint(3, m.config.vocab_size, 16)
     np.testing.assert_array_equal(m.encode(ids).data, loaded.encode(ids).data)
+
+
+def test_version_1_files_rejected(tmp_path):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=12), path)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_model(path)
+
+
+def test_non_utf8_parameter_name_rejected(tmp_path):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=13), path)
+    blob = bytearray(path.read_bytes())
+    name_at, _ = first_param_offsets(blob)
+    blob[name_at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("extent", [10**6, 2**63, 2**64 - 1])
+def test_extent_past_end_of_file_rejected(tmp_path, extent):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=14), path)
+    blob = bytearray(path.read_bytes())
+    _, extent_at = first_param_offsets(blob)
+    blob[extent_at : extent_at + 8] = extent.to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_checkpoint(path)

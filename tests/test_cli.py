@@ -10,6 +10,7 @@ from tdt import Model, desk_config, load_model, save_model
 from tdt.cli import build_parser, run_cli
 from tdt.checkpoint import read_checkpoint
 from tdt.training import DEFAULT_LR
+from helpers import first_param_offsets
 
 
 def run(capsys, *argv):
@@ -181,3 +182,24 @@ def test_eval_missing_checkpoint_exits_3(capsys):
     code, _, err = run(capsys, "eval", "--ckpt", "/nonexistent.tdtx", "--task", "copy")
     assert code in (2, 3)
     assert "nonexistent" in err
+
+
+def test_generate_on_corrupted_extent_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.tdtx"
+    save_model(Model(desk_config(), seed=0), path)
+    blob = bytearray(path.read_bytes())
+    _, extent_at = first_param_offsets(blob)
+    blob[extent_at : extent_at + 8] = (2**63).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    code, _, err = run(capsys, "generate", "--ckpt", str(path), "--source", "3,4,5")
+    assert code == 3
+    assert "truncated" in err
+
+
+@pytest.mark.parametrize("text", ['{"d_model": "x"}', '{"tie_output": 1}', "[1, 2]"])
+def test_wrong_typed_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--steps", "1")
+    assert code == 2
+    assert err.startswith("error:")

@@ -9,6 +9,7 @@ import tdt
 from tdt import (
     BOS_ID,
     EOS_ID,
+    ConfigError,
     Model,
     ModelConfig,
     OpCounter,
@@ -22,7 +23,7 @@ from tdt import ops
 from tdt.model import token_segment_assignment, top_down_concat_update, LN_EPS
 from tdt.pooling import SegmentationSpec
 from tdt.tensor import Tensor, Parameter
-from helpers import layer_norm_oracle
+from helpers import layer_norm_oracle, reference_segment_assignment
 
 
 def _ids(rng, n, cfg):
@@ -458,3 +459,31 @@ def test_local_encode_peak_memory_scales_linearly_not_quadratically():
     full.encode(ids)
     full_peak = tdt.peak_bytes()
     assert peaks[1024] < 0.25 * full_peak
+
+
+# -----------------------------------------------------------------------------
+# closed-form segment assignment and config validation
+# -----------------------------------------------------------------------------
+
+
+def test_assignment_closed_form_matches_token_loop_on_grid():
+    for kernel in range(1, 17):
+        for stride in range(1, kernel + 1):
+            spec = SegmentationSpec(kernel, stride)
+            for n in list(range(1, 60)) + [127, 128, 129, 500]:
+                np.testing.assert_array_equal(
+                    token_segment_assignment(n, spec),
+                    reference_segment_assignment(n, spec),
+                    err_msg=f"kernel={kernel} stride={stride} N={n}",
+                )
+
+
+def test_config_from_dict_rejects_non_mapping_and_wrong_types():
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict([["d_model", 64]])
+    for name, value in [("d_model", "x"), ("d_model", True), ("d_model", 64.0),
+                        ("window", "8"), ("tie_output", 1), ("pooling_mode", None)]:
+        with pytest.raises(ConfigError, match=name):
+            ModelConfig.from_dict({name: value})
+    assert ModelConfig.from_dict({"window": None}).window is None
+    assert ModelConfig.from_dict(desk_config().to_dict()) == desk_config()

@@ -13,6 +13,7 @@ from tdt import (
     desk_config,
     gen_copy_task,
     gen_keyvalue_task,
+    recording,
 )
 from tdt.model import EOS_ID
 from tdt.tasks import TaskInstance
@@ -229,3 +230,29 @@ def test_token_f1_definition():
     assert token_f1([1, 1, 0, 0], [1, 0, 1, 0]) == 0.5
     assert token_f1([0, 0], [1, 1]) == 0.0
     assert token_f1([1, 1], [1, 1]) == 1.0
+
+
+# -----------------------------------------------------------------------------
+# every parameter is read
+# -----------------------------------------------------------------------------
+
+
+def _unread(params: dict, tape) -> list[str]:
+    read = {id(x) for entry in tape.entries for x in entry.inputs}
+    return [name for name, p in params.items() if id(p) not in read]
+
+
+@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+@pytest.mark.parametrize("tie", [True, False])
+def test_loss_and_tagger_read_every_parameter(mode, tie):
+    cfg = desk_config(topdown_mode=mode, tie_output=tie)
+    m = Model(cfg, seed=1)
+    batch = [gen_copy_task(RngStream(j), (12, 12), cfg.vocab_size) for j in range(2)]
+    tape = Tape()
+    batch_loss(m, batch, tape)
+    assert _unread(m.params, tape) == []
+    tagger = Tagger(cfg, seed=1)
+    tape = Tape()
+    with recording(tape):
+        tagger.logits(RngStream(2).randint(3, cfg.vocab_size, 12))
+    assert _unread(tagger.params, tape) == []
