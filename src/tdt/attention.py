@@ -20,6 +20,7 @@ which :func:`count_budget` predicts in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,6 +241,7 @@ def project_heads(x, weight, bias, config: AttentionConfig):
     return _split_heads(ops.linear(x, weight, bias), config.n_heads, config.head_dim)
 
 
+@functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
 def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     """Additive mask bias for blocked banded attention.
 
@@ -247,7 +249,8 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     scores key slot s, which is absolute position (i-1)*block + s; a slot is
     admitted iff that position is in range and within w/2 of the query.
     Queries in the padded tail admit a single dummy slot so softmax stays
-    defined; their outputs are sliced away.
+    defined; their outputs are sliced away. The result depends on (n,
+    window) only, so it is built once per pair and shared read-only.
     """
     half = window // 2
     block = half
@@ -262,6 +265,7 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     pad_rows = q_abs >= n
     dummy = s == (block + r)
     bias = np.where(pad_rows & dummy, 0.0, bias)
+    bias.flags.writeable = False
     return bias, block, nb
 
 

@@ -29,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .tensor import CheckpointError, Parameter
+from .tensor import CheckpointError, ConfigError, Parameter
 
 MAGIC = b"TDTX"
 VERSION = 2
@@ -134,12 +134,26 @@ def save_model(model, path, dtype: str = "f64") -> None:
     write_checkpoint(path, "model", model.config.to_dict(), model.params, dtype)
 
 
-def load_model(path):
-    from .model import Model, ModelConfig
+def load_checkpoint(path, kind: str, build):
+    """Read a ``kind`` checkpoint, build ``build(ModelConfig)`` from its
+    header and assign the stored arrays to the result's ``params``. A header
+    config that is not a valid :class:`ModelConfig` is a malformed file and
+    raises :class:`CheckpointError`, like every other."""
+    from .model import ModelConfig
 
-    kind, config, arrays, _ = read_checkpoint(path)
-    if kind != "model":
-        raise CheckpointError(f"{path}: expected a model checkpoint, got kind={kind!r}")
-    model = Model(ModelConfig.from_dict(config), seed=0)
-    assign_params(model.params, arrays, path)
-    return model
+    found, config, arrays, _ = read_checkpoint(path)
+    if found != kind:
+        raise CheckpointError(f"{path}: expected a {kind} checkpoint, got kind={found!r}")
+    try:
+        config = ModelConfig.from_dict(config)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: invalid config in header: {exc}") from exc
+    obj = build(config)
+    assign_params(obj.params, arrays, path)
+    return obj
+
+
+def load_model(path):
+    from .model import Model
+
+    return load_checkpoint(path, "model", Model)

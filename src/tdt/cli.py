@@ -22,12 +22,12 @@ from .bench import (
     records_to_csv,
     records_to_json,
 )
-from .checkpoint import load_model, read_checkpoint, save_model, write_checkpoint, assign_params
+from .checkpoint import load_checkpoint, load_model, save_model, write_checkpoint
 from .model import Model, ModelConfig, desk_config, paper_config
 from .pooling import DEFAULT_STOPWORDS, build_importance_labels, load_stopwords
 from .rng import RngStream
 from .tasks import gen_copy_task, gen_keyvalue_task
-from .tensor import CheckpointError, ConfigError, TdtError
+from .tensor import ConfigError, TdtError
 from .training import DEFAULT_LR, Tagger, eval_accuracy, train, train_tagger
 
 
@@ -148,12 +148,7 @@ def _save_tagger(tagger: Tagger, path: str) -> None:
 
 
 def _load_tagger(path: str) -> Tagger:
-    kind, config, arrays, _ = read_checkpoint(path)
-    if kind != "tagger":
-        raise CheckpointError(f"{path}: expected a tagger checkpoint, got kind={kind!r}")
-    tagger = Tagger(ModelConfig.from_dict(config), seed=0)
-    assign_params(tagger.params, arrays, path)
-    return tagger
+    return load_checkpoint(path, "tagger", Tagger)
 
 
 def _read_token_lines(path: str) -> list[list[str]]:

@@ -10,12 +10,15 @@ Encoding runs in three stages over token states of shape [N, d_model]:
    cross-attention (or a concatenation projection in the ablation variant),
    injecting document-global context back into every position.
 
-Every encoder layer of every stage is one block: self-attention under the
-stage's window (none for segments), the top-down update where the layer has
-one, and a feed-forward sublayer. With ``topdown_mode="none"`` only stage 1
-runs, and the other stages' parameters are not built.
+A standard causal decoder attends the final token states only.
 
-A standard causal decoder attends the final token states only. Every
+Every layer of all four stacks is one block: self-attention under the
+stack's mask, an update from the stack's context where the layer has one,
+and a feed-forward sublayer. The masks are the band, none, the band and
+causal for bottom-up, segment, top-down and decoder; the contexts are none,
+none, the segment states (cross-attention, or the concat ablation's
+projection) and the encoder output. With ``topdown_mode="none"`` only
+stage 1 runs, and the other stages' parameters are not built. Every
 sublayer has the form ``x + LayerNorm(branch)``: the residual stream is
 never normalized, so a zero-weight branch is exactly the identity.
 """
@@ -39,9 +42,8 @@ from .attention import (
     attend,
     band_popcount,
     build_mask,
-    cross_attention_topdown,
     init_attention_params,
-    local_self_attention,
+    multi_head_attention,
     project_heads,
 )
 from .pooling import (
@@ -183,24 +185,18 @@ class _FfnParams:
 
 
 @dataclass
-class _EncoderLayer:
-    attn: AttentionParams
-    ln_attn: _LnParams
+class _Layer:
+    """One block: self-attention, the context update the layer has
+    parameters for (cross-attention, or the concat projection), FFN."""
+
+    self_attn: AttentionParams
+    ln_self: _LnParams
     ffn: _FfnParams
     cross: AttentionParams | None = None
     ln_cross: _LnParams | None = None
     concat_w: Parameter | None = None
     concat_b: Parameter | None = None
     ln_concat: _LnParams | None = None
-
-
-@dataclass
-class _DecoderLayer:
-    self_attn: AttentionParams
-    ln_self: _LnParams
-    cross: AttentionParams
-    ln_cross: _LnParams
-    ffn: _FfnParams
 
 
 @dataclass
@@ -306,19 +302,18 @@ class Model:
         if not c.tie_output:
             self.out_w = self._emb(rng, "out.weight", (c.d_model, c.vocab_size))
 
-        self.bottom_up = [
-            self._encoder_layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)
-        ]
+        self.bottom_up = [self._layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)]
         self.segment_layers = [
-            self._encoder_layer(rng, f"segment.{i}")
+            self._layer(rng, f"segment.{i}")
             for i in range(c.n_segment_layers if hierarchical else 0)
         ]
         self.top_down = [
-            self._encoder_layer(rng, f"top_down.{i}", c.topdown_mode)
+            self._layer(rng, f"top_down.{i}", c.topdown_mode)
             for i in range(c.n_top_down if hierarchical else 0)
         ]
         self.decoder = [
-            self._decoder_layer(rng, f"decoder.{i}") for i in range(c.n_decoder_layers)
+            self._layer(rng, f"decoder.{i}", "cross", ("self_attn", "ln_self"))
+            for i in range(c.n_decoder_layers)
         ]
 
     # -- construction helpers -------------------------------------------------
@@ -361,18 +356,21 @@ class Model:
             ln=self._ln(f"{prefix}.ln"),
         )
 
-    def _encoder_layer(self, rng, prefix, topdown: str = "none") -> _EncoderLayer:
-        """Self-attention and FFN parameters, plus the top-down update's for
-        a top-down layer (``topdown`` "cross" or "concat")."""
-        layer = _EncoderLayer(
-            attn=self._attn(rng, f"{prefix}.attn"),
-            ln_attn=self._ln(f"{prefix}.ln_attn"),
+    def _layer(self, rng, prefix, context: str = "none",
+               self_names: tuple[str, str] = ("attn", "ln_attn")) -> _Layer:
+        """One block's parameters: self-attention and its layer norm under
+        ``self_names`` (decoder layers are named "self_attn" and "ln_self"),
+        the FFN, and the ``context`` update's ("cross", "concat" or "none")."""
+        attn, ln = self_names
+        layer = _Layer(
+            self_attn=self._attn(rng, f"{prefix}.{attn}"),
+            ln_self=self._ln(f"{prefix}.{ln}"),
             ffn=self._ffn(rng, f"{prefix}.ffn"),
         )
-        if topdown == "cross":
+        if context == "cross":
             layer.cross = self._attn(rng, f"{prefix}.cross")
             layer.ln_cross = self._ln(f"{prefix}.ln_cross")
-        if topdown == "concat":
+        if context == "concat":
             d = self.config.d_model
             r = rng.split(f"{prefix}.concat")
             layer.concat_w = self._register(
@@ -381,15 +379,6 @@ class Model:
             layer.concat_b = self._register(Parameter(f"{prefix}.concat.b", np.zeros(d)))
             layer.ln_concat = self._ln(f"{prefix}.ln_concat")
         return layer
-
-    def _decoder_layer(self, rng, prefix) -> _DecoderLayer:
-        return _DecoderLayer(
-            self_attn=self._attn(rng, f"{prefix}.self_attn"),
-            ln_self=self._ln(f"{prefix}.ln_self"),
-            cross=self._attn(rng, f"{prefix}.cross"),
-            ln_cross=self._ln(f"{prefix}.ln_cross"),
-            ffn=self._ffn(rng, f"{prefix}.ffn"),
-        )
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -430,33 +419,63 @@ class Model:
         pos = ops.embedding(self.pos_enc, np.arange(n))
         return ops.add(tok, pos)
 
-    def _ffn_sublayer(self, x, ffn: _FfnParams):
-        return ops.ffn_block(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2, ffn.ln.gain, ffn.ln.bias, LN_EPS)
-
-    def _encoder_blocks(self, x, layers, cfg: AttentionConfig, counter,
-                        segs=None, assign=None) -> Tensor:
-        """Run each layer as one encoder block: self-attention under
-        ``cfg``, then the top-down update the layer has parameters for
-        (cross-attention to ``segs``, or the concat projection of each
-        token's ``assign``-ed segment), then the FFN. Each step rebinds
-        ``x``, so a step's input is freed as soon as the next one runs."""
-        for layer in layers:
-            x = _residual(x, local_self_attention(x, layer.attn, cfg, counter), layer.ln_attn)
+    def _blocks(self, x, layers, mask, counter, context=None, assign=None,
+                cache: DecodeCache | None = None) -> Tensor:
+        """Run each layer as one block: self-attention under ``mask``, then
+        the context update the layer has parameters for (cross-attention to
+        ``context``, or the concat projection of each token's ``assign``-ed
+        context row), then the FFN. With ``cache``, layer i reads and extends
+        ``cache.layers[i]``. Each step rebinds ``x``, so a step's input is
+        freed as soon as the next one runs."""
+        if context is not None and context.shape[-2] < 1:
+            raise UsageError("cross attention requires at least one context row")
+        for i, layer in enumerate(layers):
+            kv = None if cache is None else cache.layers[i]
+            x = _residual(x, self._attention(x, None, layer.self_attn, mask, counter, kv),
+                          layer.ln_self)
             if layer.cross is not None:
-                x = cross_attention_topdown(
-                    x, segs, layer.cross, layer.ln_cross.gain, layer.ln_cross.bias,
-                    cfg, counter, LN_EPS,
-                )
+                x = _residual(x, self._attention(x, context, layer.cross, None, counter, kv),
+                              layer.ln_cross)
             elif layer.concat_w is not None:
                 x = top_down_concat_update(
-                    x, segs, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
+                    x, context, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
                 )
-            x = self._ffn_sublayer(x, layer.ffn)
+            f = layer.ffn
+            x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias, LN_EPS)
         return x
+
+    def _attention(self, x, context, params: AttentionParams, mask, counter,
+                   kv: _LayerKV | None) -> Tensor:
+        """Attention branch of ``x`` to itself (``context`` None) or to
+        ``context``. With a layer cache ``kv``, the self keys and values
+        extend the cached ones, and the context's are projected on the first
+        call and reused after."""
+        cfg = self.config.attention
+        if kv is None:  # projections go straight in: attend frees them early
+            src = x if context is None else context
+            return multi_head_attention(x, src, src, params, cfg, mask, counter)
+        q = project_heads(x, params.wq, params.bq, cfg)
+        if context is None:
+            k = project_heads(x, params.wk, params.bk, cfg)
+            v = project_heads(x, params.wv, params.bv, cfg)
+            if kv.self_k is not None:
+                k = ops.concat([kv.self_k, k], axis=-2)
+                v = ops.concat([kv.self_v, v], axis=-2)
+            kv.self_k, kv.self_v = k, v
+            return attend(q, k, v, params, cfg, mask, counter)
+        if kv.cross_k is None:
+            kv.cross_k = project_heads(context, params.wk, params.bk, cfg)
+            kv.cross_v = project_heads(context, params.wv, params.bv, cfg)
+        return attend(q, kv.cross_k, kv.cross_v, params, cfg, mask, counter)
+
+    def _band(self) -> MaskSpec | None:
+        """The token stacks' self-attention mask: the band, or none."""
+        w = self.config.window
+        return None if w is None else MaskSpec.band(w)
 
     def encode_bottom_up(self, x, counter: OpCounter | None = None) -> Tensor:
         """N1 blocks of local self-attention + feed-forward."""
-        return self._encoder_blocks(x, self.bottom_up, self.config.attention, counter)
+        return self._blocks(x, self.bottom_up, self._band(), counter)
 
     def _resolve_pool_weights(self, shape, weights, labels) -> np.ndarray | None:
         mode = self.config.pooling_mode
@@ -483,8 +502,7 @@ class Model:
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
         m = segs.shape[-2]
         segs = ops.add(segs, ops.embedding(self.pos_seg, np.arange(m)))
-        full = AttentionConfig(self.config.d_model, self.config.n_heads)
-        return self._encoder_blocks(segs, self.segment_layers, full, counter)
+        return self._blocks(segs, self.segment_layers, None, counter)
 
     def encode_top_down(self, x, segs, counter: OpCounter | None = None) -> Tensor:
         """N3 blocks of local attention, the top-down update from the segment
@@ -493,7 +511,7 @@ class Model:
         assign = None
         if self.config.topdown_mode == "concat":
             assign = token_segment_assignment(x.shape[-2], self.config.segmentation)
-        return self._encoder_blocks(x, self.top_down, self.config.attention, counter, segs, assign)
+        return self._blocks(x, self.top_down, self._band(), counter, segs, assign)
 
     def encode(self, token_ids, counter: OpCounter | None = None,
                weights=None, labels=None) -> Tensor:
@@ -539,10 +557,7 @@ class Model:
             ops.embedding(self.pos_dec, np.arange(past, past + t)),
         )
         mask = build_mask(MaskSpec.causal(), t, past + t)
-        for i, layer in enumerate(self.decoder):
-            y = self._decoder_layer_forward(
-                y, layer, enc_out, mask, counter, None if cache is None else cache.layers[i]
-            )
+        y = self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache)
         if cache is not None:
             cache.length += t
             cache.batch_shape = ids.shape[:-1]
@@ -553,32 +568,6 @@ class Model:
             ops.transpose(self.tok_emb, (1, 0)),
         )
         return ops.reshape(logits, y.shape[:-1] + (self.config.vocab_size,))
-
-    def _decoder_layer_forward(self, y, layer: _DecoderLayer, enc_out, mask, counter,
-                               kv: _LayerKV | None) -> Tensor:
-        """Causal self-attention over the past and new positions, attention
-        to the encoder output, feed-forward."""
-        cfg = self.config.attention
-        sa, ca = layer.self_attn, layer.cross
-        q = project_heads(y, sa.wq, sa.bq, cfg)
-        k = project_heads(y, sa.wk, sa.bk, cfg)
-        v = project_heads(y, sa.wv, sa.bv, cfg)
-        if kv is not None:
-            if kv.self_k is not None:
-                k = ops.concat([kv.self_k, k], axis=-2)
-                v = ops.concat([kv.self_v, v], axis=-2)
-            kv.self_k, kv.self_v = k, v
-        y = _residual(y, attend(q, k, v, sa, cfg, mask, counter), layer.ln_self)
-        q = project_heads(y, ca.wq, ca.bq, cfg)
-        if kv is not None and kv.cross_k is not None:
-            k, v = kv.cross_k, kv.cross_v
-        else:
-            k = project_heads(enc_out, ca.wk, ca.bk, cfg)
-            v = project_heads(enc_out, ca.wv, ca.bv, cfg)
-            if kv is not None:
-                kv.cross_k, kv.cross_v = k, v
-        y = _residual(y, attend(q, k, v, ca, cfg, None, counter), layer.ln_cross)
-        return self._ffn_sublayer(y, layer.ffn)
 
     def generate(self, source_ids, max_len: int, strategy: str = "greedy",
                  beam_size: int = 1, eos_id: int = EOS_ID,

@@ -139,14 +139,6 @@ def sub(a, b) -> Tensor:
     return _record(out, (a, b), lambda g: (g, -g))
 
 
-def mul(a, b) -> Tensor:
-    da, db = _data(a), _data(b)
-    if da.shape != db.shape:
-        raise ShapeError(f"mul: shapes {da.shape} and {db.shape}")
-    out = Tensor(da * db)
-    return _record(out, (a, b), lambda g: (g * db, g * da))
-
-
 def scale(x, c: float) -> Tensor:
     a = _data(x)
     c = float(c)

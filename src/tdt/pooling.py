@@ -152,24 +152,3 @@ def labels_to_weights(labels, hi: float = 1.0, lo: float = 0.0) -> np.ndarray:
         raise ConfigError(f"labels_to_weights requires hi > lo, got {hi} <= {lo}")
     labels = np.asarray(labels)
     return np.where(labels != 0, float(hi), float(lo))
-
-
-# -----------------------------------------------------------------------------
-# Label file format: one document per line, one 0/1 per token
-# -----------------------------------------------------------------------------
-
-
-def write_label_file(path, label_rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in label_rows:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def read_label_file(path) -> list[np.ndarray]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(np.array([int(v) for v in line.split()], dtype=np.int64))
-    return rows

@@ -104,8 +104,8 @@ class Tensor:
 
     __slots__ = ("data", "__weakref__")
 
-    def __init__(self, data, copy: bool = False):
-        arr = np.array(data, dtype=np.float64, copy=copy or None)
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
         # Fast finiteness screen: a NaN/Inf entry makes the sum non-finite.
         # A non-finite sum of genuinely finite entries (overflow) is accepted
         # after the precise check.
@@ -143,10 +143,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
-
-    @staticmethod
-    def zeros(*shape) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float64))
 
 
 class Parameter:

@@ -12,7 +12,7 @@ non-finite loss aborts the run and restores the last good snapshot.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -222,13 +222,13 @@ class Tagger:
     """Encoder plus a per-token scoring head.
 
     The raw head logits are used directly as pooling weights at evaluation
-    time (the per-window softmax does its own normalization). ``params``
-    holds what :meth:`logits` reads: the encoder side and the head.
+    time (the per-window softmax does its own normalization). The encoder
+    is built with average pooling and no decoder layers; ``params`` holds
+    what :meth:`logits` reads: the encoder side and the head.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        if config.pooling_mode != "avg":
-            config = ModelConfig.from_dict({**config.to_dict(), "pooling_mode": "avg"})
+        config = replace(config, pooling_mode="avg", n_decoder_layers=0)
         self.config = config
         self.encoder = Model(config, seed=seed)
         rng = RngStream(seed).split("tagger")

@@ -18,7 +18,7 @@ from tdt import (
     local_self_attention,
     multi_head_attention,
 )
-from tdt.attention import init_attention_params
+from tdt.attention import _band_block_bias, init_attention_params
 from tdt.tensor import Parameter, Tape, backward, recording
 from tdt import ops
 from helpers import (
@@ -424,3 +424,9 @@ def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
             expected = dense_attention_oracle(rows[b], rows[b], rows[b], p, heads, mask)
             assert np.max(np.abs(got[b] - expected)) <= 1e-10, (lead, n, w, heads)
         assert counter.score_evals == int(np.prod(lead)) * heads * band_popcount(n, w)
+
+
+def test_band_bias_is_built_once_per_shape_and_read_only():
+    first = _band_block_bias(40, 8)
+    assert _band_block_bias(40, 8)[0] is first[0]
+    assert not first[0].flags.writeable

@@ -8,8 +8,8 @@ import pytest
 
 from tdt import Model, desk_config, load_model, save_model
 from tdt.cli import build_parser, run_cli
-from tdt.checkpoint import read_checkpoint
-from tdt.training import DEFAULT_LR
+from tdt.checkpoint import load_checkpoint, read_checkpoint, write_checkpoint
+from tdt.training import DEFAULT_LR, Tagger
 from helpers import first_param_offsets
 
 
@@ -203,3 +203,36 @@ def test_wrong_typed_config_exits_2(tmp_path, capsys, text):
     code, _, err = run(capsys, "train", "--config", str(cfg), "--steps", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [{"d_model": "x"}, {"n_heads": 3}], ids=["wrong-type", "indivisible"])
+def test_malformed_checkpoint_config_exits_3(tmp_path, capsys, bad):
+    cfg = desk_config()
+    assert cfg.d_model == 64
+    header = {**cfg.to_dict(), **bad}
+    model_ckpt, tagger_ckpt = tmp_path / "m.tdtx", tmp_path / "t.tdtx"
+    write_checkpoint(model_ckpt, "model", header, Model(cfg, seed=0).params)
+    write_checkpoint(tagger_ckpt, "tagger", header, Tagger(cfg, seed=0).params)
+    doc = tmp_path / "ids.txt"
+    doc.write_text("3 4 5\n")
+    for argv in (("generate", "--ckpt", str(model_ckpt), "--source", "3,4,5"),
+                 ("tag", "--mode", "run", "--ckpt", str(tagger_ckpt), "--doc", str(doc))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "invalid config in header" in err
+
+
+def test_tagger_checkpoint_with_decoder_layers_in_header_loads(tmp_path, capsys):
+    # Taggers used to keep the caller's n_decoder_layers in their header.
+    cfg = desk_config()
+    tagger = Tagger(cfg, seed=4)
+    ckpt = tmp_path / "t.tdtx"
+    write_checkpoint(ckpt, "tagger", {**tagger.config.to_dict(), "n_decoder_layers": 2},
+                     tagger.params)
+    loaded = load_checkpoint(ckpt, "tagger", Tagger)
+    np.testing.assert_array_equal(loaded.weights([3, 4, 5, 6]), tagger.weights([3, 4, 5, 6]))
+    doc = tmp_path / "ids.txt"
+    doc.write_text("3 4 5 6\n")
+    code, text, _ = run(capsys, "tag", "--mode", "run", "--ckpt", str(ckpt), "--doc", str(doc))
+    assert code == 0
+    assert len(text.split()) == 4

@@ -184,6 +184,18 @@ def test_top_down_counter_contribution():
     assert counter.score_evals == expected
 
 
+@pytest.mark.parametrize("mode", ["cross", "concat"])
+def test_top_down_and_decode_reject_empty_context(mode):
+    cfg = _cfg(topdown_mode=mode)
+    m = Model(cfg, seed=10)
+    x = m.embed(_ids(RngStream(6), 12, cfg))
+    empty = Tensor(np.zeros((0, cfg.d_model)))
+    with pytest.raises(UsageError):
+        m.encode_top_down(x, empty)
+    with pytest.raises(UsageError):
+        m.decode([1, 4, 5], empty)
+
+
 def test_top_down_restores_long_range_flow():
     cfg = _cfg()
     rng = RngStream(7)

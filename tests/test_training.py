@@ -201,6 +201,12 @@ def test_tagger_forces_average_pooling_for_its_own_encoder():
     assert t.config.pooling_mode == "avg"
 
 
+def test_tagger_builds_no_decoder_layers():
+    t = Tagger(desk_config(), seed=0)
+    assert t.encoder.decoder == []
+    assert set(t.encoder.params) - set(t.params) <= {"embed.pos_dec"}
+
+
 def test_tagger_all_zero_labels_drives_loss_down():
     # constant data, all-zero labels: probabilities drift toward zero and the
     # binary cross-entropy falls below 0.1 well within 1000 steps
