@@ -11,7 +11,6 @@ from .attention import (
     band_popcount,
     build_mask,
     count_budget,
-    cross_attention_topdown,
     local_self_attention,
     multi_head_attention,
 )
@@ -27,7 +26,7 @@ from .model import (
     encode_score_budget,
     paper_config,
 )
-from .ops import cross_entropy, ffn_block, layer_norm, linear, matmul, softmax_rows
+from .ops import cross_entropy, ffn_block, layer_norm, linear, matmul
 from .optim import Adam, adam_step
 from .pooling import (
     SegmentationSpec,

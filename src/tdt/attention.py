@@ -10,8 +10,8 @@ w/2 positions, each block scoring only its own and adjacent key blocks, so
 live memory grows with N * w. Everything else is scored densely. Masked
 slots get a -1e30 additive penalty whose exponent underflows to exactly
 zero, meaning tokens outside the mask cannot influence a row even at the
-bit level. :func:`multi_head_attention`, :func:`local_self_attention` and
-:func:`cross_attention_topdown` are thin entry points over the core.
+bit level. :func:`multi_head_attention` and :func:`local_self_attention` are
+thin entry points over the core.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
 increment equals the number of admitted query-key pairs summed over heads,
@@ -67,9 +67,6 @@ class OpCounter:
             raise UsageError("OpCounter cannot decrease")
         self.score_evals += int(n)
 
-    def reset(self) -> None:
-        self.score_evals = 0
-
 
 # -----------------------------------------------------------------------------
 # Masks and budgets
@@ -78,11 +75,10 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Admissibility pattern: full, band(w), causal, or an explicit matrix."""
+    """Admissibility pattern: full, band(w) or causal."""
 
     kind: str
     window: int | None = None
-    matrix: np.ndarray | None = None
 
     @staticmethod
     def full() -> "MaskSpec":
@@ -97,10 +93,6 @@ class MaskSpec:
     @staticmethod
     def causal() -> "MaskSpec":
         return MaskSpec("causal")
-
-    @staticmethod
-    def explicit(matrix: np.ndarray) -> "MaskSpec":
-        return MaskSpec("explicit", matrix=np.asarray(matrix, dtype=bool))
 
 
 def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
@@ -128,16 +120,6 @@ def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
         i = np.arange(n_rows)[:, None] + (n_cols - n_rows)
         j = np.arange(n_cols)[None, :]
         return j <= i
-    if spec.kind == "explicit":
-        m = spec.matrix
-        if m is None or m.shape != (n_rows, n_cols):
-            raise UsageError(
-                f"explicit mask shape {None if m is None else m.shape} "
-                f"!= ({n_rows}, {n_cols})"
-            )
-        if not m.any(axis=1).all():
-            raise UsageError("explicit mask has a fully masked row")
-        return m.copy()
     raise UsageError(f"unknown mask kind {spec.kind!r}")
 
 
@@ -298,6 +280,8 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     """
     n = q.shape[-2]
     m = k.shape[-2]
+    if m < 1:
+        raise UsageError("attention requires at least one key")
     if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
         raise ShapeError("query/key/value leading shapes disagree")
     lead = q.shape[:-3]
@@ -385,21 +369,3 @@ def local_self_attention(x, params: AttentionParams, config: AttentionConfig,
     mask = None if config.window is None else MaskSpec.band(config.window)
     return multi_head_attention(x, x, x, params, config, mask, counter, return_weights)
 
-
-def cross_attention_topdown(e, s, params: AttentionParams, ln_gain: Parameter,
-                            ln_bias: Parameter, config: AttentionConfig,
-                            counter: OpCounter | None = None, eps: float = 1e-5,
-                            return_weights: bool = False):
-    """Token-segment correction: e + LayerNorm(W_o concat_heads(attn(e -> s))).
-
-    Every token attends every segment (N*M pairs per head); the normalized
-    branch is added onto the token states so a zero-weight branch is a no-op.
-    Leading batch axes pass through.
-    """
-    if s.shape[-2] < 1:
-        raise UsageError("cross attention requires at least one segment")
-    if e.shape[:-2] != s.shape[:-2]:
-        raise ShapeError("token/segment leading shapes disagree")
-    res = multi_head_attention(e, s, s, params, config, None, counter, return_weights)
-    out = ops.residual_ln(e, res[0] if return_weights else res, ln_gain, ln_bias, eps)
-    return (out, res[1]) if return_weights else out

@@ -1,10 +1,10 @@
 """Complexity and memory benchmarks, and the ablation driver.
 
-Each benchmark cell runs one encoder forward per trial and reports three
-things: the exact number of query-key dot products (deterministic, always
-equal to the closed-form budget), the median wall time of the trials, and the
-peak of the internal tensor-allocation tracker. Cells that exhaust memory
-are recorded as failed and the sweep continues.
+Each benchmark cell runs one untimed warm-up encoder forward, then one per
+trial, and reports three things: the exact number of query-key dot products
+(deterministic, always equal to the closed-form budget), the median wall
+time of the trials, and the peak of the internal tensor-allocation tracker.
+Cells that exhaust memory are recorded as failed and the sweep continues.
 
 Variants mirror the ablation rows: "full" is unwindowed self-attention with
 no segment level, "local-only" drops the top-down update, "topdown-cross"
@@ -82,7 +82,9 @@ def bench_cell(
     trials: int = 3,
     seed: int = 0,
 ) -> BenchRecord:
-    """Time and count one encoder configuration at one sequence length."""
+    """Time and count one encoder configuration at one sequence length.
+
+    One untimed encode runs first, so the trials time a warm model."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     cfg = variant_config(variant, window, base)
@@ -93,6 +95,7 @@ def bench_cell(
     ids = rng.randint(3, cfg.vocab_size, n_tokens)
     try:
         model = Model(cfg, seed=seed)
+        model.encode(ids)
         times = []
         evals = 0
         peak = 0
@@ -158,12 +161,6 @@ def records_to_csv(records) -> str:
 
 def records_to_json(records) -> str:
     return json.dumps([r.to_row() for r in records], indent=2) + "\n"
-
-
-def parse_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
 # -----------------------------------------------------------------------------

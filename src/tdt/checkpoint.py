@@ -17,7 +17,10 @@ Compute always runs in f64; the f32 tag is a storage-only option. A save /
 load / save round trip is byte-identical. Version 2 dropped the ``dropout``
 config field and the parameters nothing reads (the segment and top-down
 tables of ``topdown_mode="none"``, a tagger's decoder), so version 1 files
-are rejected. Every malformed file raises :class:`CheckpointError`.
+are rejected. A model with ``n_decoder_layers=0`` also has no decoder-side
+parameters (``embed.pos_dec``, ``out.weight``); an older version 2 model
+file that still holds them fails with a parameter table mismatch. Tagger
+files never held them. Every malformed file raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations

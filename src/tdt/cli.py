@@ -27,7 +27,7 @@ from .model import Model, ModelConfig, desk_config, paper_config
 from .pooling import DEFAULT_STOPWORDS, build_importance_labels, load_stopwords
 from .rng import RngStream
 from .tasks import gen_copy_task, gen_keyvalue_task
-from .tensor import ConfigError, TdtError
+from .tensor import ConfigError, TdtError, UsageError
 from .training import DEFAULT_LR, Tagger, eval_accuracy, train, train_tagger
 
 
@@ -336,7 +336,7 @@ def run_cli(argv) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TdtError, ValueError, OSError) as exc:

@@ -10,7 +10,10 @@ Encoding runs in three stages over token states of shape [N, d_model]:
    cross-attention (or a concatenation projection in the ablation variant),
    injecting document-global context back into every position.
 
-A standard causal decoder attends the final token states only.
+A standard causal decoder attends the final token states only. A model with
+``n_decoder_layers=0`` is an encoder: it builds no decoder-side parameters
+(decoder position table, untied output projection), and its ``decode`` and
+``generate`` raise :class:`UsageError`.
 
 Every layer of all four stacks is one block: self-attention under the
 stack's mask, an update from the stack's context where the layer has one,
@@ -287,19 +290,23 @@ class Model:
         rng = RngStream(seed).split("init")
         c = config
 
-        # Without top-down inference the segment stage and the top-down layers
-        # never run, so their parameters are not built.
+        # Stages that never run build no parameters: without top-down
+        # inference the segment stage and the top-down layers, without
+        # decoder layers the decoder-side embeddings.
         hierarchical = c.topdown_mode != "none"
+        decoding = c.n_decoder_layers > 0
 
         self.tok_emb = self._emb(rng, "embed.token", (c.vocab_size, c.d_model))
         self.pos_enc = self._emb(rng, "embed.pos_enc", (c.max_positions, c.d_model))
-        self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
+        self.pos_dec = None
+        if decoding:
+            self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
         self.pos_seg = None
         if hierarchical:
             m = c.segmentation.n_segments(c.max_positions)
             self.pos_seg = self._emb(rng, "embed.pos_seg", (m, c.d_model))
         self.out_w = None
-        if not c.tie_output:
+        if decoding and not c.tie_output:
             self.out_w = self._emb(rng, "out.weight", (c.d_model, c.vocab_size))
 
         self.bottom_up = [self._layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)]
@@ -382,17 +389,6 @@ class Model:
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
-
-    def encoder_params(self) -> dict[str, Parameter]:
-        """The parameters :meth:`encode` reads: all but the decoder side."""
-        return {
-            name: p for name, p in self.params.items()
-            if not name.startswith(("decoder.", "embed.pos_dec", "out.weight"))
-        }
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
 
     # -- forward stages --------------------------------------------------------
 
@@ -535,6 +531,8 @@ class Model:
         is extended with theirs. Its cross-attention keys and values are
         projected from ``enc_out`` on the first call and reused after.
         """
+        if self.pos_dec is None:
+            raise UsageError("n_decoder_layers=0: the model has no decoder")
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim not in (1, 2):
             raise UsageError("decode expects [T] or [B, T] prefix ids")

@@ -234,14 +234,6 @@ def softmax_last(x) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def softmax_rows(x) -> Tensor:
-    """Row softmax of a matrix; each output row is non-negative and sums to 1."""
-    a = _data(x)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {a.shape}")
-    return softmax_last(x)
-
-
 def logsumexp_last(x) -> Tensor:
     """log(sum(exp)) over the last axis, max-shifted."""
     a = _data(x)
@@ -414,17 +406,6 @@ def weighted_window_sum(windows, weights: np.ndarray) -> Tensor:
     return _record(
         out, (windows,), lambda g: (weights[..., :, :, None] * g[..., :, None, :],)
     )
-
-
-def dropout(x, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x if isinstance(x, Tensor) else Tensor(_data(x))
-    a = _data(x)
-    keep = (rng.uniform(a.shape) >= rate) / (1.0 - rate)
-    return mul_const(x, keep)
 
 
 # -----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NumericsError, Parameter
+from .tensor import NumericsError, Parameter, UsageError
 
 
 def adam_step(
@@ -24,7 +24,7 @@ def adam_step(
     an all-zero gradient and zero moments are left exactly unchanged.
     """
     if t < 1:
-        raise ValueError("adam_step requires t >= 1")
+        raise UsageError("adam_step requires t >= 1")
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for p, g, m, v in zip(params, grads, m_state, v_state):

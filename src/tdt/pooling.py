@@ -146,9 +146,6 @@ def build_importance_labels(doc_tokens, ref_tokens, stopwords=DEFAULT_STOPWORDS)
     return labels
 
 
-def labels_to_weights(labels, hi: float = 1.0, lo: float = 0.0) -> np.ndarray:
-    """Binary labels to pooling weights: hi where labelled, lo elsewhere."""
-    if not hi > lo:
-        raise ConfigError(f"labels_to_weights requires hi > lo, got {hi} <= {lo}")
-    labels = np.asarray(labels)
-    return np.where(labels != 0, float(hi), float(lo))
+def labels_to_weights(labels) -> np.ndarray:
+    """Binary labels to pooling weights: 1.0 where labelled, 0.0 elsewhere."""
+    return np.where(np.asarray(labels) != 0, 1.0, 0.0)

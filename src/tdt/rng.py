@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .tensor import UsageError
+
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -84,7 +86,7 @@ class RngStream:
     def randint(self, low: int, high: int, n: int = 1) -> np.ndarray:
         """Integers in [low, high) with negligible modulo bias for small ranges."""
         if high <= low:
-            raise ValueError("randint requires high > low")
+            raise UsageError(f"randint requires high > low, got [{low}, {high})")
         span = np.uint64(high - low)
         return (low + (self.u64(n) % span).astype(np.int64)).astype(np.int64)
 

@@ -55,11 +55,6 @@ class TrainReport:
         }
 
 
-def instance_loss(model: Model, instance, tape: Tape | None = None, loss_scale: float = 1.0):
-    """Cross-entropy of teacher-forced decoding for one instance."""
-    return batch_loss(model, [instance], tape, loss_scale)
-
-
 def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: float = 1.0):
     """Cross-entropy averaged over a same-shape batch in one stacked forward.
 
@@ -110,14 +105,11 @@ def train(
     lr: float = DEFAULT_LR,
     batch_size: int = 8,
     val_size: int = 32,
-    eval_every: int | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    adam_eps: float = 1e-8,
 ) -> TrainReport:
     """Train ``model`` on instances drawn from ``task_fn(rng) -> TaskInstance``.
 
-    Keeps the parameter snapshot with the best validation token accuracy and
+    Validates every ``max(1, steps // 4)`` steps and after the last, keeps
+    the parameter snapshot with the best validation token accuracy, and
     restores it before returning. ``steps == 0`` leaves the model untouched.
 
     The default ``lr`` is ``DEFAULT_LR`` (1e-3), a from-scratch rate: Adam
@@ -134,8 +126,8 @@ def train(
         return report
     root = RngStream(seed)
     val_set = [task_fn(root.split(f"val/{j}")) for j in range(val_size)]
-    eval_every = eval_every or max(1, steps // 4)
-    opt = Adam(model.parameters(), lr=lr, beta1=beta1, beta2=beta2, eps=adam_eps)
+    eval_every = max(1, steps // 4)
+    opt = Adam(model.parameters(), lr=lr)
     best_snap = _snapshot(model)
     best_acc = -1.0
     try:
@@ -171,14 +163,14 @@ def eval_accuracy(
     strategy: str = "greedy",
     beam_size: int = 1,
     tagger=None,
-    max_len: int | None = None,
 ) -> dict:
     """Exact-match token and sequence accuracy over a task set.
 
-    Generated sequences have a trailing eos stripped before comparison. The
-    accounting is a plain sum of per-instance counts, so it is invariant to
-    evaluation order. Adaptive pooling ("ada") requires a tagger whose logits
-    become the pooling weights; oracle mode reads each instance's labels.
+    Each instance generates up to one token more than its target, and a
+    trailing eos is stripped before comparison. The accounting is a plain
+    sum of per-instance counts, so it is invariant to evaluation order.
+    Adaptive pooling ("ada") requires a tagger whose logits become the
+    pooling weights; oracle mode reads each instance's labels.
     """
     instances = list(instances)
     if not instances:
@@ -197,9 +189,9 @@ def eval_accuracy(
             if inst.labels is None:
                 raise ConfigError("pooling_mode=oracle_ada requires instance labels")
             kwargs["labels"] = inst.labels
-        limit = max_len if max_len is not None else len(inst.target) + 1
         gen = model.generate(
-            inst.source, max_len=limit, strategy=strategy, beam_size=beam_size, **kwargs
+            inst.source, max_len=len(inst.target) + 1, strategy=strategy,
+            beam_size=beam_size, **kwargs
         )
         if gen and gen[-1] == EOS_ID:
             gen = gen[:-1]
@@ -223,8 +215,8 @@ class Tagger:
 
     The raw head logits are used directly as pooling weights at evaluation
     time (the per-window softmax does its own normalization). The encoder
-    is built with average pooling and no decoder layers; ``params`` holds
-    what :meth:`logits` reads: the encoder side and the head.
+    is built with average pooling and no decoder layers, so ``params``, the
+    encoder's parameters plus the head, is exactly what :meth:`logits` reads.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -235,9 +227,8 @@ class Tagger:
         d = config.d_model
         self.head_w = Parameter("tagger.head.w", rng.split("w").normal((d, 1), std=0.02))
         self.head_b = Parameter("tagger.head.b", np.zeros(1))
-        self.params = self.encoder.encoder_params()
-        self.params["tagger.head.w"] = self.head_w
-        self.params["tagger.head.b"] = self.head_b
+        self.params = {**self.encoder.params, "tagger.head.w": self.head_w,
+                       "tagger.head.b": self.head_b}
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())

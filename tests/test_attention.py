@@ -14,7 +14,6 @@ from tdt import (
     band_popcount,
     build_mask,
     count_budget,
-    cross_attention_topdown,
     local_self_attention,
     multi_head_attention,
 )
@@ -65,13 +64,6 @@ def test_band_spec_rejects_odd_or_tiny_window():
         MaskSpec.band(3)
     with pytest.raises(ConfigError):
         MaskSpec.band(0)
-
-
-def test_explicit_mask_requires_nonempty_rows():
-    m = np.ones((3, 3), dtype=bool)
-    m[1] = False
-    with pytest.raises(UsageError):
-        build_mask(MaskSpec.explicit(m), 3, 3)
 
 
 def test_every_band_row_admits_self():
@@ -279,12 +271,16 @@ def test_local_attention_gradient_check():
 
 
 # -----------------------------------------------------------------------------
-# cross_attention_topdown
+# Token-segment cross update: e + LN(attention of e to s), as the model runs it
 # -----------------------------------------------------------------------------
 
 
 def _cross_ln(d):
     return Parameter("lng", np.ones(d)), Parameter("lnb", np.zeros(d))
+
+
+def _cross_update(e, s, p, g, b, cfg, counter=None):
+    return ops.residual_ln(e, multi_head_attention(e, s, s, p, cfg, None, counter), g, b)
 
 
 def test_cross_attention_single_segment_broadcasts_branch():
@@ -295,9 +291,10 @@ def test_cross_attention_single_segment_broadcasts_branch():
     p = _params(91, d)
     g, b = _cross_ln(d)
     cfg = AttentionConfig(d, 2)
-    out, weights = cross_attention_topdown(
-        Tensor(e), Tensor(s), p, g, b, cfg, return_weights=True
+    attn, weights = multi_head_attention(
+        Tensor(e), Tensor(s), Tensor(s), p, cfg, None, return_weights=True
     )
+    out = ops.residual_ln(Tensor(e), attn, g, b)
     np.testing.assert_allclose(weights, np.ones((2, 5, 1)))
     branch = out.data - e
     for i in range(1, 5):
@@ -315,7 +312,7 @@ def test_cross_attention_zero_value_path_is_identity():
     p.wo.value.data[...] = 0.0
     p.bo.value.data[...] = 0.0
     g, b = _cross_ln(d)
-    out = cross_attention_topdown(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2))
+    out = _cross_update(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2))
     np.testing.assert_array_equal(out.data, e)
 
 
@@ -329,7 +326,7 @@ def test_cross_attention_matches_scalar_oracle():
     p.bo.value.data[...] = 0.0
     g, b = _cross_ln(d)
     cfg = AttentionConfig(d, 1)
-    out = cross_attention_topdown(Tensor(e), Tensor(s), p, g, b, cfg)
+    out = _cross_update(Tensor(e), Tensor(s), p, g, b, cfg)
     expected = cross_attention_oracle(e, s, p, g, b, 1)
     assert np.max(np.abs(out.data - expected)) <= 1e-10
 
@@ -341,12 +338,10 @@ def test_cross_attention_counter_and_empty_segments():
     p = _params(94, d)
     g, b = _cross_ln(d)
     counter = OpCounter()
-    cross_attention_topdown(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2), counter)
+    _cross_update(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2), counter)
     assert counter.score_evals == 2 * 5 * 3
     with pytest.raises(UsageError):
-        cross_attention_topdown(
-            Tensor(e), Tensor(np.zeros((0, d))), p, g, b, AttentionConfig(d, 2)
-        )
+        _cross_update(Tensor(e), Tensor(np.zeros((0, d))), p, g, b, AttentionConfig(d, 2))
 
 
 def test_cross_attention_gradient_check():
@@ -360,7 +355,7 @@ def test_cross_attention_gradient_check():
     probe = rng.normal((5, d))
 
     def loss_fn(tape=False):
-        out = cross_attention_topdown(e, s, p, g, b, cfg)
+        out = _cross_update(e, s, p, g, b, cfg)
         out = ops.sum_all(ops.mul_const(out, probe))
         return out if tape else out.item()
 

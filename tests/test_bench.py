@@ -1,17 +1,19 @@
 """Benchmark records vs closed-form budgets, and output formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from tdt import ConfigError, ModelConfig
+from tdt import ConfigError, Model, ModelConfig
 from tdt.bench import (
     VARIANTS,
     BenchRecord,
+    bench_cell,
     bench_sweep,
     expected_score_evals,
-    parse_csv,
     records_to_csv,
     records_to_json,
     variant_config,
@@ -46,6 +48,22 @@ def test_sweep_counts_match_budget_exactly():
         assert rec.peak_bytes > 0
 
 
+def test_bench_cell_runs_one_untimed_warm_up_encode(monkeypatch):
+    base = _base()
+    counters = []
+    encode = Model.encode
+
+    def counting_encode(self, ids, counter=None, **kw):
+        counters.append(counter)
+        return encode(self, ids, counter, **kw)
+
+    monkeypatch.setattr(Model, "encode", counting_encode)
+    rec = bench_cell("topdown-cross", 64, 16, base, trials=3, seed=1)
+    assert len(counters) == 3 + 1
+    assert counters[0] is None  # the warm-up is neither timed nor counted
+    assert rec.score_evals == expected_score_evals(rec, base)
+
+
 def test_full_variant_score_quadruples_when_n_doubles():
     base = _base()
     records = bench_sweep([64, 128], 16, variants=("full",), trials=3, seed=2, base=base)
@@ -68,7 +86,7 @@ def test_csv_columns_and_round_trip():
     text = records_to_csv([rec])
     header = text.splitlines()[0]
     assert header == "variant,N,w,M,score_evals,wall_ms_median,peak_bytes,seed"
-    rows = parse_csv(text)
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert rows[0]["variant"] == "topdown-cross"
     assert int(rows[0]["score_evals"]) == 1234
     assert int(rows[0]["N"]) == 128
@@ -82,7 +100,7 @@ def test_full_variant_emits_inf_window():
         variant="full", n_tokens=64, window=None, n_segments=3,
         score_evals=10, wall_ms_median=1.0, peak_bytes=10, seed=0,
     )
-    rows = parse_csv(records_to_csv([rec]))
+    rows = list(csv.DictReader(io.StringIO(records_to_csv([rec]))))
     assert rows[0]["w"] == "inf"
 
 

@@ -30,6 +30,18 @@ def test_save_load_save_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_decoderless_model_round_trips_without_decoder_side(tmp_path):
+    m = _model(seed=6, n_decoder_layers=0, tie_output=False)
+    path = tmp_path / "m.tdtx"
+    save_model(m, path)
+    assert set(load_model(path).params) == set(m.params)
+    # a file that still holds the decoder-side tables does not match
+    extra = {**m.params, "embed.pos_dec": np.zeros((m.config.max_positions, m.config.d_model))}
+    write_checkpoint(path, "model", m.config.to_dict(), extra)
+    with pytest.raises(CheckpointError, match="parameter table mismatch"):
+        load_model(path)
+
+
 def test_encode_identical_after_round_trip(tmp_path):
     m = _model(seed=5)
     ids = RngStream(1).randint(3, m.config.vocab_size, 20)

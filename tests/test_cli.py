@@ -178,6 +178,27 @@ def test_bench_csv_output(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "command, ids",
+    [("generate", ""), ("generate", "3,4,999"), ("tag", "3 4 999\n"), ("tag", "3 4\n\n")],
+    ids=["generate-empty", "generate-id", "tag-id", "tag-empty"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, command, ids):
+    ckpt = tmp_path / "ckpt.tdtx"
+    if command == "generate":
+        save_model(Model(desk_config(), seed=0), ckpt)
+        argv = ("generate", "--ckpt", str(ckpt), "--source", ids)
+    else:
+        tagger = Tagger(desk_config(), seed=0)
+        write_checkpoint(ckpt, "tagger", tagger.config.to_dict(), tagger.params)
+        doc = tmp_path / "ids.txt"
+        doc.write_text(ids)
+        argv = ("tag", "--mode", "run", "--ckpt", str(ckpt), "--doc", str(doc))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_eval_missing_checkpoint_exits_3(capsys):
     code, _, err = run(capsys, "eval", "--ckpt", "/nonexistent.tdtx", "--task", "copy")
     assert code in (2, 3)

@@ -22,7 +22,7 @@ from tdt import (
 from tdt import ops
 from tdt.model import token_segment_assignment, top_down_concat_update, LN_EPS
 from tdt.pooling import SegmentationSpec
-from tdt.tensor import Tensor, Parameter
+from tdt.tensor import Tape, Tensor, Parameter, recording
 from helpers import layer_norm_oracle, reference_segment_assignment
 
 
@@ -398,6 +398,31 @@ def test_single_layer_identity_decoder_matches_scalar_oracle():
     y = y + layer_norm_oracle(np.zeros_like(y), np.ones(d), np.zeros(d), LN_EPS)
     expected = y @ emb.T
     assert np.max(np.abs(logits - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_decoderless_model_builds_no_decoder_side_and_cannot_decode(tie):
+    cfg = _cfg(n_decoder_layers=0, tie_output=tie)
+    m = Model(cfg, seed=21)
+    assert m.decoder == [] and m.pos_dec is None and m.out_w is None
+    assert not {"embed.pos_dec", "out.weight"} & set(m.params)
+    enc = m.encode([3, 4, 5, 6])
+    with pytest.raises(UsageError):
+        m.decode([BOS_ID], enc)
+    with pytest.raises(UsageError):
+        m.generate([3, 4, 5, 6], max_len=2)
+
+
+@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+@pytest.mark.parametrize("tie", [True, False])
+def test_decoderless_encode_reads_every_registered_parameter(mode, tie):
+    cfg = _cfg(n_decoder_layers=0, topdown_mode=mode, tie_output=tie)
+    m = Model(cfg, seed=22)
+    tape = Tape()
+    with recording(tape):
+        m.encode(_ids(RngStream(14), 20, cfg))
+    read = {x.name for e in tape.entries for x in e.inputs if isinstance(x, Parameter)}
+    assert read == set(m.params)
 
 
 def _rigged_model(column_id):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tdt import Adam, NumericsError, Parameter
+from tdt import Adam, NumericsError, Parameter, UsageError
 from tdt.optim import adam_step
 
 
@@ -45,7 +45,7 @@ def test_nonfinite_gradient_aborts_with_parameter_name():
 
 def test_adam_step_requires_positive_t():
     p = Parameter("p", np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         adam_step([p], [p.grad], [np.zeros(1)], [np.zeros(1)], lr=0.1, t=0)
 
 

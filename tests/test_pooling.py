@@ -245,10 +245,8 @@ def test_default_stopword_list_has_fifty_words():
 
 
 def test_labels_to_weights_values_and_validation():
-    w = labels_to_weights(np.array([1, 0, 1]), hi=1.0, lo=0.0)
+    w = labels_to_weights(np.array([1, 0, 1]))
     np.testing.assert_array_equal(w, [1.0, 0.0, 1.0])
-    with pytest.raises(ConfigError):
-        labels_to_weights(np.array([1]), hi=0.0, lo=0.0)
 
 
 def test_label_weight_softmax_arithmetic():

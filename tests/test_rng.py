@@ -1,8 +1,9 @@
 """Determinism and splitting of the counter-based random stream."""
 
 import numpy as np
+import pytest
 
-from tdt import RngStream
+from tdt import RngStream, UsageError
 
 
 def test_same_seed_same_sequence():
@@ -73,3 +74,9 @@ def test_shuffled_is_permutation_and_deterministic():
     assert a == b
     assert sorted(a) == items
     assert a != items  # astronomically unlikely to be identity
+
+
+def test_randint_rejects_empty_range():
+    for low, high in ((3, 3), (5, 2)):
+        with pytest.raises(UsageError):
+            RngStream(0).randint(low, high)

@@ -14,6 +14,7 @@ from tdt import (
     gen_copy_task,
     gen_keyvalue_task,
     recording,
+    zero_grads,
 )
 from tdt.model import EOS_ID
 from tdt.tasks import TaskInstance
@@ -21,7 +22,6 @@ from tdt.training import (
     Tagger,
     batch_loss,
     eval_accuracy,
-    instance_loss,
     token_f1,
     train,
     train_tagger,
@@ -72,16 +72,16 @@ def test_batched_loss_equals_sequential_mean_and_grads():
     fn = lambda rng: gen_keyvalue_task(rng, 64, 8, 2, cfg.vocab_size)
     batch = [fn(RngStream(0).split(f"i/{j}")) for j in range(4)]
 
-    m.zero_grads()
+    zero_grads(m.parameters())
     seq_total = 0.0
     for inst in batch:
         tape = Tape()
-        loss = instance_loss(m, inst, tape, loss_scale=0.25)
+        loss = batch_loss(m, [inst], tape, loss_scale=0.25)
         backward(loss, tape)
         seq_total += loss.item()
     seq_grads = {n: p.grad.copy() for n, p in m.params.items()}
 
-    m.zero_grads()
+    zero_grads(m.parameters())
     tape = Tape()
     loss_b = batch_loss(m, batch, tape)
     backward(loss_b, tape)
@@ -169,7 +169,7 @@ def test_missing_labels_for_oracle_mode_raises():
     m = Model(cfg, seed=8)
     inst = TaskInstance(source=[3, 4, 5], target=[5])
     with pytest.raises(ConfigError):
-        instance_loss(m, inst)
+        batch_loss(m, [inst])
 
 
 def test_ada_eval_requires_tagger():
@@ -204,7 +204,8 @@ def test_tagger_forces_average_pooling_for_its_own_encoder():
 def test_tagger_builds_no_decoder_layers():
     t = Tagger(desk_config(), seed=0)
     assert t.encoder.decoder == []
-    assert set(t.encoder.params) - set(t.params) <= {"embed.pos_dec"}
+    assert "embed.pos_dec" not in t.encoder.params
+    assert set(t.params) == set(t.encoder.params) | {"tagger.head.w", "tagger.head.b"}
 
 
 def test_tagger_all_zero_labels_drives_loss_down():
