@@ -133,9 +133,9 @@ def _cmd_generate(args) -> int:
     model = load_model(args.ckpt)
     if args.source_file:
         with open(args.source_file, encoding="utf-8") as fh:
-            source = [int(v) for v in fh.read().split()]
+            source = _ints(fh.read().split())
     else:
-        source = [int(v) for v in args.source.split(",") if v != ""]
+        source = _int_list(args.source)
     out = model.generate(
         source, max_len=args.max_len, strategy=args.strategy, beam_size=args.beam
     )
@@ -183,7 +183,7 @@ def _cmd_tag(args) -> int:
                     raise ConfigError(f"token {t!r} not in vocabulary {args.vocab}")
                 ids.append(vocab[t])
         else:
-            ids = [int(t) for t in toks]
+            ids = _ints(toks)
         w = tagger.weights(ids)
         lines.append(" ".join(f"{v:.6g}" for v in w))
     _emit(args, "\n".join(lines) + "\n")
@@ -246,8 +246,19 @@ def _cmd_train_tagger(args) -> int:
     return 0
 
 
+def _ints(tokens) -> list[int]:
+    """Parse integer tokens; a token that is not one is a usage error."""
+    out = []
+    for v in tokens:
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise UsageError(f"not an integer: {v!r}") from None
+    return out
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+    return _ints(v for v in text.split(",") if v != "")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv) -> int:
     parser = build_parser()
     try:
+        # A flag whose type is _int_list can raise UsageError while parsing.
         args = parser.parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse prints usage itself; normalize --help to 0, errors to 2
         return 0 if exc.code == 0 else 2
-    try:
-        return args.fn(args)
     except (ConfigError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,15 @@ from .pooling import (
     pool_weighted,
 )
 from .rng import RngStream
-from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, recording
+from .tensor import (
+    ConfigError,
+    Parameter,
+    ShapeError,
+    Tensor,
+    UsageError,
+    _screened,
+    recording,
+)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -237,7 +245,7 @@ class DecodeCache:
             for f in fields(kv):
                 t = getattr(kv, f.name)
                 if t is not None:
-                    setattr(kv, f.name, Tensor(t.data[rows]))
+                    setattr(kv, f.name, _screened(t.data[rows]))
 
 
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
@@ -583,6 +591,8 @@ class Model:
         ``rows * n_heads * n_decoder_layers * (t + 1 + N)`` for ``rows`` open
         beams after ``t`` earlier positions.
         """
+        if self.pos_dec is None:  # before the encode, which would be wasted
+            raise UsageError("n_decoder_layers=0: the model has no decoder")
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
         if beam_size < 1:

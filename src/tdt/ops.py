@@ -18,11 +18,13 @@ import numpy as np
 
 from .tensor import (
     ConfigError,
+    NumericsError,
     Parameter,
     ShapeError,
     TapeEntry,
     Tensor,
     UsageError,
+    _screened,
     current_tape,
 )
 
@@ -41,6 +43,16 @@ def _data(x) -> np.ndarray:
     raise UsageError(f"expected Tensor or Parameter, got {type(x).__name__}")
 
 
+def _result(op: str, arr: np.ndarray, inputs: tuple) -> Tensor:
+    """The screened output of arithmetic op ``op``; a non-finite result
+    raises NumericsError naming the op and the shapes of its inputs."""
+    try:
+        return Tensor(arr)
+    except NumericsError:
+        shapes = [_data(x).shape for x in inputs]
+        raise NumericsError(f"{op}: non-finite result from inputs {shapes}") from None
+
+
 def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
     tape = current_tape()
     if tape is not None:
@@ -56,21 +68,21 @@ def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
 def reshape(x, shape) -> Tensor:
     a = _data(x)
     shape = tuple(shape)
-    out = Tensor(a.reshape(shape))
+    out = _screened(a.reshape(shape))
     return _record(out, (x,), lambda g, s=a.shape: (g.reshape(s),))
 
 
 def transpose(x, axes) -> Tensor:
     a = _data(x)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(a.transpose(axes)))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out = _screened(np.ascontiguousarray(a.transpose(axes)))
     return _record(out, (x,), lambda g: (g.transpose(inv),))
 
 
 def concat(parts, axis: int) -> Tensor:
     arrs = [_data(p) for p in parts]
-    out = Tensor(np.concatenate(arrs, axis=axis))
+    out = _screened(np.concatenate(arrs, axis=axis))
     sizes = [a.shape[axis] for a in arrs]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -85,7 +97,7 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = Tensor(np.ascontiguousarray(a[idx]))
+    out = _screened(np.ascontiguousarray(a[idx]))
 
     def vjp(g, shape=a.shape):
         full = np.zeros(shape, dtype=np.float64)
@@ -99,7 +111,7 @@ def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
     a = _data(x)
     widths = [(0, 0)] * a.ndim
     widths[axis] = (before, after)
-    out = Tensor(np.pad(a, widths))
+    out = _screened(np.pad(a, widths))
     n = a.shape[axis]
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(before, before + n)
@@ -120,7 +132,7 @@ def add(a, b) -> Tensor:
         k = db.ndim
         if k == 0 or da.shape[da.ndim - k :] != db.shape:
             raise ShapeError(f"add: shapes {da.shape} and {db.shape}")
-    out = Tensor(da + db)
+    out = _result("add", da + db, (a, b))
 
     def vjp(g):
         gb = g
@@ -135,28 +147,28 @@ def sub(a, b) -> Tensor:
     da, db = _data(a), _data(b)
     if da.shape != db.shape:
         raise ShapeError(f"sub: shapes {da.shape} and {db.shape}")
-    out = Tensor(da - db)
+    out = _result("sub", da - db, (a, b))
     return _record(out, (a, b), lambda g: (g, -g))
 
 
 def scale(x, c: float) -> Tensor:
     a = _data(x)
     c = float(c)
-    out = Tensor(a * c)
+    out = _result("scale", a * c, (x,))
     return _record(out, (x,), lambda g: (g * c,))
 
 
 def add_const(x, bias: np.ndarray) -> Tensor:
     """Add a constant array (no gradient to the bias); used for mask penalties."""
     a = _data(x)
-    out = Tensor(a + bias)
+    out = _result("add_const", a + bias, (x,))
     return _record(out, (x,), lambda g: (np.asarray(g, dtype=np.float64),))
 
 
 def mul_const(x, factor: np.ndarray) -> Tensor:
     """Multiply by a constant array (no gradient to the factor)."""
     a = _data(x)
-    out = Tensor(a * factor)
+    out = _result("mul_const", a * factor, (x,))
     return _record(out, (x,), lambda g: (g * factor,))
 
 
@@ -167,7 +179,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if da.shape[-1] != db.shape[-2] or da.shape[:-2] != db.shape[:-2]:
         raise ShapeError(f"matmul: shapes {da.shape} and {db.shape}")
-    out = Tensor(np.matmul(da, db))
+    out = _result("matmul", np.matmul(da, db), (a, b))
 
     def vjp(g):
         ga = np.matmul(g, db.swapaxes(-1, -2))
@@ -179,7 +191,7 @@ def matmul(a, b) -> Tensor:
 
 def sum_all(x) -> Tensor:
     a = _data(x)
-    out = Tensor(np.sum(a).reshape(()))
+    out = _result("sum_all", np.sum(a).reshape(()), (x,))
     return _record(out, (x,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
@@ -193,7 +205,7 @@ def gelu(x) -> Tensor:
     a = _data(x)
     a2 = a * a
     t = np.tanh(_GELU_C * (a + _GELU_A * a2 * a))
-    out = Tensor(0.5 * a * (1.0 + t))
+    out = _result("gelu", 0.5 * a * (1.0 + t), (x,))
 
     def vjp(g):
         # d = 0.5(1+t) + 0.5*C*a*(1 + 3A*a^2)*sech^2, fused in-place
@@ -224,7 +236,7 @@ def softmax_last(x) -> Tensor:
     t = a - m
     np.exp(t, out=t)
     t /= t.sum(axis=-1, keepdims=True)
-    out = Tensor(t)
+    out = _result("softmax_last", t, (x,))
     p = out.data
 
     def vjp(g):
@@ -239,7 +251,7 @@ def logsumexp_last(x) -> Tensor:
     a = _data(x)
     m = a.max(axis=-1, keepdims=True)
     s = np.exp(a - m).sum(axis=-1, keepdims=True)
-    out = Tensor((m + np.log(s)).squeeze(-1))
+    out = _result("logsumexp_last", (m + np.log(s)).squeeze(-1), (x,))
     p = np.exp(a - m) / s
     return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),))
 
@@ -256,12 +268,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     gd, bd = _data(gain), _data(bias)
     if gd.shape != (d,) or bd.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the last axis")
-    mu = a.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is ndarray.mean's own sum and division without
+    # its Python wrapper, which costs more than the arithmetic on one row.
+    mu = np.add.reduce(a, axis=-1, keepdims=True) / d
     xc = a - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gd + bd)
+    out = _result("layer_norm", xhat * gd + bd, (x, gain, bias))
 
     def vjp(g):
         gg = g * gd
@@ -288,7 +302,10 @@ def linear(x, weight, bias=None) -> Tensor:
         if b.shape != (w.shape[1],):
             raise ShapeError(f"linear: bias {b.shape} vs weight {w.shape}")
         y += b  # y is freshly allocated by the matmul
-    out = Tensor(y if a.ndim == 2 else y.reshape(a.shape[:-1] + (w.shape[1],)))
+    if a.ndim != 2:
+        y = y.reshape(a.shape[:-1] + (w.shape[1],))
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    out = _result("linear", y, inputs)
 
     def vjp(g):
         gf = g.reshape(-1, w.shape[1])
@@ -298,7 +315,6 @@ def linear(x, weight, bias=None) -> Tensor:
             return gx, gw
         return gx, gw, gf.sum(axis=0)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, inputs, vjp)
 
 
@@ -316,7 +332,7 @@ def embedding(table, ids: np.ndarray) -> Tensor:
             f"embedding id out of range [0, {t.shape[0]}): ids span "
             f"[{ids.min()}, {ids.max()}]"
         )
-    out = Tensor(t[ids])
+    out = _screened(t[ids])
     flat_ids = ids.reshape(-1)
 
     def vjp(g):
@@ -336,7 +352,7 @@ def take_rows(x, idx: np.ndarray) -> Tensor:
     m, d = a.shape[-2], a.shape[-1]
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise UsageError(f"take_rows index out of range [0, {m})")
-    out = Tensor(np.ascontiguousarray(a[..., idx, :]))
+    out = _screened(np.ascontiguousarray(a[..., idx, :]))
 
     def vjp(g):
         ga = np.zeros_like(a)
@@ -356,7 +372,7 @@ def take_index_last(x, idx: np.ndarray) -> Tensor:
     if a.ndim != 2 or idx.shape != (a.shape[0],):
         raise ShapeError("take_index_last expects matrix x and one index per row")
     rows = np.arange(a.shape[0])
-    out = Tensor(a[rows, idx])
+    out = _screened(a[rows, idx])
 
     def vjp(g):
         ga = np.zeros_like(a)
@@ -380,8 +396,7 @@ def gather_windows(x, starts: np.ndarray, length: int) -> Tensor:
     idx = starts[:, None] + np.arange(length)[None, :]
     valid = idx < n
     safe = np.where(valid, idx, 0)
-    win = a[..., safe, :] * valid[:, :, None]
-    out = Tensor(win)
+    out = _screened(a[..., safe, :] * valid[:, :, None])
 
     def vjp(g):
         ga = np.zeros_like(a)
@@ -402,7 +417,9 @@ def weighted_window_sum(windows, weights: np.ndarray) -> Tensor:
         raise ShapeError(
             f"weighted_window_sum: windows {w.shape} vs weights {weights.shape}"
         )
-    out = Tensor(np.einsum("...mk,...mkd->...md", weights, w))
+    out = _result(
+        "weighted_window_sum", np.einsum("...mk,...mkd->...md", weights, w), (windows,)
+    )
     return _record(
         out, (windows,), lambda g: (weights[..., :, :, None] * g[..., :, None, :],)
     )

@@ -2,15 +2,19 @@
 
 Values are immutable once produced: every operation allocates a fresh array.
 Parameters are the only mutable objects and are touched exclusively by the
-optimizer and ``zero_grads``. Live tensor bytes are tracked per thread so
-benchmarks can report peak allocation without relying on OS RSS.
+optimizer and ``zero_grads``.
+
+Live tensor bytes are tracked per thread so benchmarks can report peak
+allocation without relying on OS RSS. Each tensor keeps two slots, the
+creating thread's counters and its own ``nbytes``: construction adds the bytes
+there and ``Tensor.__del__`` subtracts them, so a tensor is counted exactly
+while it is alive.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import weakref
 
 import numpy as np
 
@@ -63,16 +67,6 @@ def _alloc_state() -> _AllocState:
     return st
 
 
-def _alloc_add(st: _AllocState, nbytes: int) -> None:
-    st.live += nbytes
-    if st.live > st.peak:
-        st.peak = st.live
-
-
-def _alloc_sub(st: _AllocState, nbytes: int) -> None:
-    st.live -= nbytes
-
-
 def live_bytes() -> int:
     """Bytes currently held by tensors created on this thread."""
     return _alloc_state().live
@@ -98,13 +92,16 @@ def reset_peak() -> int:
 class Tensor:
     """Immutable dense array of 64-bit reals.
 
-    Every public operation validates that the result is finite; NaN or Inf
-    raises :class:`NumericsError` at the point of creation.
+    Arithmetic operations screen their result: NaN or Inf raises
+    :class:`NumericsError` at the point of creation. Structural operations
+    (reshapes, slices, concatenations, gathers) only rearrange values that
+    were screened when they were made, so they wrap their result unscreened.
     """
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data", "nbytes", "_alloc")
 
     def __init__(self, data):
+        self.nbytes = 0  # keeps __del__ exact if the conversion or screen raises
         arr = np.asarray(data, dtype=np.float64)
         # Fast finiteness screen: a NaN/Inf entry makes the sum non-finite.
         # A non-finite sum of genuinely finite entries (overflow) is accepted
@@ -113,10 +110,19 @@ class Tensor:
             with np.errstate(all="ignore"):
                 if not np.all(np.isfinite(arr)):
                     raise NumericsError("tensor contains NaN or Inf")
+        self._track(arr)
+
+    def _track(self, arr: np.ndarray) -> None:
         self.data = arr
-        st = _alloc_state()
-        _alloc_add(st, arr.nbytes)
-        weakref.finalize(self, _alloc_sub, st, arr.nbytes)
+        st = self._alloc = _alloc_state()
+        self.nbytes = arr.nbytes
+        st.live += arr.nbytes
+        if st.live > st.peak:
+            st.peak = st.live
+
+    def __del__(self):
+        if self.nbytes:
+            self._alloc.live -= self.nbytes
 
     @property
     def shape(self) -> tuple:
@@ -143,6 +149,14 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
+
+
+def _screened(arr: np.ndarray) -> Tensor:
+    """A tensor over a float64 array whose values were already screened,
+    e.g. a reshape, slice or gather of other tensors' data."""
+    t = Tensor.__new__(Tensor)
+    t._track(arr)
+    return t
 
 
 class Parameter:

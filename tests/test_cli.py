@@ -199,9 +199,31 @@ def test_usage_errors_exit_2(tmp_path, capsys, command, ids):
     assert err.startswith("error:")
 
 
-def test_eval_missing_checkpoint_exits_3(capsys):
+@pytest.mark.parametrize(
+    "command", ["generate-source", "generate-file", "tag", "bench"]
+)
+def test_non_integer_ids_exit_2_naming_token(tmp_path, capsys, command):
+    ckpt = tmp_path / "ckpt.tdtx"
+    doc = tmp_path / "ids.txt"
+    doc.write_text("3 x 4\n")
+    if command == "tag":
+        tagger = Tagger(desk_config(), seed=0)
+        write_checkpoint(ckpt, "tagger", tagger.config.to_dict(), tagger.params)
+        argv = ("tag", "--mode", "run", "--ckpt", str(ckpt), "--doc", str(doc))
+    elif command == "bench":
+        argv = ("bench", "--N-list", "64,x", "--w", "8")
+    else:
+        save_model(Model(desk_config(), seed=0), ckpt)
+        argv = ("generate", "--ckpt", str(ckpt))
+        argv += ("--source", "3,x") if command == "generate-source" else ("--source-file", str(doc))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "'x'" in err
+
+
+def test_eval_missing_checkpoint_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--ckpt", "/nonexistent.tdtx", "--task", "copy")
-    assert code in (2, 3)
+    assert code == 2
     assert "nonexistent" in err
 
 

@@ -409,8 +409,10 @@ def test_decoderless_model_builds_no_decoder_side_and_cannot_decode(tie):
     enc = m.encode([3, 4, 5, 6])
     with pytest.raises(UsageError):
         m.decode([BOS_ID], enc)
+    counter = OpCounter()
     with pytest.raises(UsageError):
-        m.generate([3, 4, 5, 6], max_len=2)
+        m.generate([3, 4, 5, 6], max_len=2, counter=counter)
+    assert counter.score_evals == 0  # refused before the encode
 
 
 @pytest.mark.parametrize("mode", ["cross", "concat", "none"])

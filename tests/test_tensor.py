@@ -138,3 +138,58 @@ def test_assign_validates_shape_and_finiteness():
         p.assign(np.ones(4))
     with pytest.raises(NumericsError):
         p.assign(np.array([1.0, np.nan, 2.0]))
+
+
+def test_rejected_tensor_leaves_live_bytes_unchanged():
+    gc.collect()
+    base = tdt.live_bytes()
+    with pytest.raises(NumericsError):
+        Tensor(np.array([1.0, np.nan, 2.0]))
+    gc.collect()
+    assert tdt.live_bytes() == base
+
+
+_x = np.arange(24.0).reshape(2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: ops.reshape(x, (6, 4)),
+        lambda x: ops.transpose(x, (0, 2, 1)),
+        lambda x: ops.concat([x, x], axis=1),
+        lambda x: ops.slice_axis(x, 1, 1, 3),
+        lambda x: ops.pad_axis(x, 1, 2, 1),
+        lambda x: ops.embedding(ops.reshape(x, (6, 4)), np.array([[5, 0], [2, 2]])),
+        lambda x: ops.take_rows(x, np.array([2, 0, 2, 1])),
+        lambda x: ops.take_index_last(ops.reshape(x, (6, 4)), np.array([3, 2, 1, 0, 0, 1])),
+        lambda x: ops.gather_windows(x, np.array([0, 2]), 3),
+    ],
+    ids=["reshape", "transpose", "concat", "slice_axis", "pad_axis", "embedding",
+         "take_rows", "take_index_last", "gather_windows"],
+)
+def test_structural_op_output_is_tracked_while_alive(op):
+    x = Tensor(_x)
+    gc.collect()
+    base = tdt.live_bytes()
+    out = op(x)
+    assert out.nbytes == out.data.nbytes > 0
+    assert tdt.live_bytes() - base == out.nbytes
+    del out
+    gc.collect()
+    assert tdt.live_bytes() == base
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda: ops.scale(Tensor([1e308]), 10.0), "scale: non-finite result from inputs [(1,)]"),
+        (lambda: ops.add(Tensor([1e308]), Tensor([1e308])),
+         "add: non-finite result from inputs [(1,), (1,)]"),
+    ],
+    ids=["scale", "add"],
+)
+def test_numerics_error_names_op_and_input_shapes(op, message):
+    with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+        op()
+    assert str(exc.value) == message
