@@ -27,7 +27,7 @@ from .model import (
     paper_config,
 )
 from .ops import cross_entropy, ffn_block, layer_norm, linear, matmul
-from .optim import Adam, adam_step
+from .optim import Adam
 from .pooling import (
     SegmentationSpec,
     build_importance_labels,
@@ -56,6 +56,6 @@ from .tensor import (
     reset_peak,
     zero_grads,
 )
-from .training import Tagger, TrainReport, eval_accuracy, token_f1, train, train_tagger
+from .training import Tagger, TrainReport, eval_accuracy, train, train_tagger
 
 __version__ = "0.1.0"

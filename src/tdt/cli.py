@@ -42,7 +42,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _resolve_seed(args) -> int:
     env = os.environ.get("TDT_SEED")
     if env is not None:
-        return int(env)
+        return _ints([env])[0]
     return args.seed
 
 

@@ -25,6 +25,7 @@ from .tensor import (
     Tensor,
     UsageError,
     _screened,
+    _view,
     current_tape,
 )
 
@@ -68,7 +69,7 @@ def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
 def reshape(x, shape) -> Tensor:
     a = _data(x)
     shape = tuple(shape)
-    out = _screened(a.reshape(shape))
+    out = _view(a.reshape(shape), x)
     return _record(out, (x,), lambda g, s=a.shape: (g.reshape(s),))
 
 
@@ -76,7 +77,7 @@ def transpose(x, axes) -> Tensor:
     a = _data(x)
     axes = tuple(axes)
     inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    out = _screened(np.ascontiguousarray(a.transpose(axes)))
+    out = _view(np.ascontiguousarray(a.transpose(axes)), x)
     return _record(out, (x,), lambda g: (g.transpose(inv),))
 
 
@@ -97,7 +98,7 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = _screened(np.ascontiguousarray(a[idx]))
+    out = _view(np.ascontiguousarray(a[idx]), x)
 
     def vjp(g, shape=a.shape):
         full = np.zeros(shape, dtype=np.float64)

@@ -21,7 +21,6 @@ Token id layout within a vocabulary of size V >= 37:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,35 +98,3 @@ def gen_keyvalue_task(
     labels[slot] = 1
     labels[n_tokens - 2] = 1  # the KEY marker
     return TaskInstance(source=source, target=[block[slot]], labels=labels)
-
-
-# -----------------------------------------------------------------------------
-# JSON-lines dump format: {"source": [...], "target": [...], "labels": [...]}
-# -----------------------------------------------------------------------------
-
-
-def dump_tasks(path, instances) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            row = {"source": inst.source, "target": inst.target}
-            if inst.labels is not None:
-                row["labels"] = inst.labels
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-
-
-def load_tasks(path) -> list[TaskInstance]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            out.append(
-                TaskInstance(
-                    source=list(row["source"]),
-                    target=list(row["target"]),
-                    labels=list(row["labels"]) if "labels" in row else None,
-                )
-            )
-    return out

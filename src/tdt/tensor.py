@@ -8,7 +8,9 @@ Live tensor bytes are tracked per thread so benchmarks can report peak
 allocation without relying on OS RSS. Each tensor keeps two slots, the
 creating thread's counters and its own ``nbytes``: construction adds the bytes
 there and ``Tensor.__del__`` subtracts them, so a tensor is counted exactly
-while it is alive.
+while it is alive. A view of another tensor's memory (a reshape, or a
+transpose or slice that needed no copy) adds no bytes and keeps that tensor
+alive instead, so shared bytes are counted once, until both are gone.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Tensor:
     were screened when they were made, so they wrap their result unscreened.
     """
 
-    __slots__ = ("data", "nbytes", "_alloc")
+    __slots__ = ("data", "nbytes", "_alloc", "_base")
 
     def __init__(self, data):
         self.nbytes = 0  # keeps __del__ exact if the conversion or screen raises
@@ -156,6 +158,19 @@ def _screened(arr: np.ndarray) -> Tensor:
     e.g. a reshape, slice or gather of other tensors' data."""
     t = Tensor.__new__(Tensor)
     t._track(arr)
+    return t
+
+
+def _view(arr: np.ndarray, x) -> Tensor:
+    """A tensor over ``arr``, a reshape, transpose or slice of the data of
+    ``x`` (a Tensor or Parameter). If ``arr`` shares that memory it adds no
+    bytes and holds ``x``'s tensor, which stays counted until both are gone;
+    a copy is counted like any new tensor."""
+    base = x.value if isinstance(x, Parameter) else x
+    if arr.base is None or not np.may_share_memory(arr, base.data):
+        return _screened(arr)
+    t = Tensor.__new__(Tensor)
+    t.data, t.nbytes, t._base = arr, 0, base
     return t
 
 

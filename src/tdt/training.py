@@ -1,18 +1,20 @@
 """Training loops, tagger training, and exact-match evaluation.
 
-Everything here is bit-reproducible for a given (seed, config): batches come
-from counter-based streams keyed by step and batch index, each batch is split
-into groups of same-shape instances that run as one stacked forward (never
-padded), gradients accumulate across the groups in a fixed order, and
-validation uses a fixed seed-derived instance set. The best-validation
-parameter snapshot is restored into the model when training finishes; a
-non-finite loss aborts the run and restores the last good snapshot.
+``train`` and ``train_tagger`` share one optimizer loop (``_steps``). Everything
+is bit-reproducible for a given (seed, config): batches come from
+counter-based streams keyed by step and batch index, each batch is split into
+groups of same-shape items that run as one stacked forward (never padded),
+gradients accumulate across the groups in a fixed order, and Adam (fixed β1,
+β2 and ε; only the learning rate is a knob) takes one step per batch.
+``train`` validates on a fixed seed-derived instance set and restores the
+best-validation parameter snapshot when it finishes; a non-finite loss or
+gradient aborts the run and restores the last good snapshot.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -44,33 +46,25 @@ class TrainReport:
     aborted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "final_metrics": self.final_metrics,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "steps": self.steps,
-            "best_step": self.best_step,
-            "aborted": self.aborted,
-        }
+        return asdict(self)
 
 
 def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: float = 1.0):
     """Cross-entropy averaged over a same-shape batch in one stacked forward.
 
     All instances must share source and target lengths; the value equals the
-    mean of the per-instance losses. Training feeds oracle labels to both
-    adaptive pooling modes (the learned tagger only enters at evaluation).
+    mean of the per-instance losses. Under ``oracle_ada`` pooling the
+    instances' oracle labels are fed to the encoder; ``ada`` pools with tagger
+    weights, which training does not have, so ``train`` refuses it.
     """
     instances = list(instances)
     src = np.array([inst.source for inst in instances], dtype=np.int64)
     dec_in = np.array([[BOS_ID] + list(inst.target) for inst in instances], dtype=np.int64)
     dec_out = np.array([list(inst.target) + [EOS_ID] for inst in instances], dtype=np.int64)
     kwargs = {}
-    mode = model.config.pooling_mode
-    if mode != "avg":
+    if model.config.pooling_mode == "oracle_ada":
         if any(inst.labels is None for inst in instances):
-            raise ConfigError(f"pooling_mode={mode} requires instances with oracle labels")
+            raise ConfigError("pooling_mode=oracle_ada requires instances with oracle labels")
         kwargs["labels"] = np.array([inst.labels for inst in instances], dtype=np.int64)
 
     with recording(tape) if tape is not None else nullcontext():
@@ -79,13 +73,32 @@ def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: fl
         return loss if loss_scale == 1.0 else ops.scale(loss, loss_scale)
 
 
-def _shape_groups(instances) -> list[list]:
-    """Group same-shape instances so each group can run as one stacked pass."""
-    groups: dict[tuple, list] = {}
-    for inst in instances:
-        key = (len(inst.source), len(inst.target), inst.labels is None)
-        groups.setdefault(key, []).append(inst)
-    return list(groups.values())
+def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
+    """The optimizer loop of ``train`` and ``train_tagger``: yields
+    ``(step, summed loss)`` after each of ``steps`` Adam steps.
+
+    Step ``s`` draws ``item_fn(root.split(f"train/{s}/{j}"))`` for ``j`` below
+    ``batch_size``, groups the items by ``key(item)`` in first-seen order, and
+    records one tape per group holding ``group_loss(group, scale)``, the
+    group's mean loss times ``scale = len(group) / batch_size``, so the losses
+    sum to the batch mean. A ``NumericsError`` propagates to the caller.
+    """
+    opt = Adam(params, lr)
+    for step in range(1, steps + 1):
+        opt.zero_grads()
+        groups: dict = {}
+        for j in range(batch_size):
+            item = item_fn(root.split(f"train/{step}/{j}"))
+            groups.setdefault(key(item), []).append(item)
+        total = 0.0
+        for group in groups.values():
+            tape = Tape()
+            with recording(tape):
+                loss = group_loss(group, len(group) / batch_size)
+            backward(loss, tape)
+            total += loss.item()
+        opt.step()
+        yield step, total
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
@@ -111,6 +124,8 @@ def train(
     Validates every ``max(1, steps // 4)`` steps and after the last, keeps
     the parameter snapshot with the best validation token accuracy, and
     restores it before returning. ``steps == 0`` leaves the model untouched.
+    ``pooling_mode="ada"`` is refused: it pools with tagger weights, which
+    training does not have.
 
     The default ``lr`` is ``DEFAULT_LR`` (1e-3), a from-scratch rate: Adam
     moves each coordinate by about ``lr`` per step, and weights start at
@@ -121,27 +136,26 @@ def train(
     """
     if steps < 0:
         raise ConfigError("steps must be >= 0")
+    if model.config.pooling_mode == "ada":
+        raise ConfigError(
+            "pooling_mode=ada pools with tagger weights, which training does not "
+            "have; train with pooling_mode=oracle_ada"
+        )
     report = TrainReport(seed=seed, config_hash=model.config.config_hash(), steps=steps)
     if steps == 0:
         return report
     root = RngStream(seed)
     val_set = [task_fn(root.split(f"val/{j}")) for j in range(val_size)]
     eval_every = max(1, steps // 4)
-    opt = Adam(model.parameters(), lr=lr)
     best_snap = _snapshot(model)
     best_acc = -1.0
     try:
-        for step in range(1, steps + 1):
-            opt.zero_grads()
-            total = 0.0
-            batch = [task_fn(root.split(f"train/{step}/{j}")) for j in range(batch_size)]
-            for group in _shape_groups(batch):
-                tape = Tape()
-                loss = batch_loss(model, group, tape, loss_scale=len(group) / batch_size)
-                backward(loss, tape)
-                total += loss.item()
-            opt.step()
-            report.losses.append(total)
+        for step, loss in _steps(
+            model.parameters(), lr, steps, root, batch_size, task_fn,
+            key=lambda inst: (len(inst.source), len(inst.target), inst.labels is None),
+            group_loss=lambda group, scale: batch_loss(model, group, loss_scale=scale),
+        ):
+            report.losses.append(loss)
             if step % eval_every == 0 or step == steps:
                 metrics = eval_accuracy(model, val_set)
                 if metrics["token_acc"] > best_acc:
@@ -241,9 +255,6 @@ class Tagger:
     def weights(self, token_ids) -> np.ndarray:
         return self.logits(token_ids).data.copy()
 
-    def predict(self, token_ids) -> np.ndarray:
-        return (self.weights(token_ids) > 0.0).astype(np.int64)
-
 
 def _bce_with_logits(z, labels: np.ndarray):
     """mean(softplus(z) - z * y), stable via logsumexp([0, z])."""
@@ -253,19 +264,6 @@ def _bce_with_logits(z, labels: np.ndarray):
     softplus = ops.logsumexp_last(stacked)
     zy = ops.mul_const(zc, labels.astype(np.float64).reshape(n, 1))
     return ops.scale(ops.sum_all(ops.sub(softplus, ops.reshape(zy, (n,)))), 1.0 / n)
-
-
-def token_f1(pred, labels) -> float:
-    pred = np.asarray(pred) != 0
-    labels = np.asarray(labels) != 0
-    tp = int(np.sum(pred & labels))
-    fp = int(np.sum(pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
 
 
 def train_tagger(
@@ -280,29 +278,18 @@ def train_tagger(
     per-token binary cross-entropy."""
     tagger = Tagger(config, seed=seed)
     report = TrainReport(seed=seed, config_hash=tagger.config.config_hash(), steps=steps)
-    if steps == 0:
-        return tagger, report
-    root = RngStream(seed).split("tagger-train")
-    opt = Adam(tagger.parameters(), lr=lr)
+
+    def group_loss(group, scale):
+        ids = np.array([ids for ids, _ in group], dtype=np.int64)
+        labels = np.array([labels for _, labels in group], dtype=np.int64)
+        return ops.scale(_bce_with_logits(tagger.logits(ids), labels), scale)
+
     try:
-        for step in range(1, steps + 1):
-            opt.zero_grads()
-            total = 0.0
-            drawn = [doc_fn(root.split(f"train/{step}/{j}")) for j in range(batch_size)]
-            groups: dict[int, list] = {}
-            for ids, labels in drawn:
-                groups.setdefault(len(ids), []).append((ids, labels))
-            for group in groups.values():
-                ids = np.array([g[0] for g in group], dtype=np.int64)
-                labels = np.array([g[1] for g in group], dtype=np.int64)
-                tape = Tape()
-                with recording(tape):
-                    z = tagger.logits(ids)
-                    loss = ops.scale(_bce_with_logits(z, labels), len(group) / batch_size)
-                backward(loss, tape)
-                total += loss.item()
-            opt.step()
-            report.losses.append(total)
+        for _, loss in _steps(
+            tagger.parameters(), lr, steps, RngStream(seed).split("tagger-train"),
+            batch_size, doc_fn, key=lambda doc: len(doc[0]), group_loss=group_loss,
+        ):
+            report.losses.append(loss)
     except NumericsError:
         report.aborted = True
     return tagger, report

@@ -120,6 +120,26 @@ def test_tdt_seed_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert (a / "checkpoint.tdtx").read_bytes() == (b / "checkpoint.tdtx").read_bytes()
 
 
+def test_non_integer_tdt_seed_exits_2_naming_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TDT_SEED", "x")
+    code, _, err = run(capsys, "train", "--steps", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert err.strip() == "error: not an integer: 'x'"
+
+
+@pytest.mark.parametrize("task, n_tokens", [("copy", "6"), ("keyvalue", "64")])
+def test_train_ada_config_exits_2_suggesting_oracle_ada(tmp_path, capsys, task, n_tokens):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pooling_mode": "ada"}))
+    code, _, err = run(
+        capsys, "train", "--config", str(cfg), "--task", task, "--n-tokens", n_tokens,
+        "--steps", "1", "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "tagger weights" in err and "oracle_ada" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tag_labels_mode(tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     ref = tmp_path / "ref.txt"

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tdt import Adam, NumericsError, Parameter, UsageError
-from tdt.optim import adam_step
+from tdt import Adam, NumericsError, Parameter
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -43,10 +42,25 @@ def test_nonfinite_gradient_aborts_with_parameter_name():
         opt.step()
 
 
-def test_adam_step_requires_positive_t():
-    p = Parameter("p", np.array([1.0]))
-    with pytest.raises(UsageError):
-        adam_step([p], [p.grad], [np.zeros(1)], [np.zeros(1)], lr=0.1, t=0)
+def test_nonfinite_gradient_changes_nothing():
+    # a finite gradient on `a` and a NaN on `b`: the step raises before `a`,
+    # any moment or the step count moves
+    a = Parameter("a", np.array([1.0]))
+    b = Parameter("b", np.array([2.0]))
+    a.grad[:] = 1.0
+    b.grad[:] = np.nan
+    opt = Adam([a, b], lr=0.1)
+    with pytest.raises(NumericsError, match="'b'"):
+        opt.step()
+    assert a.value.data[0] == 1.0 and b.value.data[0] == 2.0
+    assert opt.t == 0
+    # the next step is bit-identical to a first step from fresh state
+    b.grad[:] = 0.0
+    opt.step()
+    fresh = Parameter("a", np.array([1.0]))
+    fresh.grad[:] = 1.0
+    Adam([fresh], lr=0.1).step()
+    assert a.value.data[0] == fresh.value.data[0] and b.value.data[0] == 2.0
 
 
 def test_determinism_across_runs():

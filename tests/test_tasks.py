@@ -1,4 +1,4 @@
-"""Synthetic task generators and the JSON-lines dump format."""
+"""Synthetic task generators."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from tdt.tasks import (
     N_VALUES,
     QUERY_BASE,
     VALUE_BASE,
-    dump_tasks,
-    load_tasks,
 )
 
 
@@ -115,17 +113,3 @@ def test_keyvalue_determinism():
     a = gen_keyvalue_task(RngStream(11), 64, 8, 2, 64)
     b = gen_keyvalue_task(RngStream(11), 64, 8, 2, 64)
     assert a.source == b.source and a.target == b.target and a.labels == b.labels
-
-
-def test_jsonl_dump_round_trip(tmp_path):
-    rng = RngStream(12)
-    instances = [gen_keyvalue_task(rng, 64, 8, 2, 64) for _ in range(5)]
-    instances += [gen_copy_task(rng, (3, 9), 32) for _ in range(5)]
-    path = tmp_path / "tasks.jsonl"
-    dump_tasks(path, instances)
-    loaded = load_tasks(path)
-    assert len(loaded) == 10
-    for a, b in zip(instances, loaded):
-        assert a.source == b.source
-        assert a.target == b.target
-        assert a.labels == b.labels

@@ -153,29 +153,56 @@ _x = np.arange(24.0).reshape(2, 3, 4)
 
 
 @pytest.mark.parametrize(
-    "op",
+    "op, shares",
     [
-        lambda x: ops.reshape(x, (6, 4)),
-        lambda x: ops.transpose(x, (0, 2, 1)),
-        lambda x: ops.concat([x, x], axis=1),
-        lambda x: ops.slice_axis(x, 1, 1, 3),
-        lambda x: ops.pad_axis(x, 1, 2, 1),
-        lambda x: ops.embedding(ops.reshape(x, (6, 4)), np.array([[5, 0], [2, 2]])),
-        lambda x: ops.take_rows(x, np.array([2, 0, 2, 1])),
-        lambda x: ops.take_index_last(ops.reshape(x, (6, 4)), np.array([3, 2, 1, 0, 0, 1])),
-        lambda x: ops.gather_windows(x, np.array([0, 2]), 3),
+        (lambda x: ops.reshape(x, (6, 4)), True),
+        (lambda x: ops.transpose(x, (0, 2, 1)), False),
+        (lambda x: ops.concat([x, x], axis=1), False),
+        (lambda x: ops.slice_axis(x, 1, 1, 3), False),
+        (lambda x: ops.pad_axis(x, 1, 2, 1), False),
+        (lambda x: ops.embedding(ops.reshape(x, (6, 4)), np.array([[5, 0], [2, 2]])), False),
+        (lambda x: ops.take_rows(x, np.array([2, 0, 2, 1])), False),
+        (lambda x: ops.take_index_last(ops.reshape(x, (6, 4)), np.array([3, 2, 1, 0, 0, 1])),
+         False),
+        (lambda x: ops.gather_windows(x, np.array([0, 2]), 3), False),
     ],
     ids=["reshape", "transpose", "concat", "slice_axis", "pad_axis", "embedding",
          "take_rows", "take_index_last", "gather_windows"],
 )
-def test_structural_op_output_is_tracked_while_alive(op):
+def test_structural_op_output_is_tracked_while_alive(op, shares):
     x = Tensor(_x)
     gc.collect()
     base = tdt.live_bytes()
     out = op(x)
-    assert out.nbytes == out.data.nbytes > 0
+    # a view of x's memory adds nothing: those bytes are counted with x
+    assert np.shares_memory(out.data, x.data) == shares
+    assert out.nbytes == (0 if shares else out.data.nbytes)
     assert tdt.live_bytes() - base == out.nbytes
     del out
+    gc.collect()
+    assert tdt.live_bytes() == base
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: ops.reshape(x, (6, 4)),
+        lambda x: ops.slice_axis(x, 0, 0, 1),
+        lambda x: ops.transpose(ops.reshape(x, (1, 6, 4)), (1, 0, 2)),
+    ],
+    ids=["reshape", "slice_axis", "transpose-of-reshape"],
+)
+def test_view_bytes_stay_counted_until_input_and_view_are_gone(op):
+    gc.collect()
+    base = tdt.live_bytes()
+    x = Tensor(_x.copy())
+    view = op(x)
+    assert np.shares_memory(view.data, x.data)
+    assert tdt.live_bytes() - base == _x.nbytes
+    del x
+    gc.collect()
+    assert tdt.live_bytes() - base == _x.nbytes
+    del view
     gc.collect()
     assert tdt.live_bytes() == base
 
