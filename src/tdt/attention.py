@@ -7,11 +7,14 @@ scale, score, softmax, context, output projection, count. The mask picks the
 scorer. A band that leaves some pair out selects the banded scorer, which
 never materializes an N x N score matrix: queries are processed in blocks of
 w/2 positions, each block scoring only its own and adjacent key blocks, so
-live memory grows with N * w. Everything else is scored densely. Masked
-slots get a -1e30 additive penalty whose exponent underflows to exactly
-zero, meaning tokens outside the mask cannot influence a row even at the
-bit level. :func:`multi_head_attention` and :func:`local_self_attention` are
-thin entry points over the core.
+live memory grows with N * w. Everything else is scored densely. Either
+scorer is one op that forms the scores, adds the mask penalty and takes the
+softmax in a single buffer per layer (``ops.attention_probs``,
+``ops.band_attention_probs``); the banded context is one more op
+(``ops.band_context``). Masked slots get a -1e30 additive penalty whose
+exponent underflows to exactly zero, meaning tokens outside the mask cannot
+influence a row even at the bit level. :func:`multi_head_attention` and
+:func:`local_self_attention` are thin entry points over the core.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
 increment equals the number of admitted query-key pairs summed over heads,
@@ -207,11 +210,6 @@ def _merge_heads(x, d_model: int):
     return ops.reshape(y, lead + (n, d_model))
 
 
-def _swap_last(x):
-    k = len(x.shape)
-    return ops.transpose(x, tuple(range(k - 2)) + (k - 1, k - 2))
-
-
 # -----------------------------------------------------------------------------
 # Kernels
 # -----------------------------------------------------------------------------
@@ -276,7 +274,10 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     leaves some pair out (w < 2(n-1)) selects the banded scorer: queries go
     in blocks of w/2 positions that score only their own and adjacent key
     blocks, so nothing n x n is materialized and live memory is O(n * w).
-    Every other mask is scored densely.
+    Every other mask is scored densely. Each scorer writes its scores, the
+    penalty and the softmax into one buffer per layer, which becomes the
+    probabilities; the banded context sums its three block products into
+    one more.
     """
     n = q.shape[-2]
     m = k.shape[-2]
@@ -301,11 +302,9 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
             raise UsageError("attention row with no admitted positions")
     q = ops.scale(q, 1.0 / math.sqrt(dh))  # pre-scale: one less score-sized copy
     if window is None:
-        scores = ops.matmul(q, _swap_last(k))
-        if mask is not None and not mask.all():
-            scores = ops.add_const(scores, ops.NEG_MASK * (~mask))
-        probs = ops.softmax_last(scores)
-        del scores, q, k
+        bias = None if mask is None or mask.all() else ops.NEG_MASK * (~mask)
+        probs = ops.attention_probs(q, k, bias)
+        del q, k
         ctx = ops.matmul(probs, v)
         pairs = int(mask.sum()) if mask is not None else n * m
     else:
@@ -314,23 +313,12 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
         q_blk = ops.reshape(ops.pad_axis(q, -2, 0, n_pad - n), lead + (h, nb, block, dh))
         kv_shape = lead + (h, nb + 2, block, dh)  # one zero block of padding per side
         k_blk = ops.reshape(ops.pad_axis(k, -2, block, n_pad - n + block), kv_shape)
+        del q, k
+        probs = ops.band_attention_probs(q_blk, k_blk, bias)
+        del q_blk, k_blk  # padding v only now keeps one less array beside the scores
         v_blk = ops.reshape(ops.pad_axis(v, -2, block, n_pad - n + block), kv_shape)
-        del q, k, v
-        # Scores against the left / center / right key blocks, assembled into
-        # [..., h, nb, block, 3*block]; neighbor stacks are never materialized.
-        scores = ops.concat([ops.matmul(q_blk, _swap_last(ops.slice_axis(k_blk, -3, s, nb + s)))
-                             for s in range(3)], axis=-1)
-        del k_blk
-        scores = ops.add_const(scores, bias)
-        probs = ops.softmax_last(scores)
-        del scores
-        ctx = None
-        for s in range(3):
-            part = ops.matmul(
-                ops.slice_axis(probs, -1, s * block, (s + 1) * block),
-                ops.slice_axis(v_blk, -3, s, nb + s),
-            )
-            ctx = part if ctx is None else ops.add(ctx, part)
+        del v
+        ctx = ops.band_context(probs, v_blk)
         del v_blk
         ctx = ops.slice_axis(ops.reshape(ctx, lead + (h, n_pad, dh)), -2, 0, n)
         pairs = band_popcount(n, window)

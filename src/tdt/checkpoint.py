@@ -37,6 +37,7 @@ from .tensor import CheckpointError, ConfigError, Parameter
 MAGIC = b"TDTX"
 VERSION = 2
 _DTYPES = {"f64": 0, "f32": 1}
+_MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
 def write_checkpoint(path, kind: str, config: dict, params: dict, dtype: str = "f64") -> None:
@@ -104,12 +105,20 @@ def read_checkpoint(path) -> tuple[str, dict, dict, str]:
                 raise CheckpointError(f"{path}: parameter {name}: unknown dtype tag {tag}")
             storage = "f64" if tag == 0 else "f32"
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
+            if ndim > _MAX_NDIM:
+                raise CheckpointError(f"{path}: parameter {name}: ndim {ndim} > {_MAX_NDIM}")
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
             )
             np_dtype = "<f8" if tag == 0 else "<f4"
             nbytes = math.prod(shape) * (8 if tag == 0 else 4)
-            data = np.frombuffer(_read_exact(fh, nbytes), dtype=np_dtype).reshape(shape)
+            data = np.frombuffer(_read_exact(fh, nbytes), dtype=np_dtype)
+            try:  # a zero extent lets any other extent through the size check
+                data = data.reshape(shape)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: parameter {name}: shape {shape}: {exc}") from exc
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: parameter {name}: non-finite values")
             arrays[name] = data.astype(np.float64)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameter table")

@@ -239,10 +239,11 @@ def _cmd_train_tagger(args) -> int:
         inst = fn(rng)
         return inst.source, inst.labels
 
-    tagger, _report = train_tagger(cfg, doc_fn, steps=args.steps, seed=seed)
+    tagger, report = train_tagger(cfg, doc_fn, steps=args.steps, seed=seed)
     out = args.out or "tagger.tdtx"
     _save_tagger(tagger, out)
-    print(json.dumps({"tagger": out}))
+    print(json.dumps({"tagger": out, "aborted": report.aborted,
+                      "steps_completed": len(report.losses)}))
     return 0
 
 

@@ -424,13 +424,15 @@ class Model:
         return ops.add(tok, pos)
 
     def _blocks(self, x, layers, mask, counter, context=None, assign=None,
-                cache: DecodeCache | None = None) -> Tensor:
+                cache: DecodeCache | None = None):
         """Run each layer as one block: self-attention under ``mask``, then
         the context update the layer has parameters for (cross-attention to
         ``context``, or the concat projection of each token's ``assign``-ed
-        context row), then the FFN. With ``cache``, layer i reads and extends
-        ``cache.layers[i]``. Each step rebinds ``x``, so a step's input is
-        freed as soon as the next one runs."""
+        context row), then the FFN, and yield the layer's output. With
+        ``cache``, layer i reads and extends ``cache.layers[i]``. Each step
+        rebinds ``x``, and each caller rebinds its own input to each output
+        (``for x in self._blocks(x, ...)``), so the stack's input is freed
+        after the first layer instead of staying alive in the caller."""
         if context is not None and context.shape[-2] < 1:
             raise UsageError("cross attention requires at least one context row")
         for i, layer in enumerate(layers):
@@ -446,7 +448,7 @@ class Model:
                 )
             f = layer.ffn
             x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias, LN_EPS)
-        return x
+            yield x
 
     def _attention(self, x, context, params: AttentionParams, mask, counter,
                    kv: _LayerKV | None) -> Tensor:
@@ -479,7 +481,9 @@ class Model:
 
     def encode_bottom_up(self, x, counter: OpCounter | None = None) -> Tensor:
         """N1 blocks of local self-attention + feed-forward."""
-        return self._blocks(x, self.bottom_up, self._band(), counter)
+        for x in self._blocks(x, self.bottom_up, self._band(), counter):
+            pass
+        return x
 
     def _resolve_pool_weights(self, shape, weights, labels) -> np.ndarray | None:
         mode = self.config.pooling_mode
@@ -506,7 +510,9 @@ class Model:
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
         m = segs.shape[-2]
         segs = ops.add(segs, ops.embedding(self.pos_seg, np.arange(m)))
-        return self._blocks(segs, self.segment_layers, None, counter)
+        for segs in self._blocks(segs, self.segment_layers, None, counter):
+            pass
+        return segs
 
     def encode_top_down(self, x, segs, counter: OpCounter | None = None) -> Tensor:
         """N3 blocks of local attention, the top-down update from the segment
@@ -515,7 +521,9 @@ class Model:
         assign = None
         if self.config.topdown_mode == "concat":
             assign = token_segment_assignment(x.shape[-2], self.config.segmentation)
-        return self._blocks(x, self.top_down, self._band(), counter, segs, assign)
+        for x in self._blocks(x, self.top_down, self._band(), counter, segs, assign):
+            pass
+        return x
 
     def encode(self, token_ids, counter: OpCounter | None = None,
                weights=None, labels=None) -> Tensor:
@@ -563,7 +571,8 @@ class Model:
             ops.embedding(self.pos_dec, np.arange(past, past + t)),
         )
         mask = build_mask(MaskSpec.causal(), t, past + t)
-        y = self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache)
+        for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
+            pass
         if cache is not None:
             cache.length += t
             cache.batch_shape = ids.shape[:-1]

@@ -159,13 +159,6 @@ def scale(x, c: float) -> Tensor:
     return _record(out, (x,), lambda g: (g * c,))
 
 
-def add_const(x, bias: np.ndarray) -> Tensor:
-    """Add a constant array (no gradient to the bias); used for mask penalties."""
-    a = _data(x)
-    out = _result("add_const", a + bias, (x,))
-    return _record(out, (x,), lambda g: (np.asarray(g, dtype=np.float64),))
-
-
 def mul_const(x, factor: np.ndarray) -> Tensor:
     """Multiply by a constant array (no gradient to the factor)."""
     a = _data(x)
@@ -202,11 +195,29 @@ def sum_all(x) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    The forward works in one scratch buffer in the formula's own operation
+    order, so the bits match the unfused expression; ``a*a`` and ``t`` are
+    kept only while a tape is recording, for the vjp.
+    """
     a = _data(x)
+    recording = current_tape() is not None
     a2 = a * a
-    t = np.tanh(_GELU_C * (a + _GELU_A * a2 * a))
-    out = _result("gelu", 0.5 * a * (1.0 + t), (x,))
+    t = np.multiply(a2, _GELU_A, out=None if recording else a2)
+    t *= a
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = a * 0.5
+    if recording:
+        y *= t + 1.0
+    else:
+        t += 1.0
+        y *= t
+    out = _result("gelu", y, (x,))
+    if not recording:
+        return out
 
     def vjp(g):
         # d = 0.5(1+t) + 0.5*C*a*(1 + 3A*a^2)*sech^2, fused in-place
@@ -226,6 +237,21 @@ def gelu(x) -> Tensor:
     return _record(out, (x,), vjp)
 
 
+def _softmax(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax of ``a`` over the last axis, written into ``out``
+    (which may be ``a`` itself); the only temporaries are the row maxima and
+    sums."""
+    np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax_last(x) -> Tensor:
     """Softmax over the last axis with max-subtraction for stability.
 
@@ -233,35 +259,26 @@ def softmax_last(x) -> Tensor:
     beyond the input (this matters for attention scores).
     """
     a = _data(x)
-    m = a.max(axis=-1, keepdims=True)
-    t = a - m
-    np.exp(t, out=t)
-    t /= t.sum(axis=-1, keepdims=True)
-    out = _result("softmax_last", t, (x,))
+    out = _result("softmax_last", _softmax(a, np.empty_like(a)), (x,))
     p = out.data
-
-    def vjp(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _record(out, (x,), vjp)
+    return _record(out, (x,), lambda g: (_softmax_vjp(g, p),))
 
 
 def logsumexp_last(x) -> Tensor:
     """log(sum(exp)) over the last axis, max-shifted."""
     a = _data(x)
     m = a.max(axis=-1, keepdims=True)
-    s = np.exp(a - m).sum(axis=-1, keepdims=True)
+    p = np.exp(a - m)
+    s = p.sum(axis=-1, keepdims=True)
     out = _result("logsumexp_last", (m + np.log(s)).squeeze(-1), (x,))
-    p = np.exp(a - m) / s
+    p /= s
     return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then apply gain and bias.
-
-    ``eps`` sits inside the square root of the variance term.
-    """
+def _ln_forward(x, gain, bias, eps: float):
+    """Layer norm of ``x`` over the last axis, shared by :func:`layer_norm`
+    and :func:`residual_ln`. Returns the output ``xhat * gain + bias`` in a
+    fresh buffer and the vjp's closure; ``xhat`` is formed in place."""
     a = _data(x)
     d = a.shape[-1]
     if d < 2:
@@ -272,11 +289,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     # np.add.reduce(...) / d is ndarray.mean's own sum and division without
     # its Python wrapper, which costs more than the arithmetic on one row.
     mu = np.add.reduce(a, axis=-1, keepdims=True) / d
-    xc = a - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    xhat = a - mu
+    y = np.multiply(xhat, xhat)
+    var = np.add.reduce(y, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _result("layer_norm", xhat * gd + bd, (x, gain, bias))
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += bd
 
     def vjp(g):
         gg = g * gd
@@ -287,7 +306,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         gx = inv * (gg - mean_gg - xhat * mean_ggx)
         return gx, g_gain, g_bias
 
-    return _record(out, (x, gain, bias), vjp)
+    return y, vjp
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1, then apply gain and bias.
+
+    ``eps`` sits inside the square root of the variance term.
+    """
+    y, vjp = _ln_forward(x, gain, bias, eps)
+    return _record(_result("layer_norm", y, (x, gain, bias)), (x, gain, bias), vjp)
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -427,17 +455,154 @@ def weighted_window_sum(windows, weights: np.ndarray) -> Tensor:
 
 
 # -----------------------------------------------------------------------------
+# Attention probabilities and context
+# -----------------------------------------------------------------------------
+
+
+def _zero_filled_add(total, shape: tuple, idx, g: np.ndarray) -> np.ndarray:
+    """``total`` plus a zero-filled array of ``shape`` holding ``g`` at
+    ``idx`` (``total`` None starts the sum). Summing whole zero-filled arrays,
+    not adding ``g`` into ``total[idx]``, keeps the bits of one slice gradient
+    accumulated after another: x + 0.0 turns -0.0 into 0.0."""
+    full = np.zeros(shape)
+    full[idx] = g
+    if total is None:
+        return full
+    total += full
+    return total
+
+
+def attention_probs(q, k, bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T + bias) over the last axis, for queries [..., n, d] and
+    keys [..., m, d] with equal leading axes. ``bias`` is an optional constant
+    additive [n, m] array (a mask penalty; no gradient). Scores, bias and
+    softmax share one buffer."""
+    dq, dk = _data(q), _data(k)
+    if dq.ndim < 2 or dk.shape[:-2] != dq.shape[:-2] or dk.shape[-1] != dq.shape[-1]:
+        raise ShapeError(f"attention_probs: queries {dq.shape} vs keys {dk.shape}")
+    kt = np.ascontiguousarray(dk.swapaxes(-1, -2))
+    p = np.matmul(dq, kt)
+    if bias is not None:
+        p += bias
+    out = _result("attention_probs", _softmax(p, p), (q, k))
+    p = out.data
+
+    def vjp(g):
+        gs = _softmax_vjp(g, p)
+        gq = np.matmul(gs, kt.swapaxes(-1, -2))
+        return gq, np.matmul(dq.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+
+    return _record(out, (q, k), vjp)
+
+
+def _band_shapes(op: str, dq: np.ndarray, dk: np.ndarray) -> tuple[int, int]:
+    """Check a banded pair: [..., nb, block, c] against [..., nb + 2, block, e]
+    (one padding block per side); returns (nb, block)."""
+    if dq.ndim < 3 or dk.ndim != dq.ndim:
+        raise ShapeError(f"{op}: shapes {dq.shape} and {dk.shape}")
+    nb, block = dq.shape[-3], dq.shape[-2]
+    if dk.shape[:-1] != dq.shape[:-3] + (nb + 2, block):
+        raise ShapeError(f"{op}: shapes {dq.shape} and {dk.shape}")
+    return nb, block
+
+
+def _blocks_from(s: int, nb: int) -> tuple:
+    """Index of blocks s .. nb+s-1 on the block axis of [..., blocks, block, d]:
+    for each query block, its left (s=0), centre (1) or right (2) neighbour."""
+    return (..., slice(s, nb + s), slice(None), slice(None))
+
+
+def _slot(s: int, block: int) -> tuple:
+    """Index of the s-th block of key slots on the last axis of banded scores."""
+    return (..., slice(s * block, (s + 1) * block))
+
+
+def _key_blocks_t(dk: np.ndarray, s: int, nb: int) -> np.ndarray:
+    return np.ascontiguousarray(dk[_blocks_from(s, nb)].swapaxes(-1, -2))
+
+
+def band_attention_probs(q_blk, k_blk, bias: np.ndarray) -> Tensor:
+    """Blocked banded softmax(q k^T + bias) for queries [..., nb, block, d]
+    and keys [..., nb + 2, block, d] padded by one block per side. Query
+    block i scores key blocks i, i+1 and i+2 (left, centre and right of its
+    own); the three products are written side by side into one
+    [..., nb, block, 3*block] buffer, which takes the constant ``bias``
+    [nb, block, 3*block] (no gradient) and the softmax in place."""
+    dq, dk = _data(q_blk), _data(k_blk)
+    nb, block = _band_shapes("band_attention_probs", dq, dk)
+    if dk.shape[-1] != dq.shape[-1] or bias.shape != (nb, block, 3 * block):
+        raise ShapeError(f"band_attention_probs: {dq.shape}, {dk.shape}, bias {bias.shape}")
+    p = np.empty(dq.shape[:-1] + (3 * block,))
+    # Products written into (and, in band_context, read from) strided block
+    # views keep the unfused chain's bits only while BLAS computes a strided
+    # matrix like its contiguous copy; tests/digest.py checks that it does.
+    for s in range(3):
+        np.matmul(dq, _key_blocks_t(dk, s, nb), out=p[_slot(s, block)])
+    p += bias
+    out = _result("band_attention_probs", _softmax(p, p), (q_blk, k_blk))
+    p = out.data
+
+    def vjp(g):
+        gs = _softmax_vjp(g, p)
+        gq = gk = None
+        for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
+            ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(dk, s, nb).swapaxes(-1, -2))
+            gq = ga if gq is None else np.add(gq, ga, out=gq)
+            gb = np.matmul(dq.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
+            gk = _zero_filled_add(gk, dk.shape, _blocks_from(s, nb), gb)
+        return gq, gk
+
+    return _record(out, (q_blk, k_blk), vjp)
+
+
+def band_context(probs, v_blk) -> Tensor:
+    """The context of blocked banded attention: probabilities
+    [..., nb, block, 3*block] from :func:`band_attention_probs` times values
+    [..., nb + 2, block, d], each [block, block] slice of a query block's
+    probabilities against its left, centre or right value block, summed in
+    that order into one [..., nb, block, d] buffer."""
+    dp, dv = _data(probs), _data(v_blk)
+    nb, block = _band_shapes("band_context", dp, dv)
+    if dp.shape[-1] != 3 * block:
+        raise ShapeError(f"band_context: probabilities {dp.shape} are not 3 blocks wide")
+    ctx = np.matmul(dp[_slot(0, block)], dv[_blocks_from(0, nb)])
+    part = np.empty_like(ctx)
+    for s in (1, 2):
+        ctx += np.matmul(dp[_slot(s, block)], dv[_blocks_from(s, nb)], out=part)
+    out = _result("band_context", ctx, (probs, v_blk))
+
+    def vjp(g):
+        gp = gv = None
+        for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
+            ga = np.matmul(g, dv[_blocks_from(s, nb)].swapaxes(-1, -2))
+            gp = _zero_filled_add(gp, dp.shape, _slot(s, block), ga)
+            gb = np.matmul(dp[_slot(s, block)].swapaxes(-1, -2), g)
+            gv = _zero_filled_add(gv, dv.shape, _blocks_from(s, nb), gb)
+        return gp, gv
+
+    return _record(out, (probs, v_blk), vjp)
+
+
+# -----------------------------------------------------------------------------
 # Composite blocks
 # -----------------------------------------------------------------------------
 
 
 def residual_ln(x, branch, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
-    """The sublayer rule x + LN(branch).
+    """The sublayer rule x + LN(branch), as one op.
 
     The residual passes through untouched; only the branch is normalized, so a
-    zero-weight branch leaves the input exactly unchanged.
+    zero-weight branch leaves the input exactly unchanged. The residual is
+    added into the layer norm's output buffer.
     """
-    return add(x, layer_norm(branch, ln_gain, ln_bias, eps))
+    r, a = _data(x), _data(branch)
+    if r.shape != a.shape:
+        raise ShapeError(f"residual_ln: residual {r.shape} vs branch {a.shape}")
+    y, ln_vjp = _ln_forward(branch, ln_gain, ln_bias, eps)
+    y += r
+    inputs = (x, branch, ln_gain, ln_bias)
+    out = _result("residual_ln", y, inputs)
+    return _record(out, inputs, lambda g: (g,) + ln_vjp(g))
 
 
 def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:

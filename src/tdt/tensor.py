@@ -1,6 +1,8 @@
 """Dense float64 tensors with a tape for reverse-mode gradients.
 
-Values are immutable once produced: every operation allocates a fresh array.
+Values are immutable once produced: every operation returns a fresh array
+(or a view of its input) and writes only into scratch buffers of its own,
+which a fused op may reuse in place before one of them becomes its output.
 Parameters are the only mutable objects and are touched exclusively by the
 optimizer and ``zero_grads``.
 

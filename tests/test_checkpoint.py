@@ -152,3 +152,62 @@ def test_extent_past_end_of_file_rejected(tmp_path, extent):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="truncated"):
         read_checkpoint(path)
+
+
+def test_malformed_parameter_records_name_the_parameter(tmp_path):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=15), path)
+    blob = bytearray(path.read_bytes())
+    _, extent_at = first_param_offsets(blob)
+    blob[extent_at - 4] |= 0x80  # ndim past numpy's 64
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=rf"parameter \S+: ndim {blob[extent_at - 4]} > 64"):
+        load_model(path)
+
+    write_checkpoint(path, "model", {}, {"w": np.array([1.0, np.nan])})
+    with pytest.raises(CheckpointError, match="parameter w: non-finite"):
+        read_checkpoint(path)
+    m = _model(seed=15)
+    m.params["embed.token"].value.data[0, 0] = np.inf
+    save_model(m, path)
+    with pytest.raises(CheckpointError, match="parameter embed.token: non-finite"):
+        load_model(path)
+
+    write_checkpoint(path, "model", {}, {"w": np.zeros((0, 4))})
+    blob = bytearray(path.read_bytes())
+    _, extent_at = first_param_offsets(blob)
+    blob[extent_at + 8 : extent_at + 16] = (2**63).to_bytes(8, "little")  # 0 x 2^63 floats
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="parameter w: shape"):
+        read_checkpoint(path)
+
+
+def test_truncated_or_bit_flipped_file_raises_only_checkpoint_error(tmp_path):
+    """Every truncation through the header, the first parameter record and
+    into its data, and a flip of bit 0 or 7 of every byte up to its first
+    values: each load succeeds or raises CheckpointError, nothing else."""
+    path, bad = tmp_path / "m.tdtx", tmp_path / "bad.tdtx"
+    save_model(_model(seed=16), path)
+    blob = path.read_bytes()
+    _, extent_at = first_param_offsets(blob)
+    data_at = extent_at + 8 * int.from_bytes(blob[extent_at - 4 : extent_at], "little")
+
+    def cases():
+        for n in range(data_at + 1024):
+            yield f"truncated to {n}", blob[:n]
+        for i in range(data_at + 8):
+            for bit in (0, 7):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                yield f"bit {bit} of byte {i} flipped", bytes(flipped)
+
+    escaped = []
+    for what, data in cases():
+        bad.write_bytes(data)
+        try:
+            load_model(bad)
+        except CheckpointError:
+            pass
+        except Exception as exc:  # anything else escapes the format's contract
+            escaped.append(f"{what}: {type(exc).__name__}: {exc}")
+    assert not escaped, escaped[:5]

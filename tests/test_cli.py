@@ -169,11 +169,12 @@ def test_tag_labels_with_stopword_file(tmp_path, capsys):
 
 def test_train_tagger_and_run_mode(tmp_path, capsys):
     out = tmp_path / "tagger.tdtx"
-    code, _, _ = run(
+    code, text, _ = run(
         capsys, "train-tagger", "--steps", "2", "--n-tokens", "64",
         "--seed", "5", "--out", str(out),
     )
     assert code == 0
+    assert json.loads(text) == {"tagger": str(out), "aborted": False, "steps_completed": 2}
     kind, _, _, _ = read_checkpoint(out)
     assert kind == "tagger"
 
@@ -183,6 +184,22 @@ def test_train_tagger_and_run_mode(tmp_path, capsys):
     assert code == 0
     weights = [float(v) for v in text.split()]
     assert len(weights) == 6
+
+
+def test_train_tagger_reports_a_non_finite_abort(tmp_path, capsys, monkeypatch):
+    import tdt.cli as cli
+
+    real = cli.train_tagger
+    monkeypatch.setattr(cli, "train_tagger", lambda *a, **kw: real(*a, lr=1e200, **kw))
+    out = tmp_path / "tagger.tdtx"
+    code, text, _ = run(
+        capsys, "train-tagger", "--steps", "4", "--n-tokens", "64",
+        "--seed", "5", "--out", str(out),
+    )
+    assert code == 0
+    record = json.loads(text)
+    assert record["aborted"] is True
+    assert record["steps_completed"] < 4
 
 
 def test_bench_csv_output(tmp_path, capsys):

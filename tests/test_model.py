@@ -313,6 +313,16 @@ def test_encode_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+def test_batched_encode_matches_per_instance_bitwise(mode):
+    cfg = _cfg(topdown_mode=mode)
+    m = Model(cfg, seed=16)
+    ids = _ids(RngStream(11), 3 * 37, cfg).reshape(3, 37)
+    batched = m.encode(ids).data
+    for row, out in zip(ids, batched):
+        assert out.tobytes() == m.encode(row).data.tobytes()
+
+
 def test_oracle_pooling_mode_uses_labels():
     cfg = _cfg(pooling_mode="oracle_ada")
     m = Model(cfg, seed=16)

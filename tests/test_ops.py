@@ -15,6 +15,8 @@ from tdt import (
     UsageError,
 )
 from tdt import ops
+from tdt.attention import _band_block_bias
+from tdt.tensor import Tape, recording
 from helpers import check_param_grads, layer_norm_oracle
 
 
@@ -160,6 +162,17 @@ def test_layer_norm_rejects_width_one():
         ops.layer_norm(T([[3.0]]), g, b)
 
 
+def test_residual_ln_matches_the_unfused_expression_bitwise():
+    rng = RngStream(33)
+    x, branch = rng.split("x").normal((5, 8)), rng.split("b").normal((5, 8), std=3.0)
+    gain, bias = rng.split("g").normal((8,)), rng.split("c").normal((8,))
+    xc = branch - branch.sum(axis=-1, keepdims=True) / 8
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / 8 + 1e-5)
+    expected = x + ((xc * inv) * gain + bias)
+    out = ops.residual_ln(T(x), T(branch), Parameter("g", gain), Parameter("c", bias), 1e-5)
+    assert out.data.tobytes() == expected.tobytes()
+
+
 # -----------------------------------------------------------------------------
 # linear / ffn
 # -----------------------------------------------------------------------------
@@ -237,6 +250,18 @@ def test_ffn_block_single_position_scalar_oracle():
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
+def test_gelu_same_bits_with_and_without_a_tape():
+    # the in-place forward keeps the formula's operation order either way
+    x = RngStream(31).normal((6, 7), std=3.0)
+    c = math.sqrt(2.0 / math.pi)
+    expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x) * x)))
+    plain = ops.gelu(T(x)).data
+    with recording(Tape()):
+        taped = ops.gelu(T(x)).data
+    assert plain.tobytes() == expected.tobytes()
+    assert taped.tobytes() == expected.tobytes()
+
+
 def test_ffn_block_gradient_check():
     rng = RngStream(21)
     x = Tensor(rng.normal((3, 4)))
@@ -257,13 +282,15 @@ def test_ffn_block_gradient_check():
 @pytest.mark.parametrize(
     "name",
     ["matmul", "softmax", "layer_norm", "gelu", "logsumexp", "embedding",
-     "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape"],
+     "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape",
+     "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
+     "band_context"],
 )
 def test_gradients_random_shapes(name):
     import zlib
 
     rng = RngStream(zlib.crc32(name.encode()))
-    w = Parameter("w", rng.normal((4, 5)))
+    w = Parameter("w", rng.normal((4, 6) if name == "band_context" else (4, 5)))
 
     def build(tape=False):
         if name == "matmul":
@@ -285,8 +312,27 @@ def test_gradients_random_shapes(name):
         elif name == "concat_slice_pad":
             c = ops.concat([w, ops.pad_axis(ops.slice_axis(w, 1, 0, 2), 1, 1, 2)], axis=0)
             out = ops.sum_all(ops.mul_const(c, cat_w))
-        else:  # transpose_reshape
+        elif name == "transpose_reshape":
             out = ops.sum_all(ops.mul_const(ops.reshape(ops.transpose(w, (1, 0)), (2, 10)), tr_w))
+        elif name == "residual_ln":
+            out = ops.residual_ln(w, ops.mul_const(w, rng_fixed), ln_g, ln_b, 1e-5)
+            out = ops.sum_all(ops.mul_const(out, emb_w))
+        elif name in ("attention_probs", "attention_probs_bias"):
+            # queries [2, 2, 5] and keys [2, 2, 5], both read from w
+            q = ops.reshape(w, (2, 2, 5))
+            k = ops.reshape(ops.mul_const(w, rng_fixed), (2, 2, 5))
+            bias = ops.NEG_MASK * np.array([[0.0, 1.0], [0.0, 0.0]]) if "bias" in name else None
+            out = ops.sum_all(ops.mul_const(ops.attention_probs(q, k, bias), att_w))
+        elif name == "band_attention_probs":
+            # n=3, w=4: 2 query blocks of 2, keys padded by a block per side
+            q_blk = ops.reshape(w, (2, 2, 5))
+            k_blk = ops.reshape(ops.concat([w, ops.mul_const(w, rng_fixed)], axis=0), (4, 2, 5))
+            probs = ops.band_attention_probs(q_blk, k_blk, _band_block_bias(3, 4)[0])
+            out = ops.sum_all(ops.mul_const(probs, band_w))
+        else:  # band_context: probabilities [2, 2, 6] and values [4, 2, 6] from w
+            v_blk = ops.reshape(ops.concat([w, ops.scale(w, -0.5)], axis=0), (4, 2, 6))
+            ctx = ops.band_context(ops.reshape(w, (2, 2, 6)), v_blk)
+            out = ops.sum_all(ops.mul_const(ctx, band_w))
         return out if tape else out.item()
 
     ln_g = Parameter("g", RngStream(1).normal((5,)))
@@ -296,7 +342,9 @@ def test_gradients_random_shapes(name):
     win_w = RngStream(5).normal((2, 3, 5))
     cat_w = RngStream(6).normal((8, 5))
     tr_w = RngStream(7).normal((2, 10))
-    params = [w] + ([ln_g, ln_b] if name == "layer_norm" else [])
+    att_w = RngStream(8).normal((2, 2, 2))
+    band_w = RngStream(9).normal((2, 2, 6))
+    params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
     check_param_grads(build, params)
 
 
