@@ -310,7 +310,9 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     else:
         bias, block, nb = _band_block_bias(n, window)
         n_pad = nb * block
-        q_blk = ops.reshape(ops.pad_axis(q, -2, 0, n_pad - n), lead + (h, nb, block, dh))
+        if n_pad > n:  # np.pad copies even when it adds nothing
+            q = ops.pad_axis(q, -2, 0, n_pad - n)
+        q_blk = ops.reshape(q, lead + (h, nb, block, dh))
         kv_shape = lead + (h, nb + 2, block, dh)  # one zero block of padding per side
         k_blk = ops.reshape(ops.pad_axis(k, -2, block, n_pad - n + block), kv_shape)
         del q, k

@@ -3,8 +3,11 @@
 Each benchmark cell runs one untimed warm-up encoder forward, then one per
 trial, and reports three things: the exact number of query-key dot products
 (deterministic, always equal to the closed-form budget), the median wall
-time of the trials, and the peak of the internal tensor-allocation tracker.
-Cells that exhaust memory are recorded as failed and the sweep continues.
+time of the trials, and ``peak_bytes``: the highest tensor-allocation
+tracker peak of a trial above the bytes live when that trial started (the
+model's parameters and tables among them), so it counts what one encode
+allocates. Cells that exhaust memory are recorded as failed and the sweep
+continues.
 
 Variants mirror the ablation rows: "full" is unwindowed self-attention with
 no segment level, "local-only" drops the top-down update, "topdown-cross"
@@ -101,12 +104,12 @@ def bench_cell(
         peak = 0
         for _ in range(trials):
             counter = OpCounter()
-            tensor_mod.reset_peak()
+            live = tensor_mod.reset_peak()
             t0 = time.perf_counter()
             model.encode(ids, counter)
             times.append((time.perf_counter() - t0) * 1000.0)
             evals = counter.score_evals
-            peak = max(peak, tensor_mod.peak_bytes())
+            peak = max(peak, tensor_mod.peak_bytes() - live)
         return BenchRecord(
             variant=variant,
             n_tokens=n_tokens,

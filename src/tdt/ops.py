@@ -24,6 +24,7 @@ from .tensor import (
     TapeEntry,
     Tensor,
     UsageError,
+    _all_finite,
     _screened,
     _view,
     current_tape,
@@ -34,6 +35,9 @@ NEG_MASK = -1e30
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# ffn_block runs GELU over row tiles of about this many bytes: a tile stays
+# in L2 cache through all of the formula's elementwise passes.
+_GELU_TILE_BYTES = 1 << 18
 
 
 def _data(x) -> np.ndarray:
@@ -194,49 +198,6 @@ def sum_all(x) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def gelu(x) -> Tensor:
-    """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-
-    The forward works in one scratch buffer in the formula's own operation
-    order, so the bits match the unfused expression; ``a*a`` and ``t`` are
-    kept only while a tape is recording, for the vjp.
-    """
-    a = _data(x)
-    recording = current_tape() is not None
-    a2 = a * a
-    t = np.multiply(a2, _GELU_A, out=None if recording else a2)
-    t *= a
-    t += a
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = a * 0.5
-    if recording:
-        y *= t + 1.0
-    else:
-        t += 1.0
-        y *= t
-    out = _result("gelu", y, (x,))
-    if not recording:
-        return out
-
-    def vjp(g):
-        # d = 0.5(1+t) + 0.5*C*a*(1 + 3A*a^2)*sech^2, fused in-place
-        u = a2 * (3.0 * _GELU_A)
-        u += 1.0
-        u *= 0.5 * _GELU_C
-        u *= a
-        w = t * t
-        np.subtract(1.0, w, out=w)
-        u *= w
-        u += 0.5
-        w = t * 0.5
-        u += w
-        u *= g
-        return (u,)
-
-    return _record(out, (x,), vjp)
-
-
 def _softmax(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Max-shifted softmax of ``a`` over the last axis, written into ``out``
     (which may be ``a`` itself); the only temporaries are the row maxima and
@@ -275,11 +236,11 @@ def logsumexp_last(x) -> Tensor:
     return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),))
 
 
-def _ln_forward(x, gain, bias, eps: float):
-    """Layer norm of ``x`` over the last axis, shared by :func:`layer_norm`
-    and :func:`residual_ln`. Returns the output ``xhat * gain + bias`` in a
-    fresh buffer and the vjp's closure; ``xhat`` is formed in place."""
-    a = _data(x)
+def _ln_forward(a: np.ndarray, gain, bias, eps: float):
+    """Layer norm of the array ``a`` over the last axis, shared by
+    :func:`layer_norm`, :func:`residual_ln` and :func:`ffn_block`. Returns the
+    output ``xhat * gain + bias`` in a fresh buffer and the vjp's closure;
+    ``xhat`` is formed in place."""
     d = a.shape[-1]
     if d < 2:
         raise ConfigError("layer_norm requires last-axis extent >= 2")
@@ -314,7 +275,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     ``eps`` sits inside the square root of the variance term.
     """
-    y, vjp = _ln_forward(x, gain, bias, eps)
+    y, vjp = _ln_forward(_data(x), gain, bias, eps)
     return _record(_result("layer_norm", y, (x, gain, bias)), (x, gain, bias), vjp)
 
 
@@ -598,16 +559,142 @@ def residual_ln(x, branch, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     r, a = _data(x), _data(branch)
     if r.shape != a.shape:
         raise ShapeError(f"residual_ln: residual {r.shape} vs branch {a.shape}")
-    y, ln_vjp = _ln_forward(branch, ln_gain, ln_bias, eps)
+    y, ln_vjp = _ln_forward(a, ln_gain, ln_bias, eps)
     y += r
     inputs = (x, branch, ln_gain, ln_bias)
     out = _result("residual_ln", y, inputs)
     return _record(out, inputs, lambda g: (g,) + ln_vjp(g))
 
 
+def _row_tiles(rows: int, width: int) -> tuple[int, range]:
+    """Rows per GELU tile of ``width`` float64 columns, and the tiles' first
+    rows."""
+    tile = max(1, _GELU_TILE_BYTES // (8 * width))
+    return tile, range(0, rows, tile)
+
+
+def _gelu_tiles(h: np.ndarray, recording: bool, screen):
+    """GELU, tanh form 0.5*h*(1 + tanh(sqrt(2/pi)*(h + 0.044715*h^3))), over
+    row tiles of the matrix ``h``, each tile through every step in the
+    formula's own operation order, so the bits match the unfused expression.
+
+    Unless ``recording``, it works in place in ``h`` with one tile of scratch
+    and returns ``(h, None)``; otherwise it returns a fresh output and the
+    tanh term, which the vjp reads with ``h``. ``screen(stage, tile)`` checks
+    each pre-activation tile and each output tile while it is in cache."""
+    rows, hidden = h.shape
+    tile, starts = _row_tiles(rows, hidden)
+    scratch = np.empty((min(rows, tile), hidden))
+    act, th = (np.empty_like(h), np.empty_like(h)) if recording else (h, None)
+    for r0 in starts:
+        a = h[r0 : r0 + tile]
+        screen("linear1", a)
+        s = scratch[: len(a)]
+        t = th[r0 : r0 + tile] if recording else s
+        np.multiply(a, a, out=t)
+        t *= _GELU_A
+        t *= a
+        t += a
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        y = act[r0 : r0 + tile]
+        np.multiply(a, 0.5, out=y)  # in place in a when not recording
+        np.add(t, 1.0, out=s)
+        y *= s
+        screen("gelu", y)
+    return act, th
+
+
+def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's vjp over the row tiles of :func:`_gelu_tiles`, written in place
+    into the upstream gradient ``g``:
+    d = 0.5(1+t) + 0.5*C*h*(1 + 3A*h^2)*sech^2, with h*h recomputed per tile
+    (the same bits as keeping it)."""
+    rows, hidden = h.shape
+    tile, starts = _row_tiles(rows, hidden)
+    u_buf = np.empty((min(rows, tile), hidden))
+    w_buf = np.empty_like(u_buf)
+    for r0 in starts:
+        a, t = h[r0 : r0 + tile], th[r0 : r0 + tile]
+        u, w = u_buf[: len(a)], w_buf[: len(a)]
+        np.multiply(a, a, out=u)
+        u *= 3.0 * _GELU_A
+        u += 1.0
+        u *= 0.5 * _GELU_C
+        u *= a
+        np.multiply(t, t, out=w)
+        np.subtract(1.0, w, out=w)
+        u *= w
+        u += 0.5
+        np.multiply(t, 0.5, out=w)
+        u += w
+        gt = g[r0 : r0 + tile]
+        np.multiply(u, gt, out=gt)
+    return g
+
+
 def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
-    """Position-wise feed-forward sublayer: x + LN(W2 * gelu(W1 x + b1) + b2)."""
-    return residual_ln(x, linear(gelu(linear(x, w1, b1)), w2, b2), ln_gain, ln_bias, eps)
+    """Position-wise feed-forward sublayer x + LN(W2 gelu(W1 x + b1) + b2),
+    as one op.
+
+    The two products are each one whole GEMM, as :func:`linear` computes
+    them; they are not split into row tiles because a row-tiled BLAS product
+    can round differently (it does when a tile has one row). The GELU
+    between them runs over row tiles of about 256 KB that stay in cache
+    through all of its steps (see :func:`_gelu_tiles`), in place in the
+    hidden layer unless a tape records. The residual and layer norm are
+    :func:`residual_ln`'s. Each stage's result is screened as the unfused
+    ops screened theirs, and a non-finite one raises NumericsError naming
+    the stage. The vjp runs the stages backward in the unfused tape's
+    order (layer norm, second linear, GELU, first linear), so outputs and
+    gradients are the bits of that four-op chain.
+    """
+    inputs = (x, w1, b1, w2, b2, ln_gain, ln_bias)
+    a, dw1, db1, dw2, db2 = (_data(v) for v in inputs[:5])
+    d = a.shape[-1]
+    hidden = dw1.shape[-1]
+    if (dw1.shape != (d, hidden) or db1.shape != (hidden,)
+            or dw2.shape != (hidden, d) or db2.shape != (d,)):
+        raise ShapeError(
+            f"ffn_block: input {a.shape}, w1 {dw1.shape}, b1 {db1.shape}, "
+            f"w2 {dw2.shape}, b2 {db2.shape}"
+        )
+
+    def screen(stage: str, arr: np.ndarray) -> None:
+        if not _all_finite(arr):
+            shapes = [_data(v).shape for v in inputs]
+            raise NumericsError(
+                f"ffn_block ({stage}): non-finite result from inputs {shapes}"
+            )
+
+    flat = a if a.ndim == 2 else a.reshape(-1, d)
+    h = flat @ dw1
+    h += db1
+    recording = current_tape() is not None
+    act, th = _gelu_tiles(h, recording, screen)
+    z = act @ dw2
+    z += db2
+    screen("linear2", z)
+    y, ln_vjp = _ln_forward(z.reshape(a.shape), ln_gain, ln_bias, eps)
+    del z
+    y += a
+    screen("residual_ln", y)
+    out = _screened(y)
+    if not recording:
+        return out
+
+    def vjp(g):
+        gz, g_gain, g_bias = ln_vjp(g)
+        gz = gz.reshape(-1, d)
+        gh = gz @ dw2.T
+        gw2 = act.T @ gz
+        gb2 = gz.sum(axis=0)
+        _gelu_tiles_vjp(h, th, gh)
+        gx = (gh @ dw1.T).reshape(a.shape)
+        gx += g  # the residual's gradient plus the first linear's
+        return gx, flat.T @ gh, gh.sum(axis=0), gw2, gb2, g_gain, g_bias
+
+    return _record(out, inputs, vjp)
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:

@@ -107,13 +107,8 @@ class Tensor:
     def __init__(self, data):
         self.nbytes = 0  # keeps __del__ exact if the conversion or screen raises
         arr = np.asarray(data, dtype=np.float64)
-        # Fast finiteness screen: a NaN/Inf entry makes the sum non-finite.
-        # A non-finite sum of genuinely finite entries (overflow) is accepted
-        # after the precise check.
-        if not math.isfinite(float(arr.sum())):
-            with np.errstate(all="ignore"):
-                if not np.all(np.isfinite(arr)):
-                    raise NumericsError("tensor contains NaN or Inf")
+        if not _all_finite(arr):
+            raise NumericsError("tensor contains NaN or Inf")
         self._track(arr)
 
     def _track(self, arr: np.ndarray) -> None:
@@ -153,6 +148,16 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """The finiteness screen of every arithmetic result. Fast path: a NaN or
+    Inf entry makes the sum non-finite. A non-finite sum of genuinely finite
+    entries (overflow) passes the precise check."""
+    if math.isfinite(float(arr.sum())):
+        return True
+    with np.errstate(all="ignore"):
+        return bool(np.all(np.isfinite(arr)))
 
 
 def _screened(arr: np.ndarray) -> Tensor:

@@ -363,6 +363,26 @@ def test_decode_causality_bitwise():
     assert np.any(base[3:] != after[3:])
 
 
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_batched_decode_matches_per_row_decodes(t):
+    cfg = _cfg()
+    m = Model(cfg, seed=19)
+    enc = m.encode(_ids(RngStream(14), 2 * 12, cfg).reshape(2, 12))
+    prefix = np.concatenate(
+        [np.full((2, 1), BOS_ID), _ids(RngStream(15), 2 * (t - 1), cfg).reshape(2, t - 1)],
+        axis=1,
+    )
+    batched = m.decode(prefix, enc).data
+    for i in range(2):
+        row = m.decode(prefix[i], Tensor(enc.data[i])).data
+        if t == 1:
+            # the per-row decode's one-row products take another BLAS path
+            # than the batch's two-row ones, so the last bits may differ
+            np.testing.assert_allclose(batched[i], row, rtol=0, atol=1e-12)
+        else:
+            assert batched[i].tobytes() == row.tobytes()
+
+
 def test_single_layer_identity_decoder_matches_scalar_oracle():
     cfg = _cfg(n_decoder_layers=1, n_bottom_up=0, n_top_down=0,
                n_segment_layers=0, topdown_mode="none", tie_output=True)

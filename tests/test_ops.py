@@ -16,7 +16,7 @@ from tdt import (
 )
 from tdt import ops
 from tdt.attention import _band_block_bias
-from tdt.tensor import Tape, recording
+from tdt.tensor import Tape, backward, recording
 from helpers import check_param_grads, layer_norm_oracle
 
 
@@ -250,16 +250,90 @@ def test_ffn_block_single_position_scalar_oracle():
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
-def test_gelu_same_bits_with_and_without_a_tape():
-    # the in-place forward keeps the formula's operation order either way
-    x = RngStream(31).normal((6, 7), std=3.0)
-    c = math.sqrt(2.0 / math.pi)
-    expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x) * x)))
-    plain = ops.gelu(T(x)).data
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _ffn_oracle(x, p, g_out, eps=1e-5):
+    """Plain numpy x + LN(W2 gelu(W1 x + b1) + b2) and its backward for the
+    upstream gradient ``g_out``, written out in the unfused ops' operation
+    order (linear, gelu, linear, residual layer norm, then back), with no
+    library op. Returns the output and the gradients of x, w1, b1, w2, b2,
+    gain and bias."""
+    w1, b1, w2, b2, gain, bias = (p[k].value.data for k in
+                                  ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias"))
+    d = x.shape[-1]
+    flat = x.reshape(-1, d)
+    h = flat @ w1 + b1
+    t = np.tanh(((h * h) * 0.044715 * h + h) * _GELU_C)
+    act = (h * 0.5) * (t + 1.0)
+    z = (act @ w2 + b2).reshape(x.shape)
+    mu = z.sum(axis=-1, keepdims=True) / d
+    xhat = z - mu
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xhat * inv
+    out = xhat * gain + bias + x
+    # layer norm backward
+    gg = g_out * gain
+    g_bias = g_out.reshape(-1, d).sum(axis=0)
+    g_gain = (g_out * xhat).reshape(-1, d).sum(axis=0)
+    mean_gg = gg.mean(axis=-1, keepdims=True)
+    mean_ggx = (gg * xhat).mean(axis=-1, keepdims=True)
+    gz = (inv * (gg - mean_gg - xhat * mean_ggx)).reshape(-1, d)
+    # second linear, then gelu, then the first linear
+    g_act = gz @ w2.T
+    g_w2, g_b2 = act.T @ gz, gz.sum(axis=0)
+    u = (((((h * h) * (3.0 * 0.044715) + 1.0) * (0.5 * _GELU_C)) * h) * (1.0 - t * t)
+         + 0.5 + t * 0.5)
+    g_h = u * g_act
+    g_x = g_out + (g_h @ w1.T).reshape(x.shape)
+    return out, (g_x, flat.T @ g_h, g_h.sum(axis=0), g_w2, g_b2, g_gain, g_bias)
+
+
+def test_ffn_block_same_bits_with_and_without_a_tape():
+    # GELU works in place without a tape and into its own buffer with one;
+    # both keep the formula's operation order
+    rng = RngStream(31)
+    x = rng.normal((6, 7), std=3.0)
+    p = _ffn_params(rng, 7, 28)
+    expected, _ = _ffn_oracle(x, p, np.zeros_like(x))
+    plain = ops.ffn_block(T(x), **p).data
     with recording(Tape()):
-        taped = ops.gelu(T(x)).data
+        taped = ops.ffn_block(T(x), **p).data
     assert plain.tobytes() == expected.tobytes()
     assert taped.tobytes() == expected.tobytes()
+
+
+def test_ffn_block_tiled_matches_unfused_oracle_bitwise():
+    # [1, 769, 64] with a 256-wide hidden layer: several GELU row tiles and a
+    # one-row tail tile; the output and all seven gradients keep the bits of
+    # the unfused chain
+    rng = RngStream(32)
+    x = Parameter("x", rng.split("x").normal((1, 769, 64)))
+    p = _ffn_params(rng, 64, 256)
+    p["b1"].value.data[:] = rng.split("b1").normal((256,))
+    p["b2"].value.data[:] = rng.split("b2").normal((64,))
+    p["ln_gain"].value.data[:] = rng.split("gain").normal((64,))
+    p["ln_bias"].value.data[:] = rng.split("bias").normal((64,))
+    g_out = rng.split("g").normal((1, 769, 64))
+    expected, grads = _ffn_oracle(x.value.data, p, g_out)
+    params = [x] + list(p.values())
+    tape = Tape()
+    with recording(tape):
+        out = ops.ffn_block(x, **p)
+        loss = ops.sum_all(ops.mul_const(out, g_out))
+    assert len(tape) == 3  # ffn_block is one tape entry
+    backward(loss, tape)
+    assert out.data.tobytes() == expected.tobytes()
+    for q, g in zip(params, grads):
+        np.testing.assert_array_equal(q.grad, g, err_msg=q.name)
+
+
+def test_ffn_block_nan_weight_raises_naming_the_op():
+    rng = RngStream(33)
+    p = _ffn_params(rng, 4, 16)
+    p["w1"].value.data[2, 5] = np.nan
+    with pytest.raises(NumericsError, match=r"ffn_block \(linear1\).*\(4, 16\)"):
+        ops.ffn_block(T(rng.normal((3, 4))), **p)
 
 
 def test_ffn_block_gradient_check():
@@ -281,7 +355,7 @@ def test_ffn_block_gradient_check():
 
 @pytest.mark.parametrize(
     "name",
-    ["matmul", "softmax", "layer_norm", "gelu", "logsumexp", "embedding",
+    ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
      "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape",
      "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
      "band_context"],
@@ -299,8 +373,6 @@ def test_gradients_random_shapes(name):
             out = ops.sum_all(ops.mul_const(ops.softmax_last(w), rng_fixed))
         elif name == "layer_norm":
             out = ops.sum_all(ops.mul_const(ops.layer_norm(w, ln_g, ln_b, 1e-5), rng_fixed))
-        elif name == "gelu":
-            out = ops.sum_all(ops.gelu(w))
         elif name == "logsumexp":
             out = ops.sum_all(ops.logsumexp_last(w))
         elif name == "embedding":
