@@ -58,10 +58,13 @@ def _result(op: str, arr: np.ndarray, inputs: tuple) -> Tensor:
         raise NumericsError(f"{op}: non-finite result from inputs {shapes}") from None
 
 
-def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
+def _record(out: Tensor, inputs: tuple, vjp, saved: tuple = ()) -> Tensor:
+    """Record ``vjp`` on the active tape, if any. ``saved`` lists the arrays
+    the vjp keeps besides its inputs' and output's data, which the tape entry
+    counts as live bytes while it lives."""
     tape = current_tape()
     if tape is not None:
-        tape.append(TapeEntry(out, inputs, vjp))
+        tape.append(TapeEntry(out, inputs, vjp, saved))
     return out
 
 
@@ -233,14 +236,14 @@ def logsumexp_last(x) -> Tensor:
     s = p.sum(axis=-1, keepdims=True)
     out = _result("logsumexp_last", (m + np.log(s)).squeeze(-1), (x,))
     p /= s
-    return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),))
+    return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),), (p,))
 
 
 def _ln_forward(a: np.ndarray, gain, bias, eps: float):
     """Layer norm of the array ``a`` over the last axis, shared by
     :func:`layer_norm`, :func:`residual_ln` and :func:`ffn_block`. Returns the
-    output ``xhat * gain + bias`` in a fresh buffer and the vjp's closure;
-    ``xhat`` is formed in place."""
+    output ``xhat * gain + bias`` in a fresh buffer, the vjp's closure and the
+    arrays it saves; ``xhat`` is formed in place."""
     d = a.shape[-1]
     if d < 2:
         raise ConfigError("layer_norm requires last-axis extent >= 2")
@@ -267,7 +270,7 @@ def _ln_forward(a: np.ndarray, gain, bias, eps: float):
         gx = inv * (gg - mean_gg - xhat * mean_ggx)
         return gx, g_gain, g_bias
 
-    return y, vjp
+    return y, vjp, (xhat, inv)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -275,8 +278,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     ``eps`` sits inside the square root of the variance term.
     """
-    y, vjp = _ln_forward(_data(x), gain, bias, eps)
-    return _record(_result("layer_norm", y, (x, gain, bias)), (x, gain, bias), vjp)
+    y, vjp, saved = _ln_forward(_data(x), gain, bias, eps)
+    return _record(_result("layer_norm", y, (x, gain, bias)), (x, gain, bias), vjp, saved)
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -453,7 +456,7 @@ def attention_probs(q, k, bias: np.ndarray | None = None) -> Tensor:
         gq = np.matmul(gs, kt.swapaxes(-1, -2))
         return gq, np.matmul(dq.swapaxes(-1, -2), gs).swapaxes(-1, -2)
 
-    return _record(out, (q, k), vjp)
+    return _record(out, (q, k), vjp, (kt,))
 
 
 def _band_shapes(op: str, dq: np.ndarray, dk: np.ndarray) -> tuple[int, int]:
@@ -559,11 +562,11 @@ def residual_ln(x, branch, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     r, a = _data(x), _data(branch)
     if r.shape != a.shape:
         raise ShapeError(f"residual_ln: residual {r.shape} vs branch {a.shape}")
-    y, ln_vjp = _ln_forward(a, ln_gain, ln_bias, eps)
+    y, ln_vjp, saved = _ln_forward(a, ln_gain, ln_bias, eps)
     y += r
     inputs = (x, branch, ln_gain, ln_bias)
     out = _result("residual_ln", y, inputs)
-    return _record(out, inputs, lambda g: (g,) + ln_vjp(g))
+    return _record(out, inputs, lambda g: (g,) + ln_vjp(g), saved)
 
 
 def _row_tiles(rows: int, width: int) -> tuple[int, range]:
@@ -675,7 +678,7 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     z = act @ dw2
     z += db2
     screen("linear2", z)
-    y, ln_vjp = _ln_forward(z.reshape(a.shape), ln_gain, ln_bias, eps)
+    y, ln_vjp, ln_saved = _ln_forward(z.reshape(a.shape), ln_gain, ln_bias, eps)
     del z
     y += a
     screen("residual_ln", y)
@@ -694,7 +697,7 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
         gx += g  # the residual's gradient plus the first linear's
         return gx, flat.T @ gh, gh.sum(axis=0), gw2, gb2, g_gain, g_bias
 
-    return _record(out, inputs, vjp)
+    return _record(out, inputs, vjp, (h, th, act) + ln_saved)
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:

@@ -6,18 +6,26 @@ which a fused op may reuse in place before one of them becomes its output.
 Parameters are the only mutable objects and are touched exclusively by the
 optimizer and ``zero_grads``.
 
+A :class:`Tape` records one entry per differentiable op: its output, its
+inputs and its vjp closure, with the arrays that closure saved. ``backward``
+consumes the tape, popping each entry once its vjp has run, so what only
+that entry kept is freed as the pass goes and a tape is spent afterwards.
+
 Live tensor bytes are tracked per thread so benchmarks can report peak
 allocation without relying on OS RSS. Each tensor keeps two slots, the
 creating thread's counters and its own ``nbytes``: construction adds the bytes
 there and ``Tensor.__del__`` subtracts them, so a tensor is counted exactly
 while it is alive. A view of another tensor's memory (a reshape, or a
 transpose or slice that needed no copy) adds no bytes and keeps that tensor
-alive instead, so shared bytes are counted once, until both are gone.
+alive instead, so shared bytes are counted once, until both are gone. A tape
+entry counts the arrays its vjp saved (those that are not views) the same
+way, from recording until backward pops it or its tape is dropped.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -71,6 +79,15 @@ def _alloc_state() -> _AllocState:
     return st
 
 
+def _count(nbytes: int) -> _AllocState:
+    """Add ``nbytes`` to this thread's live total; return its counters."""
+    st = _alloc_state()
+    st.live += nbytes
+    if st.live > st.peak:
+        st.peak = st.live
+    return st
+
+
 def live_bytes() -> int:
     """Bytes currently held by tensors created on this thread."""
     return _alloc_state().live
@@ -113,11 +130,8 @@ class Tensor:
 
     def _track(self, arr: np.ndarray) -> None:
         self.data = arr
-        st = self._alloc = _alloc_state()
         self.nbytes = arr.nbytes
-        st.live += arr.nbytes
-        if st.live > st.peak:
-            st.peak = st.live
+        self._alloc = _count(arr.nbytes)
 
     def __del__(self):
         if self.nbytes:
@@ -224,32 +238,58 @@ def zero_grads(params) -> None:
 
 
 class TapeEntry:
-    __slots__ = ("out", "inputs", "vjp")
+    """One recorded op: its output, its inputs and its vjp closure.
 
-    def __init__(self, out: Tensor, inputs: tuple, vjp):
+    ``saved`` holds the arrays the closure keeps besides the inputs' and the
+    output's data (a layer norm's ``xhat``, softmax probabilities, a hidden
+    layer). Those that own their memory are counted as live bytes while the
+    entry lives; a view among them belongs to the array it views, which is
+    counted where it lives.
+    """
+
+    __slots__ = ("out", "inputs", "vjp", "nbytes", "_alloc")
+
+    def __init__(self, out: Tensor, inputs: tuple, vjp, saved: tuple = ()):
         self.out = out
         self.inputs = inputs
         self.vjp = vjp
+        self.nbytes = sum(a.nbytes for a in saved if a.base is None)
+        if self.nbytes:
+            self._alloc = _count(self.nbytes)
+
+    def __del__(self):
+        if self.nbytes:
+            self._alloc.live -= self.nbytes
 
 
 class Tape:
     """Ordered record of executed differentiable operations.
 
-    Replaying the tape backwards visits operations in exact reverse execution
-    order; the tape holds strong references so intermediates stay alive until
-    the tape itself is dropped.
+    Entries, with their intermediates, stay alive until :func:`backward`
+    consumes them, visiting operations in exact reverse execution order, or
+    until the tape is dropped unused. A tape supports one backward pass:
+    afterwards it is spent, ``entries`` is empty and ``len`` still gives the
+    number of entries recorded.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_recorded")
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self._recorded: int | None = None  # the entry count, once spent
+
+    @property
+    def spent(self) -> bool:
+        return self._recorded is not None
 
     def append(self, entry: TapeEntry) -> None:
+        if self._recorded is not None:
+            raise UsageError("recording onto a tape that backward has spent")
         self.entries.append(entry)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        """Entries recorded, including those backward has consumed."""
+        return len(self.entries) if self._recorded is None else self._recorded
 
 
 _tape_local = threading.local()
@@ -277,17 +317,66 @@ class recording:
         return False
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate dLoss/dParam into every Parameter reachable from ``loss``.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+# The ceiling of glibc's own dynamic mmap threshold on 64-bit; its dynamic
+# rule keeps the trim threshold at twice the mmap threshold.
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
-    Each parameter's ``grad`` receives exactly one accumulation per call, so
-    two backward passes without ``zero_grads`` double the gradients.
+_heap_kept = False  # whether this process has applied the training heap policy
+
+
+def _keep_heap() -> None:
+    """Make glibc keep a training step's freed heap for the next step.
+
+    ``backward`` frees the tape entry by entry, and glibc trims the heap top
+    it leaves (or unmaps arrays above its dynamic mmap threshold), so every
+    forward then faults those pages in again. Fixed thresholds at the
+    dynamic rule's ceiling keep that memory mapped. Called by the first
+    backward in a process, so processes that never train (encode, generate)
+    keep glibc's defaults; a no-op off glibc.
+    """
+    global _heap_kept
+    _heap_kept = True
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):  # the name is unknown off glibc
+        return
+    if not libc_version.startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt  # the running process's own libc
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
+
+def backward(loss: Tensor, tape: Tape) -> None:
+    """Accumulate dLoss/dParam into every Parameter reachable from ``loss``,
+    consuming ``tape``.
+
+    Each entry leaves the tape as its vjp runs and is released before the
+    next one's, so its saved arrays, and its output once no later entry
+    holds it, are freed during the pass (the free-as-you-go half of Chen et
+    al., arXiv 1604.06174). A second backward
+    on the spent tape raises UsageError. Each parameter's ``grad`` receives
+    exactly one accumulation per call, so two backward passes over two
+    tapes without ``zero_grads`` double the gradients. The first call in a
+    process applies the heap policy of :func:`_keep_heap`.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise UsageError("backward expects a scalar loss tensor")
+    if tape.spent:
+        raise UsageError("backward on a spent tape: a tape supports one backward pass")
+    if not _heap_kept:
+        _keep_heap()
+    entries = tape.entries
+    tape._recorded = len(entries)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     touched: dict[int, Parameter] = {}
-    for entry in reversed(tape.entries):
+    while entries:
+        entry = entries.pop()
         g_out = grads.pop(id(entry.out), None)
         if g_out is None:
             continue

@@ -1,23 +1,36 @@
 """Tensor/Parameter/Tape invariants and allocation accounting."""
 
 import gc
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import tdt
 from tdt import (
+    Model,
     NumericsError,
     Parameter,
+    RngStream,
     ShapeError,
     Tape,
     Tensor,
     UsageError,
     backward,
+    desk_config,
+    gen_keyvalue_task,
     recording,
     zero_grads,
 )
 from tdt import ops
+from tdt.tensor import TapeEntry
+from tdt.training import batch_loss
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_tensor_shape_data_agree():
@@ -220,3 +233,170 @@ def test_numerics_error_names_op_and_input_shapes(op, message):
     with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
         op()
     assert str(exc.value) == message
+
+
+# -----------------------------------------------------------------------------
+# backward consumes its tape
+# -----------------------------------------------------------------------------
+
+
+def _ln_params():
+    return (Parameter("x", np.arange(32.0).reshape(4, 8) % 5),
+            Parameter("gain", np.ones(8)), Parameter("bias", np.zeros(8)))
+
+
+def _ln_loss(tape, params):
+    """sum(layer_norm(x)) over a [4, 8] input, recorded on ``tape``; returns
+    the loss and the layer norm's output."""
+    with recording(tape):
+        y = ops.layer_norm(*params)
+        loss = ops.sum_all(y)
+    return loss, y
+
+
+def test_backward_pops_every_entry_and_len_keeps_the_recorded_count():
+    tape = Tape()
+    loss, _ = _ln_loss(tape, _ln_params())
+    assert len(tape) == 2 and not tape.spent
+    backward(loss, tape)
+    assert tape.entries == [] and tape.spent
+    assert len(tape) == 2
+
+
+def test_a_spent_tape_refuses_a_second_backward_and_new_entries():
+    tape, params = Tape(), _ln_params()
+    loss, _ = _ln_loss(tape, params)
+    backward(loss, tape)
+    grads = [p.grad.copy() for p in params]
+    with pytest.raises(UsageError, match="spent"):
+        backward(loss, tape)
+    with pytest.raises(UsageError, match="spent"), recording(tape):
+        ops.scale(Tensor(np.ones(2)), 2.0)
+    assert len(tape) == 2
+    for p, g in zip(params, grads):
+        np.testing.assert_array_equal(p.grad, g)
+
+
+def test_saved_arrays_are_counted_until_backward_pops_their_entry():
+    params = _ln_params()
+    gc.collect()
+    base = tdt.live_bytes()
+    tape = Tape()
+    loss, y = _ln_loss(tape, params)
+    # the scalar loss, the output, and the saved xhat [4, 8] and 1/std [4, 1]
+    assert tdt.live_bytes() - base == 8 + y.nbytes + 32 * 8 + 4 * 8
+    backward(loss, tape)
+    gc.collect()
+    assert tdt.live_bytes() - base == 8 + y.nbytes
+    del y
+    gc.collect()
+    assert tdt.live_bytes() - base == 8
+
+
+def test_saved_arrays_are_released_when_an_unused_tape_is_dropped():
+    params = _ln_params()
+    gc.collect()
+    base = tdt.live_bytes()
+    tape = Tape()
+    loss, y = _ln_loss(tape, params)
+    assert tdt.live_bytes() - base == 8 + y.nbytes + 32 * 8 + 4 * 8
+    del tape
+    gc.collect()
+    assert tdt.live_bytes() - base == 8 + y.nbytes
+
+
+def test_a_saved_view_adds_no_bytes():
+    gc.collect()
+    base = tdt.live_bytes()
+    out, arr = Tensor(np.zeros(3)), np.zeros((4, 4))
+    entry = TapeEntry(out, (), None, (arr, arr[1:], arr.T))
+    assert tdt.live_bytes() - base == out.nbytes + arr.nbytes
+    del entry
+    gc.collect()
+    assert tdt.live_bytes() - base == out.nbytes
+
+
+def test_live_bytes_return_to_the_pre_forward_level_after_a_train_step():
+    cfg = desk_config()
+    m = Model(cfg, seed=2)
+    batch = [gen_keyvalue_task(RngStream(7).split(str(j)), 64, cfg.window,
+                                cfg.n_bottom_up, cfg.vocab_size) for j in range(2)]
+    gc.collect()
+    base = tdt.live_bytes()
+    tape = Tape()
+    loss = batch_loss(m, batch, tape)
+    assert len(tape) > 100
+    backward(loss, tape)
+    assert tape.entries == []
+    del loss
+    gc.collect()
+    assert tdt.live_bytes() == base
+
+
+# -----------------------------------------------------------------------------
+# the heap policy of a training process
+# -----------------------------------------------------------------------------
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+def _run_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy applies on glibc only")
+def test_warm_train_steps_fault_in_no_new_pages():
+    out = _run_python("""
+        import resource
+        from tdt import Adam, Model, RngStream, Tape, backward, desk_config, gen_keyvalue_task
+        from tdt.training import batch_loss
+
+        cfg = desk_config()
+        model = Model(cfg, seed=1)
+        opt = Adam(model.parameters(), lr=3e-4)
+        for step in range(8):
+            batch = [gen_keyvalue_task(RngStream(1).split(f"{step}/{j}"), 64, cfg.window,
+                                       cfg.n_bottom_up, cfg.vocab_size) for j in range(8)]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            opt.zero_grads()
+            tape = Tape()
+            loss = batch_loss(model, batch, tape)
+            backward(loss, tape)
+            opt.step()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 8
+    # Without the policy glibc trims the heap that backward frees, and each
+    # step faults thousands of pages back in.
+    assert max(faults[3:]) < 100, faults
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy applies on glibc only")
+def test_encode_and_generate_never_apply_the_heap_policy():
+    out = _run_python("""
+        import tdt.tensor
+        from tdt import Model, RngStream, Tape, backward, desk_config, gen_keyvalue_task
+        from tdt.training import batch_loss
+
+        cfg = desk_config()
+        model = Model(cfg, seed=1)
+        inst = gen_keyvalue_task(RngStream(1), 64, cfg.window, cfg.n_bottom_up, cfg.vocab_size)
+        model.encode(inst.source)
+        model.generate(inst.source, 8, "greedy")
+        model.generate(inst.source, 8, "beam", beam_size=2)
+        print(tdt.tensor._heap_kept)
+        tape = Tape()
+        backward(batch_loss(model, [inst], tape), tape)
+        print(tdt.tensor._heap_kept)
+    """)
+    assert out.split() == ["False", "True"]
