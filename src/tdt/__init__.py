@@ -21,12 +21,11 @@ from .model import (
     PAD_ID,
     Model,
     ModelConfig,
-    decode_score_budget,
     desk_config,
     encode_score_budget,
     paper_config,
 )
-from .ops import cross_entropy, ffn_block, layer_norm, linear, matmul
+from .ops import cross_entropy, ffn_block, linear, matmul
 from .optim import Adam
 from .pooling import (
     SegmentationSpec,

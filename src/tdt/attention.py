@@ -33,6 +33,12 @@ from . import ops
 from .tensor import ConfigError, Parameter, ShapeError, UsageError
 
 
+def _check_window(window: int | None) -> None:
+    """The one window rule: None (unbounded) or an even integer >= 2."""
+    if window is not None and (window < 2 or window % 2 != 0):
+        raise ConfigError(f"window must be None or even and >= 2, got {window}")
+
+
 @dataclass(frozen=True)
 class AttentionConfig:
     """Width, head count and local window for one attention stack."""
@@ -48,9 +54,7 @@ class AttentionConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.window is not None:
-            if self.window < 2 or self.window % 2 != 0:
-                raise ConfigError(f"window must be even and >= 2, got {self.window}")
+        _check_window(self.window)
 
     @property
     def head_dim(self) -> int:
@@ -78,19 +82,17 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Admissibility pattern: full, band(w) or causal."""
+    """Admissibility pattern: band(w) or causal. No mask at all (None)
+    admits every pair."""
 
     kind: str
     window: int | None = None
 
     @staticmethod
-    def full() -> "MaskSpec":
-        return MaskSpec("full")
-
-    @staticmethod
     def band(window: int) -> "MaskSpec":
-        if window < 2 or window % 2 != 0:
-            raise ConfigError(f"band window must be even and >= 2, got {window}")
+        if window is None:
+            raise ConfigError("a band mask needs a window")
+        _check_window(window)
         return MaskSpec("band", window=window)
 
     @staticmethod
@@ -108,8 +110,6 @@ def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
     """
     if n_rows < 1 or n_cols < 1:
         raise UsageError("mask dimensions must be >= 1")
-    if spec.kind == "full":
-        return np.ones((n_rows, n_cols), dtype=bool)
     if spec.kind == "band":
         if n_rows != n_cols:
             raise UsageError("band masks are defined for square attention only")
@@ -130,6 +130,7 @@ def band_popcount(n: int, window: int | None) -> int:
     """Number of admitted pairs in a band mask, without materializing it."""
     if n < 1:
         raise UsageError("sequence length must be >= 1")
+    _check_window(window)
     if window is None or window >= 2 * (n - 1):
         return n * n
     half = window // 2

@@ -31,12 +31,18 @@ from .tensor import ConfigError, TdtError, UsageError
 from .training import DEFAULT_LR, Tagger, eval_accuracy, train, train_tagger
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of ModelConfig fields")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--preset", choices=("paper", "desk"), default="desk")
+def _add_common(p: argparse.ArgumentParser, config: bool = True, seed: bool = True,
+                fmt: bool = False) -> None:
+    """The shared flags a subcommand reads: ``--config`` and ``--preset``
+    (the model it builds), ``--seed``, ``--out``, and ``--format``."""
+    if config:
+        p.add_argument("--config", help="JSON file of ModelConfig fields")
+        p.add_argument("--preset", choices=("paper", "desk"), default="desk")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def _resolve_seed(args) -> int:
@@ -77,8 +83,6 @@ def _task_fn(name: str, cfg: ModelConfig, n_tokens: int):
         hi = min(n_tokens, cfg.max_positions)
         return lambda rng: gen_copy_task(rng, (max(1, hi // 2), hi), cfg.vocab_size)
     if name == "keyvalue":
-        if cfg.window is None:
-            raise ConfigError("key-value task needs a finite window")
         return lambda rng: gen_keyvalue_task(
             rng, n_tokens, cfg.window, cfg.n_bottom_up, cfg.vocab_size
         )
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a synthetic task")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--task", default="copy", choices=("copy", "keyvalue"))
     p.add_argument("--n-instances", type=int, default=64, dest="n_instances")
@@ -295,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("generate", help="generate from a checkpoint")
-    _add_common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--source", default="", help="comma-separated token ids")
     p.add_argument("--source-file", dest="source_file")
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("tag", help="build importance labels or run a tagger")
-    _add_common(p)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--mode", choices=("labels", "run"), default="labels")
     p.add_argument("--doc", required=True, help="one whitespace-tokenized document per line")
     p.add_argument("--ref", help="reference summaries, aligned line by line")
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train_tagger)
 
     p = sub.add_parser("bench", help="complexity/memory sweep")
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.add_argument("--N-list", type=_int_list, default=[128, 256], dest="N_list")
     p.add_argument("--w", type=int, default=32)
     p.add_argument("--variants", type=lambda s: s.split(","), default=list(VARIANTS))

@@ -43,8 +43,8 @@ from .attention import (
     MaskSpec,
     OpCounter,
     attend,
-    band_popcount,
     build_mask,
+    count_budget,
     init_attention_params,
     multi_head_attention,
     project_heads,
@@ -485,7 +485,7 @@ class Model:
             pass
         return x
 
-    def _resolve_pool_weights(self, shape, weights, labels) -> np.ndarray | None:
+    def _resolve_pool_weights(self, weights, labels) -> np.ndarray | None:
         mode = self.config.pooling_mode
         if mode == "avg":
             return None
@@ -495,10 +495,7 @@ class Model:
             return labels_to_weights(np.asarray(labels))
         if weights is None:
             raise ConfigError("pooling_mode=ada requires per-token importance weights")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != shape:
-            raise UsageError(f"expected importance weights of shape {shape}, got {w.shape}")
-        return w
+        return weights
 
     def encode_segments(self, x, counter: OpCounter | None = None,
                         weights=None, labels=None) -> Tensor:
@@ -506,7 +503,7 @@ class Model:
         if self.pos_seg is None:
             raise UsageError('topdown_mode="none" has no segment stage')
         spec = self.config.segmentation
-        p = self._resolve_pool_weights(x.shape[:-1], weights, labels)
+        p = self._resolve_pool_weights(weights, labels)
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
         m = segs.shape[-2]
         segs = ops.add(segs, ops.embedding(self.pos_seg, np.arange(m)))
@@ -576,13 +573,8 @@ class Model:
         if cache is not None:
             cache.length += t
             cache.batch_shape = ids.shape[:-1]
-        if self.out_w is not None:
-            return ops.linear(y, self.out_w)
-        logits = ops.matmul(
-            ops.reshape(y, (-1, self.config.d_model)),
-            ops.transpose(self.tok_emb, (1, 0)),
-        )
-        return ops.reshape(logits, y.shape[:-1] + (self.config.vocab_size,))
+        w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
+        return ops.linear(y, w)
 
     def generate(self, source_ids, max_len: int, strategy: str = "greedy",
                  beam_size: int = 1, eos_id: int = EOS_ID,
@@ -673,27 +665,17 @@ def _logsumexp(v: np.ndarray) -> float:
 
 
 def encode_score_budget(config: ModelConfig, n_tokens: int) -> int:
-    """Per-head score evaluations of one encoder forward pass.
+    """Per-head score evaluations of one encoder forward pass, from
+    :func:`count_budget`'s per-layer counts (B local, M^2 segment, N * M
+    cross):
 
     none:   N1 * B
     cross:  N1 * B + N2 * M^2 + N3 * (B + N * M)
     concat: N1 * B + N2 * M^2 + N3 * B
-    where B is the band popcount for (N, window).
     """
-    b = band_popcount(n_tokens, config.window)
-    total = config.n_bottom_up * b
+    b = count_budget(n_tokens, config.window, config.segmentation.n_segments(n_tokens))
+    total = config.n_bottom_up * b.local
     if config.topdown_mode == "none":
         return total
-    m = config.segmentation.n_segments(n_tokens)
-    total += config.n_segment_layers * m * m
-    if config.topdown_mode == "cross":
-        total += config.n_top_down * (b + n_tokens * m)
-    else:
-        total += config.n_top_down * b
-    return total
-
-
-def decode_score_budget(config: ModelConfig, prefix_len: int, enc_len: int) -> int:
-    """Per-head score evaluations of one decoder forward pass."""
-    causal = prefix_len * (prefix_len + 1) // 2
-    return config.n_decoder_layers * (causal + prefix_len * enc_len)
+    cross = b.cross if config.topdown_mode == "cross" else 0
+    return total + config.n_segment_layers * b.segment + config.n_top_down * (b.local + cross)

@@ -216,18 +216,6 @@ def _softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def softmax_last(x) -> Tensor:
-    """Softmax over the last axis with max-subtraction for stability.
-
-    Works in a single scratch buffer so the transient footprint is one array
-    beyond the input (this matters for attention scores).
-    """
-    a = _data(x)
-    out = _result("softmax_last", _softmax(a, np.empty_like(a)), (x,))
-    p = out.data
-    return _record(out, (x,), lambda g: (_softmax_vjp(g, p),))
-
-
 def logsumexp_last(x) -> Tensor:
     """log(sum(exp)) over the last axis, max-shifted."""
     a = _data(x)
@@ -241,8 +229,8 @@ def logsumexp_last(x) -> Tensor:
 
 def _ln_forward(a: np.ndarray, gain, bias, eps: float):
     """Layer norm of the array ``a`` over the last axis, shared by
-    :func:`layer_norm`, :func:`residual_ln` and :func:`ffn_block`. Returns the
-    output ``xhat * gain + bias`` in a fresh buffer, the vjp's closure and the
+    :func:`residual_ln` and :func:`ffn_block`. Returns the output
+    ``xhat * gain + bias`` in a fresh buffer, the vjp's closure and the
     arrays it saves; ``xhat`` is formed in place."""
     d = a.shape[-1]
     if d < 2:
@@ -271,15 +259,6 @@ def _ln_forward(a: np.ndarray, gain, bias, eps: float):
         return gx, g_gain, g_bias
 
     return y, vjp, (xhat, inv)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then apply gain and bias.
-
-    ``eps`` sits inside the square root of the variance term.
-    """
-    y, vjp, saved = _ln_forward(_data(x), gain, bias, eps)
-    return _record(_result("layer_norm", y, (x, gain, bias)), (x, gain, bias), vjp, saved)
 
 
 def linear(x, weight, bias=None) -> Tensor:

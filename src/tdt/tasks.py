@@ -78,6 +78,8 @@ def gen_keyvalue_task(
     """
     if vocab_size < FILLER_BASE + 1:
         raise UsageError(f"key-value task needs vocab_size >= {FILLER_BASE + 1}")
+    if window is None:
+        raise UsageError("key-value task needs a finite window")
     rf = keyvalue_receptive_field(window, n_bottom_up)
     n_fill = n_tokens - N_VALUES - 2  # block + fillers + KEY + QUERY
     if n_fill < 0:

@@ -66,6 +66,21 @@ def test_band_spec_rejects_odd_or_tiny_window():
         MaskSpec.band(0)
 
 
+@pytest.mark.parametrize("w", [3, -4, 0, 1])
+def test_one_window_rule_for_config_mask_popcount_and_budget(w):
+    for build in (lambda: AttentionConfig(8, 2, w), lambda: MaskSpec.band(w),
+                  lambda: band_popcount(9, w), lambda: count_budget(9, w, 2)):
+        with pytest.raises(ConfigError, match="window"):
+            build()
+
+
+def test_an_unbounded_window_is_full_attention_but_no_band():
+    assert AttentionConfig(8, 2, None).window is None
+    assert band_popcount(9, None) == count_budget(9, None, 2).local == 81
+    with pytest.raises(ConfigError):
+        MaskSpec.band(None)
+
+
 def test_every_band_row_admits_self():
     for n in (1, 2, 5, 9):
         for w in (2, 4, 8):

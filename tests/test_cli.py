@@ -316,3 +316,67 @@ def test_tagger_checkpoint_with_decoder_layers_in_header_loads(tmp_path, capsys)
     code, text, _ = run(capsys, "tag", "--mode", "run", "--ckpt", str(ckpt), "--doc", str(doc))
     assert code == 0
     assert len(text.split()) == 4
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", ("--seed", "3")), ("generate", ("--out", "x")),
+    ("eval", ("--config", "c.json")), ("tag", ("--seed", "1")), ("train", ("--format", "csv")),
+], ids=["generate-seed", "generate-out", "eval-config", "tag-seed", "train-format"])
+def test_a_shared_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
+                                                            command, flag):
+    monkeypatch.chdir(tmp_path)
+    save_model(Model(desk_config(), seed=0), "m.tdtx")
+    (tmp_path / "c.json").write_text("{}")
+    (tmp_path / "doc.txt").write_text("the cat sat\n")
+    argv = {
+        "generate": ("generate", "--ckpt", "m.tdtx", "--source", "3,4,5", "--max-len", "2"),
+        "eval": ("eval", "--ckpt", "m.tdtx", "--n-instances", "1", "--n-tokens", "6"),
+        "tag": ("tag", "--mode", "labels", "--doc", "doc.txt", "--ref", "doc.txt"),
+        "train": ("train", "--steps", "1", "--n-tokens", "6", "--out", "run"),
+    }[command]
+    code, _, err = run(capsys, *argv, *flag)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    code, _, _ = run(capsys, *argv)  # the same command without the flag runs
+    assert code == 0
+
+
+def test_each_subcommand_takes_only_the_shared_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if a.choices and "train" in a.choices)
+    shared = {"--config", "--preset", "--seed", "--out", "--format"}
+    taken = {
+        name: sorted(shared & {o for a in p._actions for o in a.option_strings})
+        for name, p in sub.choices.items()
+    }
+    assert taken == {
+        "budget": [],
+        "train": ["--config", "--out", "--preset", "--seed"],
+        "eval": ["--out", "--seed"],
+        "generate": [],
+        "tag": ["--out"],
+        "train-tagger": ["--config", "--out", "--preset", "--seed"],
+        "bench": ["--config", "--format", "--out", "--preset", "--seed"],
+        "ablate": ["--config", "--out", "--preset", "--seed"],
+    }
+    assert sum(map(len, taken.values())) == 20
+
+
+@pytest.mark.parametrize("w", ["3", "-4"])
+def test_budget_with_an_invalid_window_exits_2(capsys, w):
+    code, out, err = run(capsys, "budget", "--N", "9", "--w", w, "--M", "2")
+    assert code == 2
+    assert out == "" and "window" in err
+
+
+@pytest.mark.parametrize("command", ["train", "train-tagger", "ablate"])
+def test_keyvalue_on_a_null_window_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"window": None}))
+    argv = [command, "--config", str(cfg), "--steps", "1", "--n-tokens", "64",
+            "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--task", "keyvalue"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip() == "error: key-value task needs a finite window"
+    assert not (tmp_path / "out").exists()

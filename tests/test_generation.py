@@ -14,7 +14,6 @@ from tdt import (
     Tape,
     Tensor,
     UsageError,
-    decode_score_budget,
     desk_config,
     encode_score_budget,
     recording,
@@ -131,7 +130,10 @@ def test_greedy_score_budget_equals_one_full_decode():
     out = m.generate(_src(6, n, cfg), length, eos_id=NO_EOS, counter=counter)
     assert len(out) == length
     decoder_share = counter.score_evals - cfg.n_heads * encode_score_budget(cfg, n)
-    assert decoder_share == cfg.n_heads * decode_score_budget(cfg, length, n)
+    # one full decode of the length-T prefix: per layer, T(T+1)/2 causal
+    # pairs plus T * N cross pairs
+    causal = length * (length + 1) // 2
+    assert decoder_share == cfg.n_heads * cfg.n_decoder_layers * (causal + length * n)
 
 
 def test_beam_score_budget_counts_open_rows_per_step():

@@ -70,22 +70,28 @@ def test_matmul_batched_matches_per_slice():
 
 
 # -----------------------------------------------------------------------------
-# softmax
+# softmax, through the dense scorer
 # -----------------------------------------------------------------------------
 
 
+def softmax(x):
+    """Softmax over the last axis as ``attention_probs(x, I)``: x I^T = x."""
+    x = np.asarray(x, dtype=np.float64)
+    return ops.attention_probs(T(x), T(np.eye(x.shape[-1])))
+
+
 def test_softmax_symmetry():
-    out = ops.softmax_last(T([[0.0, 0.0]]))
+    out = softmax([[0.0, 0.0]])
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_stability_under_large_inputs():
-    out = ops.softmax_last(T([[1000.0, 1000.0, 1000.0]]))
+    out = softmax([[1000.0, 1000.0, 1000.0]])
     np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_closed_form_ratio():
-    out = ops.softmax_last(T([[0.0, math.log(3.0)]]))
+    out = softmax([[0.0, math.log(3.0)]])
     np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
 
@@ -95,7 +101,7 @@ def test_softmax_rows_sum_to_one_property():
         m = int(rng.randint(1, 8, 1)[0])
         n = int(rng.randint(1, 9, 1)[0])
         x = rng.normal((m, n), std=10.0)
-        out = ops.softmax_last(T(x)).data
+        out = softmax(x).data
         assert out.min() >= 0.0
         np.testing.assert_allclose(out.sum(axis=1), np.ones(m), atol=1e-9)
 
@@ -107,7 +113,7 @@ def test_softmax_rejects_nonfinite_input():
 
 
 # -----------------------------------------------------------------------------
-# layer_norm
+# layer norm, through residual_ln with a zero residual
 # -----------------------------------------------------------------------------
 
 
@@ -115,15 +121,21 @@ def _ln_params(d):
     return Parameter("g", np.ones(d)), Parameter("b", np.zeros(d))
 
 
+def layer_norm(x, gain, bias, eps=1e-5):
+    """LN(x) as ``residual_ln(0, x)``: the residual passes through untouched."""
+    x = np.asarray(x, dtype=np.float64)
+    return ops.residual_ln(T(np.zeros_like(x)), T(x), gain, bias, eps)
+
+
 def test_layer_norm_constant_row_zeroed_by_eps():
     g, b = _ln_params(4)
-    out = ops.layer_norm(T([[5.0, 5.0, 5.0, 5.0]]), g, b, eps=1e-12)
+    out = layer_norm([[5.0, 5.0, 5.0, 5.0]], g, b, eps=1e-12)
     np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-12)
 
 
 def test_layer_norm_already_standardized():
     g, b = _ln_params(2)
-    out = ops.layer_norm(T([[1.0, -1.0]]), g, b, eps=1e-300)
+    out = layer_norm([[1.0, -1.0]], g, b, eps=1e-300)
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-9)
 
 
@@ -131,7 +143,7 @@ def test_layer_norm_statistics_random_row():
     rng = RngStream(31)
     x = rng.normal((1, 16), std=3.0)
     g, b = _ln_params(16)
-    out = ops.layer_norm(T(x), g, b, eps=1e-12).data
+    out = layer_norm(x, g, b, eps=1e-12).data
     assert abs(out.mean()) <= 1e-12
     assert abs(out.var() - 1.0) <= 1e-6
 
@@ -141,7 +153,7 @@ def test_layer_norm_statistics_property_over_widths():
     for d in (4, 8, 16, 32, 64):
         x = rng.normal((5, d), std=2.0)
         g, b = _ln_params(d)
-        out = ops.layer_norm(T(x), g, b, eps=1e-12).data
+        out = layer_norm(x, g, b, eps=1e-12).data
         assert np.max(np.abs(out.mean(axis=-1))) <= 1e-10
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) <= 1e-5
 
@@ -152,14 +164,14 @@ def test_layer_norm_matches_scalar_oracle():
     gain = rng.normal((6,))
     bias = rng.normal((6,))
     g, b = Parameter("g", gain), Parameter("b", bias)
-    out = ops.layer_norm(T(x), g, b, eps=1e-5).data
+    out = layer_norm(x, g, b, eps=1e-5).data
     np.testing.assert_allclose(out, layer_norm_oracle(x, gain, bias, 1e-5), atol=1e-12)
 
 
 def test_layer_norm_rejects_width_one():
     g, b = _ln_params(1)
     with pytest.raises(ConfigError):
-        ops.layer_norm(T([[3.0]]), g, b)
+        layer_norm([[3.0]], g, b)
 
 
 def test_residual_ln_matches_the_unfused_expression_bitwise():
@@ -355,7 +367,7 @@ def test_ffn_block_gradient_check():
 
 @pytest.mark.parametrize(
     "name",
-    ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
+    ["matmul", "logsumexp", "embedding",
      "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape",
      "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
      "band_context"],
@@ -369,10 +381,6 @@ def test_gradients_random_shapes(name):
     def build(tape=False):
         if name == "matmul":
             out = ops.sum_all(ops.matmul(Tensor(np.arange(8.0).reshape(2, 4) / 7), w))
-        elif name == "softmax":
-            out = ops.sum_all(ops.mul_const(ops.softmax_last(w), rng_fixed))
-        elif name == "layer_norm":
-            out = ops.sum_all(ops.mul_const(ops.layer_norm(w, ln_g, ln_b, 1e-5), rng_fixed))
         elif name == "logsumexp":
             out = ops.sum_all(ops.logsumexp_last(w))
         elif name == "embedding":
@@ -416,7 +424,7 @@ def test_gradients_random_shapes(name):
     tr_w = RngStream(7).normal((2, 10))
     att_w = RngStream(8).normal((2, 2, 2))
     band_w = RngStream(9).normal((2, 2, 6))
-    params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
+    params = [w] + ([ln_g, ln_b] if name == "residual_ln" else [])
     check_param_grads(build, params)
 
 

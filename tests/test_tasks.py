@@ -104,6 +104,11 @@ def test_keyvalue_too_short_raises():
         gen_keyvalue_task(RngStream(9), 40, 16, 4, 64)  # receptive field 32
 
 
+def test_keyvalue_needs_a_finite_window():
+    with pytest.raises(UsageError, match="finite window"):
+        gen_keyvalue_task(RngStream(0), 64, None, 2, 64)
+
+
 def test_keyvalue_vocab_too_small_raises():
     with pytest.raises(UsageError):
         gen_keyvalue_task(RngStream(10), 64, 8, 2, FILLER_BASE)

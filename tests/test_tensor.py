@@ -241,15 +241,18 @@ def test_numerics_error_names_op_and_input_shapes(op, message):
 
 
 def _ln_params():
-    return (Parameter("x", np.arange(32.0).reshape(4, 8) % 5),
+    """A zero residual, a [4, 8] branch, and the layer norm's gain and bias:
+    all parameters, so they are live before a test reads its baseline."""
+    return (Parameter("residual", np.zeros((4, 8))),
+            Parameter("x", np.arange(32.0).reshape(4, 8) % 5),
             Parameter("gain", np.ones(8)), Parameter("bias", np.zeros(8)))
 
 
 def _ln_loss(tape, params):
-    """sum(layer_norm(x)) over a [4, 8] input, recorded on ``tape``; returns
-    the loss and the layer norm's output."""
+    """sum(residual_ln(0, x)) = sum(LN(x)) over a [4, 8] input, recorded on
+    ``tape``; returns the loss and the layer norm's output."""
     with recording(tape):
-        y = ops.layer_norm(*params)
+        y = ops.residual_ln(*params)
         loss = ops.sum_all(y)
     return loss, y
 
