@@ -367,7 +367,7 @@ def test_ffn_block_gradient_check():
 
 @pytest.mark.parametrize(
     "name",
-    ["matmul", "logsumexp", "embedding",
+    ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
      "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape",
      "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
      "band_context"],
@@ -381,6 +381,12 @@ def test_gradients_random_shapes(name):
     def build(tape=False):
         if name == "matmul":
             out = ops.sum_all(ops.matmul(Tensor(np.arange(8.0).reshape(2, 4) / 7), w))
+        elif name == "softmax":  # softmax(w) as attention_probs(w, I)
+            out = ops.attention_probs(w, Tensor(np.eye(5)))
+            out = ops.sum_all(ops.mul_const(out, rng_fixed))
+        elif name == "layer_norm":  # LN(w) as residual_ln(0, w)
+            out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b, 1e-5)
+            out = ops.sum_all(ops.mul_const(out, rng_fixed))
         elif name == "logsumexp":
             out = ops.sum_all(ops.logsumexp_last(w))
         elif name == "embedding":
@@ -424,7 +430,7 @@ def test_gradients_random_shapes(name):
     tr_w = RngStream(7).normal((2, 10))
     att_w = RngStream(8).normal((2, 2, 2))
     band_w = RngStream(9).normal((2, 2, 6))
-    params = [w] + ([ln_g, ln_b] if name == "residual_ln" else [])
+    params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
     check_param_grads(build, params)
 
 
