@@ -4,16 +4,14 @@ scorer, plus masks and exact score-evaluation accounting.
 Every attention the model runs (bottom-up local, segment full, token-segment
 cross, decoder self and cross) is the same sequence in :func:`attend`:
 scale, score, softmax, context, output projection, count. The mask picks the
-scorer. A band that leaves some pair out selects the banded scorer, which
-never materializes an N x N score matrix: queries are processed in blocks of
-w/2 positions, each block scoring only its own and adjacent key blocks, so
-live memory grows with N * w. Everything else is scored densely. Either
-scorer is one op that forms the scores, adds the mask penalty and takes the
-softmax in a single buffer per layer (``ops.attention_probs``,
-``ops.band_attention_probs``); the banded context is one more op
-(``ops.band_context``). Masked slots get a -1e30 additive penalty whose
-exponent underflows to exactly zero, meaning tokens outside the mask cannot
-influence a row even at the bit level. :func:`multi_head_attention` and
+scorer. A band that leaves some pair out is one op, ``ops.band_attention``,
+which never materializes an N x N score matrix, so live memory grows with
+N * w; its blocked layout is known to ``ops`` alone. Everything else is
+scored by ``ops.attention_probs``, which forms the scores, adds the mask
+penalty and takes the softmax in one buffer, and a context product.
+Masked slots get a -1e30 additive penalty whose exponent underflows to
+exactly zero, meaning tokens outside the mask cannot influence a row even
+at the bit level. :func:`multi_head_attention` and
 :func:`local_self_attention` are thin entry points over the core.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
@@ -23,7 +21,6 @@ which :func:`count_budget` predicts in closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -222,44 +219,6 @@ def project_heads(x, weight, bias, config: AttentionConfig):
     return _split_heads(ops.linear(x, weight, bias), config.n_heads, config.head_dim)
 
 
-@functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
-def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
-    """Additive mask bias for blocked banded attention.
-
-    Returns (bias[nb, block, 3*block], block, nb). Block r of query block i
-    scores key slot s, which is absolute position (i-1)*block + s; a slot is
-    admitted iff that position is in range and within w/2 of the query.
-    Queries in the padded tail admit a single dummy slot so softmax stays
-    defined; their outputs are sliced away. The result depends on (n,
-    window) only, so it is built once per pair and shared read-only.
-    """
-    half = window // 2
-    block = half
-    nb = -(-n // block)
-    i = np.arange(nb)[:, None, None]
-    r = np.arange(block)[None, :, None]
-    s = np.arange(3 * block)[None, None, :]
-    q_abs = i * block + r
-    j_abs = (i - 1) * block + s
-    admitted = (q_abs < n) & (j_abs >= 0) & (j_abs < n) & (np.abs(q_abs - j_abs) <= half)
-    bias = np.where(admitted, 0.0, ops.NEG_MASK)
-    pad_rows = q_abs >= n
-    dummy = s == (block + r)
-    bias = np.where(pad_rows & dummy, 0.0, bias)
-    bias.flags.writeable = False
-    return bias, block, nb
-
-
-def _band_weights_dense(probs: np.ndarray, n: int, block: int, nb: int) -> np.ndarray:
-    """Scatter blocked band weights [h, nb, block, 3*block] into [h, n, n]."""
-    i, r, s = np.ogrid[:nb, :block, : 3 * block]
-    q_abs, j_abs = np.broadcast_arrays(i * block + r, (i - 1) * block + s)
-    keep = (q_abs < n) & (j_abs >= 0) & (j_abs < n)
-    dense = np.zeros((probs.shape[0], n, n), dtype=np.float64)
-    dense[:, q_abs[keep], j_abs[keep]] = probs[:, keep]
-    return dense
-
-
 def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
            mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
            return_weights: bool = False):
@@ -272,13 +231,11 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
     a :class:`MaskSpec`, or None (every pair admitted). Masked pairs get an
     additive penalty whose exponent underflows to exactly zero. A band that
-    leaves some pair out (w < 2(n-1)) selects the banded scorer: queries go
-    in blocks of w/2 positions that score only their own and adjacent key
-    blocks, so nothing n x n is materialized and live memory is O(n * w).
-    Every other mask is scored densely. Each scorer writes its scores, the
-    penalty and the softmax into one buffer per layer, which becomes the
-    probabilities; the banded context sums its three block products into
-    one more.
+    leaves some pair out (w < 2(n-1)) goes to ``ops.band_attention``, one
+    op from the heads to the context that never materializes anything
+    n x n (live memory O(n * w)). Every other mask is scored densely,
+    scores, penalty and softmax in one buffer. ``return_weights`` adds the
+    [..., heads, n, m] attention weights (a copy; no gradient).
     """
     n = q.shape[-2]
     m = k.shape[-2]
@@ -302,39 +259,24 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
         if not mask.any(axis=1).all():
             raise UsageError("attention row with no admitted positions")
     q = ops.scale(q, 1.0 / math.sqrt(dh))  # pre-scale: one less score-sized copy
+    weights = None
     if window is None:
         bias = None if mask is None or mask.all() else ops.NEG_MASK * (~mask)
         probs = ops.attention_probs(q, k, bias)
         del q, k
         ctx = ops.matmul(probs, v)
+        if return_weights:
+            weights = probs.data.copy()
         pairs = int(mask.sum()) if mask is not None else n * m
     else:
-        bias, block, nb = _band_block_bias(n, window)
-        n_pad = nb * block
-        if n_pad > n:  # np.pad copies even when it adds nothing
-            q = ops.pad_axis(q, -2, 0, n_pad - n)
-        q_blk = ops.reshape(q, lead + (h, nb, block, dh))
-        kv_shape = lead + (h, nb + 2, block, dh)  # one zero block of padding per side
-        k_blk = ops.reshape(ops.pad_axis(k, -2, block, n_pad - n + block), kv_shape)
-        del q, k
-        probs = ops.band_attention_probs(q_blk, k_blk, bias)
-        del q_blk, k_blk  # padding v only now keeps one less array beside the scores
-        v_blk = ops.reshape(ops.pad_axis(v, -2, block, n_pad - n + block), kv_shape)
-        del v
-        ctx = ops.band_context(probs, v_blk)
-        del v_blk
-        ctx = ops.slice_axis(ops.reshape(ctx, lead + (h, n_pad, dh)), -2, 0, n)
+        ctx = ops.band_attention(q, k, v, window, return_weights)
+        if return_weights:
+            ctx, weights = ctx
         pairs = band_popcount(n, window)
     out = ops.linear(_merge_heads(ctx, config.d_model), params.wo, params.bo)
     if counter is not None:
         counter.add(batch * h * pairs)
-    if not return_weights:
-        return out
-    if window is None:
-        return out, probs.data.copy()
-    if lead:
-        raise UsageError("return_weights supports unbatched input only")
-    return out, _band_weights_dense(probs.data, n, block, nb)
+    return (out, weights) if return_weights else out
 
 
 def multi_head_attention(q_in, k_in, v_in, params: AttentionParams, config: AttentionConfig,

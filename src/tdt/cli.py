@@ -80,7 +80,7 @@ def _emit(args, text: str) -> None:
 
 def _task_fn(name: str, cfg: ModelConfig, n_tokens: int):
     if name == "copy":
-        hi = min(n_tokens, cfg.max_positions)
+        hi = min(n_tokens, cfg.max_positions - 1)  # the decoder reads BOS + target
         return lambda rng: gen_copy_task(rng, (max(1, hi // 2), hi), cfg.vocab_size)
     if name == "keyvalue":
         return lambda rng: gen_keyvalue_task(
@@ -160,7 +160,17 @@ def _read_token_lines(path: str) -> list[list[str]]:
         return [line.split() for line in fh.read().splitlines()]
 
 
+# Per tag mode: the flag it needs, then the flag it may take.
+_TAG_MODE_FLAGS = {"labels": ("ref", "stopwords"), "run": ("ckpt", "vocab")}
+
+
 def _cmd_tag(args) -> int:
+    for mode, (needed, optional) in _TAG_MODE_FLAGS.items():
+        if mode == args.mode and getattr(args, needed) is None:
+            raise UsageError(f"tag --mode {mode} needs --{needed}")
+        for flag in (needed, optional):
+            if mode != args.mode and getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} is read by tag --mode {mode} only")
     if args.mode == "labels":
         docs = _read_token_lines(args.doc)
         refs = _read_token_lines(args.ref)
@@ -311,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config=False, seed=False)
     p.add_argument("--mode", choices=("labels", "run"), default="labels")
     p.add_argument("--doc", required=True, help="one whitespace-tokenized document per line")
-    p.add_argument("--ref", help="reference summaries, aligned line by line")
-    p.add_argument("--stopwords", help="stopword file, one word per line")
+    p.add_argument("--ref", help="reference summaries, aligned line by line (mode=labels)")
+    p.add_argument("--stopwords", help="stopword file, one word per line (mode=labels)")
     p.add_argument("--ckpt", help="tagger checkpoint (mode=run)")
     p.add_argument("--vocab", help="vocabulary file, id = line number (mode=run)")
     p.set_defaults(fn=_cmd_tag)

@@ -12,6 +12,7 @@ apply position-wise.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,14 +49,18 @@ def _data(x) -> np.ndarray:
     raise UsageError(f"expected Tensor or Parameter, got {type(x).__name__}")
 
 
-def _result(op: str, arr: np.ndarray, inputs: tuple) -> Tensor:
-    """The screened output of arithmetic op ``op``; a non-finite result
-    raises NumericsError naming the op and the shapes of its inputs."""
-    try:
-        return Tensor(arr)
-    except NumericsError:
+def _check_finite(op: str, arr: np.ndarray, inputs: tuple) -> None:
+    """Raise NumericsError naming ``op`` and the shapes of its inputs unless
+    every entry of ``arr`` is finite."""
+    if not _all_finite(arr):
         shapes = [_data(x).shape for x in inputs]
-        raise NumericsError(f"{op}: non-finite result from inputs {shapes}") from None
+        raise NumericsError(f"{op}: non-finite result from inputs {shapes}")
+
+
+def _result(op: str, arr: np.ndarray, inputs: tuple) -> Tensor:
+    """The screened float64 output ``arr`` of arithmetic op ``op``."""
+    _check_finite(op, arr, inputs)
+    return _screened(arr)
 
 
 def _record(out: Tensor, inputs: tuple, vjp, saved: tuple = ()) -> Tensor:
@@ -98,33 +103,6 @@ def concat(parts, axis: int) -> Tensor:
         return tuple(np.split(g, bounds, axis=axis))
 
     return _record(out, tuple(parts), vjp)
-
-
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    a = _data(x)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = _view(np.ascontiguousarray(a[idx]), x)
-
-    def vjp(g, shape=a.shape):
-        full = np.zeros(shape, dtype=np.float64)
-        full[idx] = g
-        return (full,)
-
-    return _record(out, (x,), vjp)
-
-
-def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
-    a = _data(x)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    out = _screened(np.pad(a, widths))
-    n = a.shape[axis]
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(before, before + n)
-    idx = tuple(idx)
-    return _record(out, (x,), lambda g: (np.ascontiguousarray(g[idx]),))
 
 
 # -----------------------------------------------------------------------------
@@ -438,15 +416,53 @@ def attention_probs(q, k, bias: np.ndarray | None = None) -> Tensor:
     return _record(out, (q, k), vjp, (kt,))
 
 
-def _band_shapes(op: str, dq: np.ndarray, dk: np.ndarray) -> tuple[int, int]:
-    """Check a banded pair: [..., nb, block, c] against [..., nb + 2, block, e]
-    (one padding block per side); returns (nb, block)."""
-    if dq.ndim < 3 or dk.ndim != dq.ndim:
-        raise ShapeError(f"{op}: shapes {dq.shape} and {dk.shape}")
-    nb, block = dq.shape[-3], dq.shape[-2]
-    if dk.shape[:-1] != dq.shape[:-3] + (nb + 2, block):
-        raise ShapeError(f"{op}: shapes {dq.shape} and {dk.shape}")
-    return nb, block
+@functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
+def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
+    """Additive mask bias for blocked banded attention.
+
+    Returns (bias[nb, block, 3*block], block, nb). Block r of query block i
+    scores key slot s, which is absolute position (i-1)*block + s; a slot is
+    admitted iff that position is in range and within w/2 of the query.
+    Queries in the padded tail admit a single dummy slot so softmax stays
+    defined; their outputs are sliced away. The result depends on (n,
+    window) only, so it is built once per pair and shared read-only.
+    """
+    # The cached array's place in the heap decides whether glibc trims the
+    # heap top after each long encode (and faults it in again on the next):
+    # this build order keeps the 2048-token encode from doing so.
+    half = window // 2
+    block = half
+    nb = -(-n // block)
+    i = np.arange(nb)[:, None, None]
+    r = np.arange(block)[None, :, None]
+    s = np.arange(3 * block)[None, None, :]
+    q_abs = i * block + r
+    j_abs = (i - 1) * block + s
+    admitted = (q_abs < n) & (j_abs >= 0) & (j_abs < n) & (np.abs(q_abs - j_abs) <= half)
+    bias = np.where(admitted, 0.0, NEG_MASK)
+    pad_rows = q_abs >= n
+    dummy = s == (block + r)
+    bias = np.where(pad_rows & dummy, 0.0, bias)
+    bias.flags.writeable = False
+    return bias, block, nb
+
+
+def _band_weights_dense(probs: np.ndarray, n: int) -> np.ndarray:
+    """Scatter blocked band weights [..., nb, block, 3*block] into [..., n, n]."""
+    nb, block = probs.shape[-3], probs.shape[-2]
+    i, r, s = np.ogrid[:nb, :block, : 3 * block]
+    q_abs, j_abs = np.broadcast_arrays(i * block + r, (i - 1) * block + s)
+    keep = (q_abs < n) & (j_abs >= 0) & (j_abs < n)
+    dense = np.zeros(probs.shape[:-3] + (n, n))
+    dense[..., q_abs[keep], j_abs[keep]] = probs[..., keep]
+    return dense
+
+
+def _pad_rows(a: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``a`` with zero rows added before and after its second-to-last axis."""
+    widths = [(0, 0)] * a.ndim
+    widths[-2] = (before, after)
+    return np.pad(a, widths)
 
 
 def _blocks_from(s: int, nb: int) -> tuple:
@@ -464,66 +480,89 @@ def _key_blocks_t(dk: np.ndarray, s: int, nb: int) -> np.ndarray:
     return np.ascontiguousarray(dk[_blocks_from(s, nb)].swapaxes(-1, -2))
 
 
-def band_attention_probs(q_blk, k_blk, bias: np.ndarray) -> Tensor:
-    """Blocked banded softmax(q k^T + bias) for queries [..., nb, block, d]
-    and keys [..., nb + 2, block, d] padded by one block per side. Query
-    block i scores key blocks i, i+1 and i+2 (left, centre and right of its
-    own); the three products are written side by side into one
-    [..., nb, block, 3*block] buffer, which takes the constant ``bias``
-    [nb, block, 3*block] (no gradient) and the softmax in place."""
-    dq, dk = _data(q_blk), _data(k_blk)
-    nb, block = _band_shapes("band_attention_probs", dq, dk)
-    if dk.shape[-1] != dq.shape[-1] or bias.shape != (nb, block, 3 * block):
-        raise ShapeError(f"band_attention_probs: {dq.shape}, {dk.shape}, bias {bias.shape}")
-    p = np.empty(dq.shape[:-1] + (3 * block,))
-    # Products written into (and, in band_context, read from) strided block
-    # views keep the unfused chain's bits only while BLAS computes a strided
-    # matrix like its contiguous copy; tests/digest.py checks that it does.
+def band_attention(q, k, v, window: int, return_weights: bool = False):
+    """Banded attention softmax(q k^T + mask) v: query i attends the keys j
+    with |i - j| <= w/2. Queries and keys are [..., n, d], values [..., n, e];
+    returns the context [..., n, e] and, with ``return_weights``, the dense
+    [..., n, n] weights too (no gradient).
+
+    Queries go in nb = ceil(n / block) blocks of block = w/2 rows, the tail
+    zero-padded; keys and values get one more zero block per side. Query
+    block i scores key blocks i, i+1 and i+2 (left, centre, right) into one
+    [..., nb, block, 3*block] buffer that takes the bias and the softmax in
+    place, so live memory is O(n * w); the context sums the three slices
+    times their value blocks. The vjp keeps the padded keys and values, the
+    probabilities and, when the tail pads, the padded queries.
+
+    Outputs and gradients are the bits of the unfused chain pad, reshape,
+    scores, context, reshape, slice: the same products in the same order,
+    the vjp's right, centre and left sums in that chain's tape order. The
+    products read and write strided block views, which keeps those bits
+    only while BLAS computes a strided matrix like its contiguous copy;
+    tests/digest.py checks that it does.
+    """
+    inputs = (q, k, v)
+    dq, dk, dv = _data(q), _data(k), _data(v)
+    if dq.ndim < 2 or dk.shape != dq.shape or dv.shape[:-1] != dq.shape[:-1]:
+        raise ShapeError(
+            f"band_attention: queries {dq.shape}, keys {dk.shape}, values {dv.shape}"
+        )
+    lead, n, d, e = dq.shape[:-2], dq.shape[-2], dq.shape[-1], dv.shape[-1]
+    bias, block, nb = _band_block_bias(n, window)
+    n_pad = nb * block
+    rows = (..., slice(0, n), slice(None))  # the queries' rows of the padded layout
+    kv_rows = (..., slice(block, block + n), slice(None))
+    # np.pad copies even when it adds nothing
+    qp = _pad_rows(dq, 0, n_pad - n) if n_pad > n else dq
+    q_blk = qp.reshape(lead + (nb, block, d))
+    kp = _pad_rows(dk, block, n_pad - n + block)
+    k_blk = kp.reshape(lead + (nb + 2, block, d))
+    p = np.empty(lead + (nb, block, 3 * block))
     for s in range(3):
-        np.matmul(dq, _key_blocks_t(dk, s, nb), out=p[_slot(s, block)])
+        np.matmul(q_blk, _key_blocks_t(k_blk, s, nb), out=p[_slot(s, block)])
     p += bias
-    out = _result("band_attention_probs", _softmax(p, p), (q_blk, k_blk))
-    p = out.data
-
-    def vjp(g):
-        gs = _softmax_vjp(g, p)
-        gq = gk = None
-        for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
-            ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(dk, s, nb).swapaxes(-1, -2))
-            gq = ga if gq is None else np.add(gq, ga, out=gq)
-            gb = np.matmul(dq.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
-            gk = _zero_filled_add(gk, dk.shape, _blocks_from(s, nb), gb)
-        return gq, gk
-
-    return _record(out, (q_blk, k_blk), vjp)
-
-
-def band_context(probs, v_blk) -> Tensor:
-    """The context of blocked banded attention: probabilities
-    [..., nb, block, 3*block] from :func:`band_attention_probs` times values
-    [..., nb + 2, block, d], each [block, block] slice of a query block's
-    probabilities against its left, centre or right value block, summed in
-    that order into one [..., nb, block, d] buffer."""
-    dp, dv = _data(probs), _data(v_blk)
-    nb, block = _band_shapes("band_context", dp, dv)
-    if dp.shape[-1] != 3 * block:
-        raise ShapeError(f"band_context: probabilities {dp.shape} are not 3 blocks wide")
-    ctx = np.matmul(dp[_slot(0, block)], dv[_blocks_from(0, nb)])
+    _check_finite("band_attention", _softmax(p, p), inputs)
+    recording = current_tape() is not None
+    if not recording:
+        del qp, q_blk, kp, k_blk  # read no more: one less array beside the scores
+    vp = _pad_rows(dv, block, n_pad - n + block)
+    v_blk = vp.reshape(lead + (nb + 2, block, e))
+    ctx = np.matmul(p[_slot(0, block)], v_blk[_blocks_from(0, nb)])
     part = np.empty_like(ctx)
     for s in (1, 2):
-        ctx += np.matmul(dp[_slot(s, block)], dv[_blocks_from(s, nb)], out=part)
-    out = _result("band_context", ctx, (probs, v_blk))
+        ctx += np.matmul(p[_slot(s, block)], v_blk[_blocks_from(s, nb)], out=part)
+    del part
+    _check_finite("band_attention", ctx, inputs)
+    out = _screened(np.ascontiguousarray(ctx.reshape(lead + (n_pad, e))[rows]))
+    del ctx
+    if recording:
+        def vjp(g):
+            full = np.zeros(lead + (n_pad, e))
+            full[rows] = g
+            g = full.reshape(lead + (nb, block, e))
+            gp = gv = None
+            for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
+                ga = np.matmul(g, v_blk[_blocks_from(s, nb)].swapaxes(-1, -2))
+                gp = _zero_filled_add(gp, p.shape, _slot(s, block), ga)
+                gb = np.matmul(p[_slot(s, block)].swapaxes(-1, -2), g)
+                gv = _zero_filled_add(gv, v_blk.shape, _blocks_from(s, nb), gb)
+            gs = _softmax_vjp(gp, p)
+            gq = gk = None
+            for s in (2, 1, 0):
+                ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(k_blk, s, nb).swapaxes(-1, -2))
+                gq = ga if gq is None else np.add(gq, ga, out=gq)
+                gb = np.matmul(q_blk.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
+                gk = _zero_filled_add(gk, k_blk.shape, _blocks_from(s, nb), gb)
+            gq = gq.reshape(qp.shape)
+            if n_pad > n:
+                gq = np.ascontiguousarray(gq[rows])
+            return (gq, np.ascontiguousarray(gk.reshape(kp.shape)[kv_rows]),
+                    np.ascontiguousarray(gv.reshape(vp.shape)[kv_rows]))
 
-    def vjp(g):
-        gp = gv = None
-        for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
-            ga = np.matmul(g, dv[_blocks_from(s, nb)].swapaxes(-1, -2))
-            gp = _zero_filled_add(gp, dp.shape, _slot(s, block), ga)
-            gb = np.matmul(dp[_slot(s, block)].swapaxes(-1, -2), g)
-            gv = _zero_filled_add(gv, dv.shape, _blocks_from(s, nb), gb)
-        return gp, gv
-
-    return _record(out, (probs, v_blk), vjp)
+        _record(out, inputs, vjp, (kp, vp, p) + ((qp,) if n_pad > n else ()))
+    if return_weights:
+        return out, _band_weights_dense(p, n)
+    return out
 
 
 # -----------------------------------------------------------------------------
@@ -643,11 +682,7 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
         )
 
     def screen(stage: str, arr: np.ndarray) -> None:
-        if not _all_finite(arr):
-            shapes = [_data(v).shape for v in inputs]
-            raise NumericsError(
-                f"ffn_block ({stage}): non-finite result from inputs {shapes}"
-            )
+        _check_finite(f"ffn_block ({stage})", arr, inputs)
 
     flat = a if a.ndim == 2 else a.reshape(-1, d)
     h = flat @ dw1

@@ -184,12 +184,15 @@ def eval_accuracy(
     trailing eos is stripped before comparison. The accounting is a plain
     sum of per-instance counts, so it is invariant to evaluation order.
     Adaptive pooling ("ada") requires a tagger whose logits become the
-    pooling weights; oracle mode reads each instance's labels.
+    pooling weights, and no other mode takes one; oracle mode reads each
+    instance's labels.
     """
     instances = list(instances)
     if not instances:
         raise ConfigError("eval_accuracy requires a non-empty task set")
     mode = model.config.pooling_mode
+    if tagger is not None and mode != "ada":
+        raise ConfigError(f"a tagger weights ada pooling, but this model pools with {mode}")
     tok_hits = 0
     tok_total = 0
     seq_hits = 0

@@ -17,7 +17,7 @@ from tdt import (
     local_self_attention,
     multi_head_attention,
 )
-from tdt.attention import _band_block_bias, init_attention_params
+from tdt.attention import init_attention_params
 from tdt.tensor import Parameter, Tape, backward, recording
 from tdt import ops
 from helpers import (
@@ -285,6 +285,18 @@ def test_local_attention_gradient_check():
     check_param_grads(loss_fn, p.all())
 
 
+@pytest.mark.parametrize("n", [16, 13], ids=["whole-blocks", "tail-pads"])
+def test_banded_local_attention_records_one_entry_for_the_band(n):
+    # 3 projections x (linear, reshape, transpose), the query scale, the
+    # banded op, the head merge (transpose, reshape) and the output linear
+    d = 8
+    tape = Tape()
+    with recording(tape):
+        local_self_attention(Tensor(RngStream(4).normal((n, d))), _params(5, d),
+                             AttentionConfig(d, 2, 8))
+    assert len(tape) == 14
+
+
 # -----------------------------------------------------------------------------
 # Token-segment cross update: e + LN(attention of e to s), as the model runs it
 # -----------------------------------------------------------------------------
@@ -437,6 +449,6 @@ def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
 
 
 def test_band_bias_is_built_once_per_shape_and_read_only():
-    first = _band_block_bias(40, 8)
-    assert _band_block_bias(40, 8)[0] is first[0]
+    first = ops._band_block_bias(40, 8)
+    assert ops._band_block_bias(40, 8)[0] is first[0]
     assert not first[0].flags.writeable

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tdt import ConfigError, Model, ModelConfig
+from tdt import bench
 from tdt.bench import (
     VARIANTS,
     BenchRecord,
@@ -121,3 +122,23 @@ def test_bench_peak_bytes_cross_well_below_full():
     assert (
         by_variant["topdown-cross"].peak_bytes < 0.5 * by_variant["full"].peak_bytes
     )
+
+
+def test_ablate_checks_every_window_before_the_first_training(monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("ablate trained before checking its grid")
+
+    monkeypatch.setattr(bench, "train", train)
+    with pytest.raises(ConfigError, match="window"):
+        bench.ablate([0, 1, 2], windows=(8, 3), base_window=8, steps=1)
+
+
+def test_ablate_reports_one_row_per_cell_and_no_ordering_flags(monkeypatch):
+    monkeypatch.setattr(bench, "train", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench, "eval_accuracy", lambda model, val: {"token_acc": 0.5})
+    # a repeated sweep window is one cell, trained once per seed
+    table = bench.ablate([0, 1, 2], windows=(4, 8, 4), base_window=8, steps=1, n_eval=1)
+    assert sorted(table) == ["base_window", "rows", "seeds", "steps"]
+    assert [(r["variant"], r["window"]) for r in table["rows"]] == [
+        ("cross", 8), ("concat", 8), ("none", 8), ("cross", 4)]
+    assert all(r["per_seed"] == [0.5, 0.5, 0.5] for r in table["rows"])

@@ -167,6 +167,24 @@ def test_tag_labels_with_stopword_file(tmp_path, capsys):
     assert out.strip() == "0 1"
 
 
+@pytest.mark.parametrize("mode, flags, message", [
+    ("run", (), "tag --mode run needs --ckpt"),
+    ("labels", (), "tag --mode labels needs --ref"),
+    ("labels", ("--ref", "doc.txt", "--ckpt", "t.tdtx"), "--ckpt is read by tag --mode run only"),
+    ("labels", ("--ref", "doc.txt", "--vocab", "v.txt"), "--vocab is read by tag --mode run only"),
+    ("run", ("--ckpt", "t.tdtx", "--ref", "doc.txt"), "--ref is read by tag --mode labels only"),
+    ("run", ("--ckpt", "t.tdtx", "--stopwords", "s.txt"),
+     "--stopwords is read by tag --mode labels only"),
+], ids=["run-no-ckpt", "labels-no-ref", "labels-ckpt", "labels-vocab", "run-ref",
+        "run-stopwords"])
+def test_tag_needs_its_mode_input_and_refuses_the_other_modes_flags(
+        tmp_path, capsys, monkeypatch, mode, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.txt").write_text("3 4 5\n")
+    code, out, err = run(capsys, "tag", "--mode", mode, "--doc", "doc.txt", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_train_tagger_and_run_mode(tmp_path, capsys):
     out = tmp_path / "tagger.tdtx"
     code, text, _ = run(
@@ -200,6 +218,31 @@ def test_train_tagger_reports_a_non_finite_abort(tmp_path, capsys, monkeypatch):
     record = json.loads(text)
     assert record["aborted"] is True
     assert record["steps_completed"] < 4
+
+
+def test_copy_task_at_max_positions_leaves_room_for_bos(tmp_path, capsys):
+    # max_positions 16 and --n-tokens 16: a 16-token target made a 17-token
+    # decoder input (BOS + target) before the copy length was capped at 15
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"max_positions": 16}))
+    code, _, err = run(
+        capsys, "train", "--task", "copy", "--config", str(cfg), "--n-tokens", "16",
+        "--steps", "3", "--seed", "1", "--out", str(tmp_path / "run"),
+    )
+    assert (code, err) == (0, "")
+
+
+def test_eval_refuses_a_tagger_unless_the_model_pools_ada(tmp_path, capsys):
+    model_ckpt, tagger_ckpt = tmp_path / "m.tdtx", tmp_path / "t.tdtx"
+    cfg = desk_config()
+    assert cfg.pooling_mode != "ada"
+    save_model(Model(cfg, seed=0), model_ckpt)
+    tagger = Tagger(cfg, seed=0)
+    write_checkpoint(tagger_ckpt, "tagger", tagger.config.to_dict(), tagger.params)
+    code, out, err = run(capsys, "eval", "--ckpt", str(model_ckpt), "--tagger", str(tagger_ckpt),
+                         "--n-instances", "1", "--n-tokens", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a tagger weights ada pooling")
 
 
 def test_bench_csv_output(tmp_path, capsys):

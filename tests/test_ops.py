@@ -15,7 +15,6 @@ from tdt import (
     UsageError,
 )
 from tdt import ops
-from tdt.attention import _band_block_bias
 from tdt.tensor import Tape, backward, recording
 from helpers import check_param_grads, layer_norm_oracle
 
@@ -368,15 +367,14 @@ def test_ffn_block_gradient_check():
 @pytest.mark.parametrize(
     "name",
     ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
-     "gather_windows", "take_index", "concat_slice_pad", "transpose_reshape",
-     "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
-     "band_context"],
+     "gather_windows", "take_index", "concat", "transpose_reshape",
+     "residual_ln", "attention_probs", "attention_probs_bias", "band_attention"],
 )
 def test_gradients_random_shapes(name):
     import zlib
 
     rng = RngStream(zlib.crc32(name.encode()))
-    w = Parameter("w", rng.normal((4, 6) if name == "band_context" else (4, 5)))
+    w = Parameter("w", rng.normal((4, 5)))
 
     def build(tape=False):
         if name == "matmul":
@@ -395,8 +393,8 @@ def test_gradients_random_shapes(name):
             out = ops.sum_all(ops.mul_const(ops.gather_windows(w, np.array([0, 2]), 3), win_w))
         elif name == "take_index":
             out = ops.sum_all(ops.take_index_last(w, np.array([1, 0, 4, 2])))
-        elif name == "concat_slice_pad":
-            c = ops.concat([w, ops.pad_axis(ops.slice_axis(w, 1, 0, 2), 1, 1, 2)], axis=0)
+        elif name == "concat":
+            c = ops.concat([w, ops.mul_const(w, rng_fixed)], axis=0)
             out = ops.sum_all(ops.mul_const(c, cat_w))
         elif name == "transpose_reshape":
             out = ops.sum_all(ops.mul_const(ops.reshape(ops.transpose(w, (1, 0)), (2, 10)), tr_w))
@@ -409,16 +407,11 @@ def test_gradients_random_shapes(name):
             k = ops.reshape(ops.mul_const(w, rng_fixed), (2, 2, 5))
             bias = ops.NEG_MASK * np.array([[0.0, 1.0], [0.0, 0.0]]) if "bias" in name else None
             out = ops.sum_all(ops.mul_const(ops.attention_probs(q, k, bias), att_w))
-        elif name == "band_attention_probs":
-            # n=3, w=4: 2 query blocks of 2, keys padded by a block per side
-            q_blk = ops.reshape(w, (2, 2, 5))
-            k_blk = ops.reshape(ops.concat([w, ops.mul_const(w, rng_fixed)], axis=0), (4, 2, 5))
-            probs = ops.band_attention_probs(q_blk, k_blk, _band_block_bias(3, 4)[0])
-            out = ops.sum_all(ops.mul_const(probs, band_w))
-        else:  # band_context: probabilities [2, 2, 6] and values [4, 2, 6] from w
-            v_blk = ops.reshape(ops.concat([w, ops.scale(w, -0.5)], axis=0), (4, 2, 6))
-            ctx = ops.band_context(ops.reshape(w, (2, 2, 6)), v_blk)
-            out = ops.sum_all(ops.mul_const(ctx, band_w))
+        else:  # band_attention: n=5, w=4, so the third query block pads one row
+            q = ops.transpose(w, (1, 0))
+            k = ops.mul_const(q, rng_fixed.T)
+            v = ops.reshape(w, (5, 4))
+            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w))
         return out if tape else out.item()
 
     ln_g = Parameter("g", RngStream(1).normal((5,)))
@@ -429,7 +422,7 @@ def test_gradients_random_shapes(name):
     cat_w = RngStream(6).normal((8, 5))
     tr_w = RngStream(7).normal((2, 10))
     att_w = RngStream(8).normal((2, 2, 2))
-    band_w = RngStream(9).normal((2, 2, 6))
+    band_w = RngStream(9).normal((5, 4))
     params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
     check_param_grads(build, params)
 
