@@ -368,13 +368,14 @@ def test_ffn_block_gradient_check():
     "name",
     ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
      "gather_windows", "take_index", "concat", "transpose_reshape",
-     "residual_ln", "attention_probs", "attention_probs_bias", "band_attention"],
+     "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
+     "band_context", "band_attention"],
 )
 def test_gradients_random_shapes(name):
     import zlib
 
     rng = RngStream(zlib.crc32(name.encode()))
-    w = Parameter("w", rng.normal((4, 5)))
+    w = Parameter("w", rng.normal((4, 6) if name == "band_context" else (4, 5)))
 
     def build(tape=False):
         if name == "matmul":
@@ -407,11 +408,25 @@ def test_gradients_random_shapes(name):
             k = ops.reshape(ops.mul_const(w, rng_fixed), (2, 2, 5))
             bias = ops.NEG_MASK * np.array([[0.0, 1.0], [0.0, 0.0]]) if "bias" in name else None
             out = ops.sum_all(ops.mul_const(ops.attention_probs(q, k, bias), att_w))
+        elif name == "band_attention_probs":
+            # queries and keys [2, 5, 2] from w, values fixed: the gradient
+            # reaches w only through the probabilities; n=5, w=4 pads one row
+            q = ops.reshape(w, (2, 5, 2))
+            k = ops.mul_const(q, rng_fixed.reshape(2, 5, 2))
+            v = Tensor(RngStream(10).normal((2, 5, 3)))
+            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+        elif name == "band_context":
+            # values [2, 6, 2] from w, queries and keys fixed: the gradient
+            # reaches w only through the context; n=6, w=4 pads no row
+            q = Tensor(RngStream(11).normal((2, 6, 3)))
+            k = Tensor(RngStream(12).normal((2, 6, 3)))
+            v = ops.reshape(w, (2, 6, 2))
+            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
         else:  # band_attention: n=5, w=4, so the third query block pads one row
             q = ops.transpose(w, (1, 0))
             k = ops.mul_const(q, rng_fixed.T)
             v = ops.reshape(w, (5, 4))
-            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w))
+            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
         return out if tape else out.item()
 
     ln_g = Parameter("g", RngStream(1).normal((5,)))
@@ -422,7 +437,9 @@ def test_gradients_random_shapes(name):
     cat_w = RngStream(6).normal((8, 5))
     tr_w = RngStream(7).normal((2, 10))
     att_w = RngStream(8).normal((2, 2, 2))
-    band_w = RngStream(9).normal((5, 4))
+    band_w = {"band_attention_probs": RngStream(9).normal((2, 5, 3)),
+              "band_context": RngStream(9).normal((2, 6, 2)),
+              "band_attention": RngStream(9).normal((5, 4))}
     params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
     check_param_grads(build, params)
 
