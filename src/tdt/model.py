@@ -270,7 +270,7 @@ def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarra
 def top_down_concat_update(e, segs, assignment, proj_w, proj_b, ln: _LnParams,
                            eps: float = LN_EPS):
     """Concat ablation update: e + LN(proj([e_i ; s_assign(i)]))."""
-    cat = ops.concat([e, ops.take_rows(segs, assignment)], axis=-1)
+    cat = ops.concat([e, ops.gather_rows(segs, assignment)], axis=-1)
     return ops.residual_ln(e, ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
 
 
@@ -405,23 +405,26 @@ class Model:
 
         Accepts one sequence [N] or a same-length batch [B, N].
         """
+        return self._embed_ids(token_ids, self.pos_enc, 0, "source")
+
+    def _embed_ids(self, token_ids, pos_table: Parameter, start: int, side: str) -> Tensor:
+        """Token embeddings of ids [T] or [B, T] plus rows start .. start+T-1
+        of ``pos_table``: the one input path of encoder and decoder. ``side``
+        ("source" or "prefix") names the input in each error."""
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim not in (1, 2):
-            raise UsageError("embed expects [N] or [B, N] token ids")
-        n = ids.shape[-1]
-        if n < 1 or ids.size < 1:
-            raise UsageError("cannot embed an empty sequence")
-        if n > self.config.max_positions:
+            raise UsageError(f"{side} ids must be [T] or [B, T], got shape {ids.shape}")
+        if ids.size < 1:
+            raise UsageError(f"{side} must be non-empty, got shape {ids.shape}")
+        t = ids.shape[-1]
+        if start + t > self.config.max_positions:
             raise UsageError(
-                f"sequence length {n} exceeds max_positions {self.config.max_positions}"
+                f"{side} length {start + t} exceeds max_positions {self.config.max_positions}"
             )
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise UsageError(
-                f"token id out of range [0, {self.config.vocab_size})"
-            )
-        tok = ops.embedding(self.tok_emb, ids)
-        pos = ops.embedding(self.pos_enc, np.arange(n))
-        return ops.add(tok, pos)
+            raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
+        tok = ops.gather_rows(self.tok_emb, ids)
+        return ops.add(tok, ops.gather_rows(pos_table, np.arange(start, start + t)))
 
     def _blocks(self, x, layers, mask, counter, context=None, assign=None,
                 cache: DecodeCache | None = None):
@@ -506,7 +509,7 @@ class Model:
         p = self._resolve_pool_weights(weights, labels)
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
         m = segs.shape[-2]
-        segs = ops.add(segs, ops.embedding(self.pos_seg, np.arange(m)))
+        segs = ops.add(segs, ops.gather_rows(self.pos_seg, np.arange(m)))
         for segs in self._blocks(segs, self.segment_layers, None, counter):
             pass
         return segs
@@ -546,33 +549,17 @@ class Model:
         """
         if self.pos_dec is None:
             raise UsageError("n_decoder_layers=0: the model has no decoder")
-        ids = np.asarray(prefix_ids, dtype=np.int64)
-        if ids.ndim not in (1, 2):
-            raise UsageError("decode expects [T] or [B, T] prefix ids")
-        t = ids.shape[-1]
-        if t < 1:
-            raise UsageError("decoder prefix must be non-empty")
         past = 0 if cache is None else cache.length
-        if past + t > self.config.max_positions:
-            raise UsageError(
-                f"prefix length {past + t} exceeds max_positions {self.config.max_positions}"
-            )
-        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise UsageError(f"token id out of range [0, {self.config.vocab_size})")
-        if past and ids.shape[:-1] != cache.batch_shape:
-            raise ShapeError(
-                f"prefix batch {ids.shape[:-1]} != cached batch {cache.batch_shape}"
-            )
-        y = ops.add(
-            ops.embedding(self.tok_emb, ids),
-            ops.embedding(self.pos_dec, np.arange(past, past + t)),
-        )
+        y = self._embed_ids(prefix_ids, self.pos_dec, past, "prefix")
+        batch, t = y.shape[:-2], y.shape[-2]
+        if past and batch != cache.batch_shape:
+            raise ShapeError(f"prefix batch {batch} != cached batch {cache.batch_shape}")
         mask = build_mask(MaskSpec.causal(), t, past + t)
         for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
             pass
         if cache is not None:
             cache.length += t
-            cache.batch_shape = ids.shape[:-1]
+            cache.batch_shape = batch
         w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
         return ops.linear(y, w)
 

@@ -129,14 +129,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    da, db = _data(a), _data(b)
-    if da.shape != db.shape:
-        raise ShapeError(f"sub: shapes {da.shape} and {db.shape}")
-    out = _result("sub", da - db, (a, b))
-    return _record(out, (a, b), lambda g: (g, -g))
-
-
 def scale(x, c: float) -> Tensor:
     a = _data(x)
     c = float(c)
@@ -192,17 +184,6 @@ def _softmax(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     dot = (g * p).sum(axis=-1, keepdims=True)
     return p * (g - dot)
-
-
-def logsumexp_last(x) -> Tensor:
-    """log(sum(exp)) over the last axis, max-shifted."""
-    a = _data(x)
-    m = a.max(axis=-1, keepdims=True)
-    p = np.exp(a - m)
-    s = p.sum(axis=-1, keepdims=True)
-    out = _result("logsumexp_last", (m + np.log(s)).squeeze(-1), (x,))
-    p /= s
-    return _record(out, (x,), lambda g: (p * np.expand_dims(g, -1),), (p,))
 
 
 def _ln_forward(a: np.ndarray, gain, bias, eps: float):
@@ -273,106 +254,59 @@ def linear(x, weight, bias=None) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...]]; ids may have any shape."""
-    t = _data(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= t.shape[0]):
-        raise UsageError(
-            f"embedding id out of range [0, {t.shape[0]}): ids span "
-            f"[{ids.min()}, {ids.max()}]"
-        )
-    out = _screened(t[ids])
-    flat_ids = ids.reshape(-1)
-
-    def vjp(g):
-        gt = np.zeros_like(t)
-        np.add.at(gt, flat_ids, g.reshape(-1, t.shape[1]))
-        return (gt,)
-
-    return _record(out, (table,), vjp)
+def _scatter_rows(a: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``a[..., idx, :]`` from its upstream gradient ``g``:
+    zeros shaped like ``a`` with g's rows scatter-added at ``idx``, so a row
+    gathered twice receives both gradients, summed in index order."""
+    ga = np.zeros_like(a)
+    gaf = ga.reshape(-1, a.shape[-2], a.shape[-1])
+    rows = np.arange(gaf.shape[0])[:, None]
+    np.add.at(gaf, (rows, idx.reshape(1, -1)), g.reshape(gaf.shape[0], -1, a.shape[-1]))
+    return ga
 
 
-def take_rows(x, idx: np.ndarray) -> Tensor:
-    """Gather rows of the second-to-last axis: out[..., i, :] = x[..., idx[i], :]."""
+def gather_rows(x, idx) -> Tensor:
+    """Row gather on the second-to-last axis: out = x[..., idx, :] for an
+    integer index array of any shape (token ids into an embedding table, or
+    each token's segment)."""
     a = _data(x)
     idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim < 2 or idx.ndim != 1:
-        raise ShapeError("take_rows expects [..., m, d] input and 1-D indices")
-    m, d = a.shape[-2], a.shape[-1]
+    if a.ndim < 2:
+        raise ShapeError(f"gather_rows expects [..., m, d] input, got {a.shape}")
+    m = a.shape[-2]
     if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise UsageError(f"take_rows index out of range [0, {m})")
+        raise UsageError(
+            f"gather_rows: index out of range [0, {m}): indices span "
+            f"[{idx.min()}, {idx.max()}]"
+        )
     out = _screened(np.ascontiguousarray(a[..., idx, :]))
-
-    def vjp(g):
-        ga = np.zeros_like(a)
-        gaf = ga.reshape(-1, m, d)
-        gf = g.reshape(-1, len(idx), d)
-        rows = np.arange(gaf.shape[0])[:, None]
-        np.add.at(gaf, (rows, idx[None, :]), gf)
-        return (ga,)
-
-    return _record(out, (x,), vjp)
+    return _record(out, (x,), lambda g: (_scatter_rows(a, idx, g),))
 
 
-def take_index_last(x, idx: np.ndarray) -> Tensor:
-    """Per-row gather on the last axis: out[i] = x[i, idx[i]] for a matrix."""
-    a = _data(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 2 or idx.shape != (a.shape[0],):
-        raise ShapeError("take_index_last expects matrix x and one index per row")
-    rows = np.arange(a.shape[0])
-    out = _screened(a[rows, idx])
+def window_sum(x, starts: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted sums of row windows: out[..., j, :] = sum over t of
+    weights[..., j, t] * x[..., starts[j] + t, :], for x [..., n, d] and
+    constant weights [M, k] or [..., M, k] (no gradient).
 
-    def vjp(g):
-        ga = np.zeros_like(a)
-        np.add.at(ga, (rows, idx), g)
-        return (ga,)
-
-    return _record(out, (x,), vjp)
-
-
-def gather_windows(x, starts: np.ndarray, length: int) -> Tensor:
-    """Stack row windows: out[..., j, t, :] = x[..., starts[j]+t, :].
-
-    Rows past the end of the sequence axis are zero-filled. Overlapping
-    windows scatter-add their gradients back.
+    Rows past the end of the sequence axis count as zero vectors. The
+    [..., M, k, d] windows exist only inside the op; the vjp scatters each
+    window row's gradient back onto its row.
     """
     a = _data(x)
-    if a.ndim < 2:
-        raise ShapeError("gather_windows expects [..., n, d] input")
-    starts = np.asarray(starts, dtype=np.int64)
-    n, d = a.shape[-2], a.shape[-1]
-    idx = starts[:, None] + np.arange(length)[None, :]
-    valid = idx < n
-    safe = np.where(valid, idx, 0)
-    out = _screened(a[..., safe, :] * valid[:, :, None])
+    if a.ndim < 2 or weights.ndim < 2:
+        raise ShapeError(f"window_sum: input {a.shape} vs weights {weights.shape}")
+    idx = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(weights.shape[-1])
+    valid = (idx < a.shape[-2])[:, :, None]
+    safe = np.where(valid[:, :, 0], idx, 0)
+    windows = a[..., safe, :] * valid
+    if weights.shape != windows.shape[windows.ndim - weights.ndim - 1 : -1]:
+        raise ShapeError(f"window_sum: windows {windows.shape} vs weights {weights.shape}")
+    out = _result("window_sum", np.einsum("...mk,...mkd->...md", weights, windows), (x,))
 
     def vjp(g):
-        ga = np.zeros_like(a)
-        gaf = ga.reshape(-1, n, d)
-        gf = (g * valid[:, :, None]).reshape(gaf.shape[0], -1, d)
-        rows = np.arange(gaf.shape[0])[:, None]
-        np.add.at(gaf, (rows, safe.reshape(-1)[None, :]), gf)
-        return (ga,)
+        return (_scatter_rows(a, safe, weights[..., None] * g[..., None, :] * valid),)
 
-    return _record(out, (x,), vjp)
-
-
-def weighted_window_sum(windows, weights: np.ndarray) -> Tensor:
-    """Contract [..., M, k, d] windows with constant [M, k] (or [..., M, k])
-    weights into [..., M, d]."""
-    w = _data(windows)
-    if w.ndim < 3 or weights.shape != w.shape[w.ndim - weights.ndim - 1 : -1]:
-        raise ShapeError(
-            f"weighted_window_sum: windows {w.shape} vs weights {weights.shape}"
-        )
-    out = _result(
-        "weighted_window_sum", np.einsum("...mk,...mkd->...md", weights, w), (windows,)
-    )
-    return _record(
-        out, (windows,), lambda g: (weights[..., :, :, None] * g[..., :, None, :],)
-    )
+    return _record(out, (x,), vjp, (weights,))
 
 
 # -----------------------------------------------------------------------------
@@ -715,23 +649,43 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:
-    """Mean token negative log-likelihood over non-pad target positions.
+    """Mean token negative log-likelihood over non-pad target positions, as
+    one op, for logits [..., V] and targets of the matching leading shape.
 
-    Logits [..., V] with targets of the matching leading shape; everything is
-    flattened to positions internally.
+    A position's loss is its max-shifted log-sum-exp minus its target's
+    logit, and its gradient is softmax minus one-hot, times the upstream
+    gradient. Forward and vjp do the arithmetic of the unfused chain
+    (log-sum-exp, pick, subtract, mask, sum, scale) in its order, so the
+    bits are that chain's.
     """
     a = _data(logits)
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    if a.ndim < 2 or target_ids.shape != a.shape[:-1]:
-        raise ShapeError(f"cross_entropy: logits {a.shape} vs targets {target_ids.shape}")
-    flat = logits if a.ndim == 2 else reshape(logits, (-1, a.shape[-1]))
-    targets = target_ids.reshape(-1)
+    targets = np.asarray(target_ids, dtype=np.int64)
+    if a.ndim < 2 or targets.shape != a.shape[:-1]:
+        raise ShapeError(f"cross_entropy: logits {a.shape} vs targets {targets.shape}")
+    flat = a.reshape(-1, a.shape[-1])
+    targets = targets.reshape(-1)
     keep = targets != pad_id
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise UsageError("cross_entropy: all target positions are padding")
-    lse = logsumexp_last(flat)
-    picked = take_index_last(flat, np.where(keep, targets, 0))
-    nll = sub(lse, picked)
-    masked = mul_const(nll, keep.astype(np.float64))
-    return scale(sum_all(masked), 1.0 / n_keep)
+    idx = np.where(keep, targets, 0)
+    if idx.min() < 0 or idx.max() >= flat.shape[1]:
+        raise UsageError(f"cross_entropy: target out of range [0, {flat.shape[1]})")
+    rows = np.arange(len(flat))
+    keepf = keep.astype(np.float64)
+    c = 1.0 / n_keep
+    m = flat.max(axis=-1, keepdims=True)
+    p = np.exp(flat - m)
+    s = p.sum(axis=-1, keepdims=True)
+    nll = (m + np.log(s)).squeeze(-1) - flat[rows, idx]
+    out = _result("cross_entropy", np.sum(nll * keepf).reshape(()) * c, (logits,))
+    p /= s
+
+    def vjp(g):
+        gn = np.broadcast_to(g * c, keep.shape) * keepf
+        gx = np.zeros_like(p)
+        gx[rows, idx] -= gn  # the target's share first, then the softmax's
+        gx += np.multiply(p, gn[:, None], out=p)  # p is read by this pass only
+        return (gx.reshape(a.shape),)
+
+    return _record(out, (logits,), vjp, (p,))

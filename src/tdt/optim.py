@@ -1,15 +1,18 @@
 """Adam optimizer with bias correction; fully deterministic given its state.
 
 β1, β2 and ε are fixed at the usual 0.9, 0.999 and 1e-8; only the learning
-rate is a knob. A step is all or nothing: every gradient is screened before
-any parameter, moment or the step count changes.
+rate is a knob, and it must be a positive finite number. A step is all or
+nothing: every gradient is screened before any parameter, moment or the step
+count changes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .tensor import NumericsError, Parameter
+from .tensor import ConfigError, NumericsError, Parameter
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -20,6 +23,8 @@ class Adam:
     """First and second moments for a parameter list, updated in place."""
 
     def __init__(self, params, lr: float):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning rate must be a positive finite number, got {lr!r}")
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.t = 0

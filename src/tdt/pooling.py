@@ -63,9 +63,8 @@ def pool_average(states, spec: SegmentationSpec) -> Tensor:
     size, with padded slots contributing zero vectors."""
     n = states.shape[-2]
     starts = _window_starts(n, spec)
-    windows = ops.gather_windows(states, starts, spec.kernel)
     weights = np.full((len(starts), spec.kernel), 1.0 / spec.kernel)
-    return ops.weighted_window_sum(windows, weights)
+    return ops.window_sum(states, starts, weights)
 
 
 def pool_weighted(states, token_weights: np.ndarray, spec: SegmentationSpec) -> Tensor:
@@ -90,8 +89,7 @@ def pool_weighted(states, token_weights: np.ndarray, spec: SegmentationSpec) -> 
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     weights = e / e.sum(axis=-1, keepdims=True)
-    windows = ops.gather_windows(states, starts, spec.kernel)
-    return ops.weighted_window_sum(windows, weights)
+    return ops.window_sum(states, starts, weights)
 
 
 # -----------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .tensor import (
     NumericsError,
     Parameter,
     Tape,
+    Tensor,
     backward,
     recording,
 )
@@ -81,23 +82,30 @@ def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
     ``batch_size``, groups the items by ``key(item)`` in first-seen order, and
     records one tape per group holding ``group_loss(group, scale)``, the
     group's mean loss times ``scale = len(group) / batch_size``, so the losses
-    sum to the batch mean. A ``NumericsError`` propagates to the caller.
+    sum to the batch mean. A ``NumericsError`` propagates to the caller; a
+    ``batch_size`` below 1 raises ``ConfigError``, as ``Adam`` does for a
+    learning rate that is not a positive finite number.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     opt = Adam(params, lr)
     for step in range(1, steps + 1):
-        opt.zero_grads()
-        groups: dict = {}
-        for j in range(batch_size):
-            item = item_fn(root.split(f"train/{step}/{j}"))
-            groups.setdefault(key(item), []).append(item)
-        total = 0.0
-        for group in groups.values():
-            tape = Tape()
-            with recording(tape):
-                loss = group_loss(group, len(group) / batch_size)
-            backward(loss, tape)
-            total += loss.item()
-        opt.step()
+        # Every op screens its result and raises NumericsError, so numpy's
+        # own overflow and invalid-value warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.zero_grads()
+            groups: dict = {}
+            for j in range(batch_size):
+                item = item_fn(root.split(f"train/{step}/{j}"))
+                groups.setdefault(key(item), []).append(item)
+            total = 0.0
+            for group in groups.values():
+                tape = Tape()
+                with recording(tape):
+                    loss = group_loss(group, len(group) / batch_size)
+                backward(loss, tape)
+                total += loss.item()
+            opt.step()
         yield step, total
 
 
@@ -259,16 +267,6 @@ class Tagger:
         return self.logits(token_ids).data.copy()
 
 
-def _bce_with_logits(z, labels: np.ndarray):
-    """mean(softplus(z) - z * y), stable via logsumexp([0, z])."""
-    n = z.size
-    zc = ops.reshape(z, (n, 1))
-    stacked = ops.concat([ops.scale(zc, 0.0), zc], axis=1)
-    softplus = ops.logsumexp_last(stacked)
-    zy = ops.mul_const(zc, labels.astype(np.float64).reshape(n, 1))
-    return ops.scale(ops.sum_all(ops.sub(softplus, ops.reshape(zy, (n,)))), 1.0 / n)
-
-
 def train_tagger(
     config: ModelConfig,
     doc_fn,
@@ -278,21 +276,32 @@ def train_tagger(
     batch_size: int = 8,
 ) -> tuple[Tagger, TrainReport]:
     """Fit a tagger on ``doc_fn(rng) -> (token_ids, labels)`` pairs with
-    per-token binary cross-entropy."""
+    per-token binary cross-entropy: the two-class cross-entropy of logits
+    [0, z], which is softplus(z) - z * y.
+
+    A non-finite value aborts the run and restores the parameters the last
+    completed step's forward ran on, whose loss is the last one reported.
+    """
     tagger = Tagger(config, seed=seed)
     report = TrainReport(seed=seed, config_hash=tagger.config.config_hash(), steps=steps)
 
     def group_loss(group, scale):
         ids = np.array([ids for ids, _ in group], dtype=np.int64)
         labels = np.array([labels for _, labels in group], dtype=np.int64)
-        return ops.scale(_bce_with_logits(tagger.logits(ids), labels), scale)
+        z = ops.reshape(tagger.logits(ids), ids.shape + (1,))
+        two_class = ops.concat([Tensor(np.zeros(z.shape)), z], axis=-1)
+        return ops.scale(ops.cross_entropy(two_class, labels, pad_id=-1), scale)
 
+    # the parameters of the last completed step's forward, and the current ones
+    snaps = [_snapshot(tagger)] * 2
     try:
         for _, loss in _steps(
             tagger.parameters(), lr, steps, RngStream(seed).split("tagger-train"),
             batch_size, doc_fn, key=lambda doc: len(doc[0]), group_loss=group_loss,
         ):
             report.losses.append(loss)
+            snaps = [snaps[1], _snapshot(tagger)]
     except NumericsError:
         report.aborted = True
+        _restore(tagger, snaps[0])
     return tagger, report

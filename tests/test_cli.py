@@ -218,6 +218,33 @@ def test_train_tagger_reports_a_non_finite_abort(tmp_path, capsys, monkeypatch):
     record = json.loads(text)
     assert record["aborted"] is True
     assert record["steps_completed"] < 4
+    # the written tagger holds the last completed step's parameters, so it runs
+    doc = tmp_path / "ids.txt"
+    doc.write_text("3 4 5 6 7 8\n")
+    code, text, err = run(capsys, "tag", "--mode", "run", "--ckpt", str(out), "--doc", str(doc))
+    assert (code, err) == (0, "")
+    assert np.all(np.isfinite([float(v) for v in text.split()]))
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [(["--batch-size", "0"], {"batch_size": 0}), (["--lr", "nan"], {"lr": float("nan")}),
+     (["--lr", "-1"], {"lr": -1.0}), (["--lr", "0"], {"lr": 0.0}),
+     (["--lr", "inf"], {"lr": float("inf")})],
+    ids=["batch-size-0", "lr-nan", "lr-negative", "lr-zero", "lr-inf"],
+)
+def test_training_refuses_inputs_that_train_nothing(tmp_path, capsys, flags, kwargs):
+    from tdt import ConfigError, gen_copy_task, train, train_tagger
+
+    cfg = desk_config()
+    with pytest.raises(ConfigError):
+        train(Model(cfg, seed=0), lambda rng: gen_copy_task(rng, (4, 4), cfg.vocab_size),
+              steps=3, seed=0, **kwargs)
+    with pytest.raises(ConfigError):
+        train_tagger(cfg, lambda rng: ([3, 4, 5, 6], [0, 1, 0, 1]), steps=3, seed=0, **kwargs)
+    code, _, err = run(capsys, "train", "--steps", "3", "--n-tokens", "8",
+                       "--out", str(tmp_path / "run"), *flags)
+    assert code == 2 and err
 
 
 def test_copy_task_at_max_positions_leaves_room_for_bos(tmp_path, capsys):

@@ -70,6 +70,22 @@ def test_embed_input_validation():
         m.embed([])
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [([[[3]]], r"ids must be \[T\] or \[B, T\]"), (np.zeros((2, 0)), "must be non-empty"),
+     (np.zeros((0, 3)), "must be non-empty"), ([3] * 17, "length 17 exceeds max_positions 16"),
+     ([3, 64], r"token id out of range \[0, 64\)"), ([-1], "token id out of range")],
+    ids=["rank", "empty-sequence", "empty-batch", "too-long", "past-vocab", "negative"],
+)
+def test_encoder_and_decoder_refuse_bad_ids_naming_their_side(ids, message):
+    m = Model(_cfg(max_positions=16, vocab_size=64), seed=0)
+    enc = m.encode([3, 4, 5])
+    with pytest.raises(UsageError, match="source " + message):
+        m.embed(ids)
+    with pytest.raises(UsageError, match="prefix " + message):
+        m.decode(ids, enc)
+
+
 # -----------------------------------------------------------------------------
 # bottom-up stage
 # -----------------------------------------------------------------------------

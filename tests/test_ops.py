@@ -386,14 +386,17 @@ def test_gradients_random_shapes(name):
         elif name == "layer_norm":  # LN(w) as residual_ln(0, w)
             out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b, 1e-5)
             out = ops.sum_all(ops.mul_const(out, rng_fixed))
-        elif name == "logsumexp":
-            out = ops.sum_all(ops.logsumexp_last(w))
-        elif name == "embedding":
-            out = ops.sum_all(ops.mul_const(ops.embedding(w, np.array([0, 2, 2, 1])), emb_w))
-        elif name == "gather_windows":
-            out = ops.sum_all(ops.mul_const(ops.gather_windows(w, np.array([0, 2]), 3), win_w))
-        elif name == "take_index":
-            out = ops.sum_all(ops.take_index_last(w, np.array([1, 0, 4, 2])))
+        elif name == "logsumexp":  # cross_entropy's log-sum-exp and pick, no padding
+            out = ops.cross_entropy(w, np.array([1, 0, 4, 2]), pad_id=-1)
+        elif name == "embedding":  # gather_rows as a table lookup, a row taken twice
+            ids = np.array([[0, 2], [2, 1]])
+            out = ops.sum_all(ops.mul_const(ops.gather_rows(w, ids), emb_w.reshape(2, 2, 5)))
+        elif name == "gather_windows":  # window_sum; the second window passes the end
+            out = ops.window_sum(w, np.array([0, 2]), win_k)
+            out = ops.sum_all(ops.mul_const(out, win_w))
+        elif name == "take_index":  # cross_entropy on [2, 2, 5] logits, one position padded
+            out = ops.cross_entropy(ops.reshape(w, (2, 2, 5)), np.array([[1, 0], [4, 2]]), 0)
+            out = ops.scale(out, -0.7)
         elif name == "concat":
             c = ops.concat([w, ops.mul_const(w, rng_fixed)], axis=0)
             out = ops.sum_all(ops.mul_const(c, cat_w))
@@ -433,7 +436,8 @@ def test_gradients_random_shapes(name):
     ln_b = Parameter("b", RngStream(2).normal((5,)))
     rng_fixed = RngStream(3).normal((4, 5))
     emb_w = RngStream(4).normal((4, 5))
-    win_w = RngStream(5).normal((2, 3, 5))
+    win_k = RngStream(5).normal((2, 3))
+    win_w = RngStream(5).normal((2, 5))
     cat_w = RngStream(6).normal((8, 5))
     tr_w = RngStream(7).normal((2, 10))
     att_w = RngStream(8).normal((2, 2, 2))
@@ -487,3 +491,117 @@ def test_cross_entropy_ignores_pad_positions():
 def test_cross_entropy_all_pad_raises():
     with pytest.raises(UsageError):
         ops.cross_entropy(T(np.zeros((2, 4))), np.array([0, 0]), pad_id=0)
+
+
+def test_cross_entropy_target_out_of_range_raises():
+    with pytest.raises(UsageError, match=r"target out of range \[0, 4\)"):
+        ops.cross_entropy(T(np.zeros((2, 4))), np.array([1, 4]), pad_id=0)
+
+
+def _cross_entropy_chain(a, targets, pad_id, g):
+    """The unfused chain cross_entropy replaced, in plain numpy: log-sum-exp,
+    pick, subtract, mask, sum and scale forward, and their vjps in reverse
+    tape order, summed as backward sums them. Returns (loss, d loss)."""
+    flat = a.reshape(-1, a.shape[-1])
+    t = targets.reshape(-1)
+    keep = t != pad_id
+    keepf = keep.astype(np.float64)
+    c = 1.0 / int(keep.sum())
+    rows, idx = np.arange(len(flat)), np.where(keep, t, 0)
+    m = flat.max(axis=-1, keepdims=True)
+    p = np.exp(flat - m)
+    s = p.sum(axis=-1, keepdims=True)
+    lse = (m + np.log(s)).squeeze(-1)
+    p /= s
+    nll = lse - flat[rows, idx]
+    loss = np.sum(nll * keepf).reshape(()) * c
+    g_nll = np.broadcast_to(g * c, nll.shape).copy() * keepf  # scale, sum, mask
+    g_pick = np.zeros_like(flat)
+    np.add.at(g_pick, (rows, idx), -g_nll)  # subtract, then the pick's scatter
+    grad = g_pick + p * np.expand_dims(g_nll, -1)  # plus the log-sum-exp's
+    return loss, grad.reshape(a.shape)
+
+
+@pytest.mark.parametrize(
+    "shape, pad_id, upstream",
+    [((4, 7), -1, 1.0), ((3, 5, 6), 0, 1.0), ((3, 5, 6), 0, -0.6), ((2, 9, 2), -1, 0.3)],
+    ids=["matrix", "padded", "padded-negative-upstream", "two-class"],
+)
+def test_cross_entropy_is_bitwise_the_unfused_chain(shape, pad_id, upstream):
+    rng = RngStream(sum(shape) + pad_id)
+    a = rng.normal(shape) * 3.0
+    targets = rng.randint(0, shape[-1], math.prod(shape[:-1])).reshape(shape[:-1])
+    tape = Tape()
+    with recording(tape):
+        loss = ops.cross_entropy(T(a), targets, pad_id)
+    (entry,) = tape.entries  # the loss is one tape entry
+    (grad,) = entry.vjp(np.array(upstream))  # its raw vjp: signed zeros count too
+    want_loss, want_grad = _cross_entropy_chain(a, targets, pad_id, np.array(upstream))
+    assert loss.data.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def _window_sum_chain(a, starts, weights, g):
+    """gather_windows then a weighted window sum, in plain numpy: the
+    [..., M, k, d] windows, zero past the end, contracted with the weights;
+    the vjp scatters each window row's gradient back. Returns (out, grad)."""
+    n, d = a.shape[-2], a.shape[-1]
+    idx = starts[:, None] + np.arange(weights.shape[-1])[None, :]
+    valid = idx < n
+    safe = np.where(valid, idx, 0)
+    windows = a[..., safe, :] * valid[:, :, None]
+    out = np.einsum("...mk,...mkd->...md", weights, windows)
+    g_windows = weights[..., :, :, None] * g[..., :, None, :]
+    grad = np.zeros_like(a)
+    flat = grad.reshape(-1, n, d)
+    for b, gb in enumerate((g_windows * valid[:, :, None]).reshape(len(flat), -1, d)):
+        for row, gr in zip(safe.reshape(-1), gb):
+            flat[b, row] += gr
+    return out, grad
+
+
+@pytest.mark.parametrize(
+    "lead, n, starts, k, batched_weights",
+    [((), 11, [0, 3, 6, 9], 5, False), ((2,), 7, [0, 2, 4], 4, True),
+     ((2, 3), 5, [0, 4], 3, False), ((3,), 9, [0, 1, 2, 3, 4, 5, 6], 3, True)],
+    ids=["one-sequence", "batched-weights", "two-lead-axes", "rows-in-three-windows"],
+)
+def test_window_sum_is_bitwise_gather_then_einsum(lead, n, starts, k, batched_weights):
+    rng = RngStream(n + k)
+    starts = np.array(starts)
+    a = rng.normal(lead + (n, 4))
+    weights = rng.normal((lead if batched_weights else ()) + (len(starts), k))
+    up = rng.normal(lead + (len(starts), 4))
+    tape = Tape()
+    with recording(tape):
+        out = ops.window_sum(T(a), starts, weights)
+    (entry,) = tape.entries  # the windows are no tape value
+    (grad,) = entry.vjp(up)
+    want_out, want_grad = _window_sum_chain(a, starts, weights, up)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_window_sum_rejects_weights_that_do_not_match_the_windows():
+    x = T(np.zeros((2, 6, 3)))
+    with pytest.raises(ShapeError):
+        ops.window_sum(x, np.array([0, 3]), np.ones((3, 4)))  # 3 rows for 2 windows
+    with pytest.raises(ShapeError):
+        ops.window_sum(x, np.array([0, 3]), np.ones((3, 2, 4)))  # batch 3 for 2
+
+
+@pytest.mark.parametrize(
+    "idx", [[0, 4], [-1, 2], [[1, 2], [3, 5]]], ids=["past-end", "negative", "2-d"]
+)
+def test_gather_rows_refuses_an_out_of_range_index(idx):
+    table = T(np.zeros((4, 3)))
+    with pytest.raises(UsageError, match=r"gather_rows: index out of range \[0, 4\)"):
+        ops.gather_rows(table, np.array(idx))
+
+
+def test_gather_rows_takes_any_index_shape_on_any_leading_axes():
+    a = np.arange(24.0).reshape(2, 4, 3)
+    idx = np.array([[3, 0], [1, 1]])
+    out = ops.gather_rows(T(a), idx)
+    assert out.shape == (2, 2, 2, 3)
+    np.testing.assert_array_equal(out.data, a[:, idx, :])

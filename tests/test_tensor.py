@@ -171,11 +171,13 @@ _x = np.arange(24.0).reshape(2, 3, 4)
         (lambda x: ops.reshape(x, (6, 4)), True),
         (lambda x: ops.transpose(x, (0, 2, 1)), False),
         (lambda x: ops.concat([x, x], axis=1), False),
-        (lambda x: ops.embedding(ops.reshape(x, (6, 4)), np.array([[5, 0], [2, 2]])), False),
-        (lambda x: ops.take_rows(x, np.array([2, 0, 2, 1])), False),
-        (lambda x: ops.take_index_last(ops.reshape(x, (6, 4)), np.array([3, 2, 1, 0, 0, 1])),
+        # gather_rows as a table lookup and as a per-batch row gather; the
+        # per-row pick inside cross_entropy; window_sum past the sequence end
+        (lambda x: ops.gather_rows(ops.reshape(x, (6, 4)), np.array([[5, 0], [2, 2]])), False),
+        (lambda x: ops.gather_rows(x, np.array([2, 0, 2, 1])), False),
+        (lambda x: ops.cross_entropy(ops.reshape(x, (6, 4)), np.array([3, 2, 1, 0, 0, 1]), -1),
          False),
-        (lambda x: ops.gather_windows(x, np.array([0, 2]), 3), False),
+        (lambda x: ops.window_sum(x, np.array([0, 2]), np.full((2, 3), 1 / 3)), False),
     ],
     ids=["reshape", "transpose", "concat", "embedding", "take_rows", "take_index_last",
          "gather_windows"],

@@ -230,6 +230,22 @@ def test_tagger_all_zero_labels_drives_loss_down():
     assert min(report.losses) < 0.1
 
 
+def test_an_aborted_tagger_keeps_the_parameters_of_its_last_completed_step():
+    cfg = desk_config()
+
+    def doc_fn(rng):
+        inst = gen_keyvalue_task(rng, 64, 8, 2, cfg.vocab_size)
+        return inst.source, inst.labels
+
+    # lr 1e200: step 1 completes, step 2's forward on its update overflows
+    tagger, report = train_tagger(cfg, doc_fn, steps=4, seed=5, lr=1e200)
+    assert report.aborted and len(report.losses) == 1
+    assert np.all(np.isfinite(tagger.weights(doc_fn(RngStream(0))[0])))
+    initial = Tagger(cfg, seed=5)  # what step 1's forward ran on
+    for name, p in tagger.params.items():
+        np.testing.assert_array_equal(p.value.data, initial.params[name].value.data)
+
+
 def test_tagger_weights_feed_weighted_pooling_directly():
     from tdt import Tensor, pool_weighted, SegmentationSpec
 
