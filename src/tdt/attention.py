@@ -2,8 +2,12 @@
 scorer, plus masks and exact score-evaluation accounting.
 
 Every attention the model runs (bottom-up local, segment full, token-segment
-cross, decoder self and cross) is the same sequence in :func:`attend`:
-scale, score, softmax, context, output projection, count. The mask picks the
+cross, decoder self and cross) is the same sequence: ``ops.heads_in``
+projects the inputs straight into heads, one op per distinct source (self
+attention one, cross attention two), then :func:`attend` scores, takes the
+softmax and the context, and ``ops.heads_out`` merges the heads and applies
+the output projection as one op, and the counter is advanced. The scorers
+take the 1/sqrt(head_dim) query scale themselves. The mask picks the
 scorer. A band that leaves some pair out is one op, ``ops.band_attention``,
 which never materializes an N x N score matrix, so live memory grows with
 N * w; its blocked layout is known to ``ops`` alone. Everything else is
@@ -176,6 +180,10 @@ class AttentionParams:
     def all(self) -> list[Parameter]:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
+    def pairs(self) -> tuple:
+        """The (weight, bias) pairs of the query, key and value projections."""
+        return (self.wq, self.bq), (self.wk, self.bk), (self.wv, self.bv)
+
 
 def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02) -> AttentionParams:
     def w(name):
@@ -190,33 +198,9 @@ def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02
     )
 
 
-def _split_heads(x, n_heads: int, head_dim: int):
-    """[..., n, d] -> [..., heads, n, head_dim]."""
-    lead = x.shape[:-2]
-    n = x.shape[-2]
-    y = ops.reshape(x, lead + (n, n_heads, head_dim))
-    k = len(lead)
-    return ops.transpose(y, tuple(range(k)) + (k + 1, k, k + 2))
-
-
-def _merge_heads(x, d_model: int):
-    """[..., heads, n, head_dim] -> [..., n, d]."""
-    lead = x.shape[:-3]
-    n = x.shape[-2]
-    k = len(lead)
-    y = ops.transpose(x, tuple(range(k)) + (k + 1, k, k + 2))
-    return ops.reshape(y, lead + (n, d_model))
-
-
 # -----------------------------------------------------------------------------
 # Kernels
 # -----------------------------------------------------------------------------
-
-
-def project_heads(x, weight, bias, config: AttentionConfig):
-    """Project [..., n, d] states and split them into heads:
-    [..., heads, n, head_dim]."""
-    return _split_heads(ops.linear(x, weight, bias), config.n_heads, config.head_dim)
 
 
 def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
@@ -224,9 +208,10 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
            return_weights: bool = False):
     """Scaled dot-product attention over already projected, head-split
     queries [..., heads, n, head_dim] and keys/values [..., heads, m,
-    head_dim], followed by the output projection back to [..., n, d]. Every
-    attention in the library runs here: scale, score, softmax, context,
-    output projection, count.
+    head_dim], followed by the head merge and output projection back to
+    [..., n, d] (``ops.heads_out``). Every attention in the library runs
+    here: score (the scorer scales the queries by 1/sqrt(head_dim)),
+    softmax, context, output projection, count.
 
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
     a :class:`MaskSpec`, or None (every pair admitted). Masked pairs get an
@@ -244,7 +229,7 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
         raise ShapeError("query/key/value leading shapes disagree")
     lead = q.shape[:-3]
-    batch = int(np.prod(lead)) if lead else 1
+    batch = math.prod(lead)
     h, dh = config.n_heads, config.head_dim
     window = None
     if isinstance(mask, MaskSpec):
@@ -258,22 +243,22 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
             raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
         if not mask.any(axis=1).all():
             raise UsageError("attention row with no admitted positions")
-    q = ops.scale(q, 1.0 / math.sqrt(dh))  # pre-scale: one less score-sized copy
+    scale = 1.0 / math.sqrt(dh)
     weights = None
     if window is None:
         bias = None if mask is None or mask.all() else ops.NEG_MASK * (~mask)
-        probs = ops.attention_probs(q, k, bias)
-        del q, k
+        probs = ops.attention_probs(q, k, bias, scale)
         ctx = ops.matmul(probs, v)
         if return_weights:
             weights = probs.data.copy()
+        del probs  # the branch's largest array: free it before the projection
         pairs = int(mask.sum()) if mask is not None else n * m
     else:
-        ctx = ops.band_attention(q, k, v, window, return_weights)
+        ctx = ops.band_attention(q, k, v, window, return_weights, scale)
         if return_weights:
             ctx, weights = ctx
         pairs = band_popcount(n, window)
-    out = ops.linear(_merge_heads(ctx, config.d_model), params.wo, params.bo)
+    out = ops.heads_out(ctx, params.wo, params.bo)
     if counter is not None:
         counter.add(batch * h * pairs)
     return (out, weights) if return_weights else out
@@ -283,14 +268,19 @@ def multi_head_attention(q_in, k_in, v_in, params: AttentionParams, config: Atte
                          mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
                          return_weights: bool = False):
     """Project [..., n, d] queries and [..., m, d] keys/values into heads and
-    :func:`attend` under ``mask``. One head with identity projections reduces
-    to plain softmax(q k^T / sqrt(d)) v."""
-    return attend(
-        project_heads(q_in, params.wq, params.bq, config),
-        project_heads(k_in, params.wk, params.bk, config),
-        project_heads(v_in, params.wv, params.bv, config),
-        params, config, mask, counter, return_weights,
-    )
+    :func:`attend` under ``mask``. Neighbouring inputs that are one object
+    share one ``ops.heads_in``: self-attention projects once, cross-attention
+    twice (queries; keys and values). One head with identity projections
+    reduces to plain softmax(q k^T / sqrt(d)) v."""
+    sources, pairs, heads = (q_in, k_in, v_in), params.pairs(), []
+    i = 0
+    while i < 3:
+        j = i + 1
+        while j < 3 and sources[j] is sources[i]:
+            j += 1
+        heads += ops.heads_in(sources[i], pairs[i:j], config.n_heads)
+        i = j
+    return attend(*heads, params, config, mask, counter, return_weights)
 
 
 def local_self_attention(x, params: AttentionParams, config: AttentionConfig,

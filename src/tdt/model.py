@@ -28,6 +28,7 @@ never normalized, so a zero-weight branch is exactly the identity.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -47,7 +48,6 @@ from .attention import (
     count_budget,
     init_attention_params,
     multi_head_attention,
-    project_heads,
 )
 from .pooling import (
     SegmentationSpec,
@@ -62,7 +62,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     UsageError,
+    _keep_heap,
     _screened,
+    _view,
     recording,
 )
 
@@ -125,7 +127,7 @@ class ModelConfig:
     def segmentation(self) -> SegmentationSpec:
         return SegmentationSpec(self.kernel_size, self.stride)
 
-    @property
+    @functools.cached_property  # read by every attention call
     def attention(self) -> AttentionConfig:
         return AttentionConfig(self.d_model, self.n_heads, self.window)
 
@@ -210,12 +212,43 @@ class _Layer:
     ln_concat: _LnParams | None = None
 
 
+class _Rows:
+    """Cached rows on the second-to-last axis that grow in place: a buffer
+    whose capacity doubles when full, and ``view``, the tensor of its filled
+    rows. Rows past the view are scratch, written by the next append."""
+
+    __slots__ = ("buf", "view")
+
+    def __init__(self):
+        self.buf = self.view = None
+
+    def append(self, x) -> Tensor:
+        """The cached rows followed by x's, as one view of the buffer."""
+        n = 0 if self.view is None else self.view.shape[-2]
+        if self.buf is None or self.buf.shape[-2] < n + x.shape[-2]:
+            cap = max(2 * n, n + x.shape[-2])  # no row is read before it is written
+            self.buf = _screened(np.empty(x.shape[:-2] + (cap, x.shape[-1])))
+        self.view = ops.append_rows(self.buf, self.view, x)
+        return self.view
+
+    def select(self, rows: np.ndarray) -> None:
+        if self.buf is not None:
+            self.buf = _screened(self.buf.data[rows])
+            self.view = _view(self.buf.data[..., : self.view.shape[-2], :], self.buf)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n rows, in a copy of the buffer: the views handed
+        out keep their rows."""
+        if self.view is not None and self.view.shape[-2] > n:
+            self.buf = _screened(self.buf.data.copy()) if n else None
+            self.view = _view(self.buf.data[..., :n, :], self.buf) if n else None
+
+
 @dataclass
 class _LayerKV:
-    self_k: Tensor | None = None
-    self_v: Tensor | None = None
-    cross_k: Tensor | None = None
-    cross_v: Tensor | None = None
+    k: _Rows = field(default_factory=_Rows)
+    v: _Rows = field(default_factory=_Rows)
+    cross: tuple | None = None  # the encoder output's keys and values
 
 
 class DecodeCache:
@@ -224,7 +257,9 @@ class DecodeCache:
     Per decoder layer it holds the self-attention keys and values of the
     ``length`` positions decoded so far and the cross-attention keys and
     values of the encoder output, each [B, heads, positions, head_dim] with
-    one row per batch row of the decode calls.
+    one row per batch row of the decode calls. Each step's keys and values
+    are written into buffers that double when full, so a step copies no
+    cached row.
     """
 
     def __init__(self, n_layers: int):
@@ -242,10 +277,19 @@ class DecodeCache:
             raise UsageError(f"cannot select rows {rows.tolist()} of a batch {self.batch_shape}")
         self.batch_shape = rows.shape
         for kv in self.layers:
-            for f in fields(kv):
-                t = getattr(kv, f.name)
-                if t is not None:
-                    setattr(kv, f.name, _screened(t.data[rows]))
+            kv.k.select(rows)
+            kv.v.select(rows)
+            if kv.cross is not None:
+                kv.cross = tuple(_screened(t.data[rows]) for t in kv.cross)
+
+    def _undo_step(self) -> None:
+        """Drop what a decode call that raised part-way appended: each layer
+        keeps its first ``length`` rows, and a first call no cross keys."""
+        for kv in self.layers:
+            kv.k.truncate(self.length)
+            kv.v.truncate(self.length)
+            if not self.length:
+                kv.cross = None
 
 
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
@@ -460,22 +504,17 @@ class Model:
         extend the cached ones, and the context's are projected on the first
         call and reused after."""
         cfg = self.config.attention
-        if kv is None:  # projections go straight in: attend frees them early
+        if kv is None:
             src = x if context is None else context
             return multi_head_attention(x, src, src, params, cfg, mask, counter)
-        q = project_heads(x, params.wq, params.bq, cfg)
+        pairs = params.pairs()
         if context is None:
-            k = project_heads(x, params.wk, params.bk, cfg)
-            v = project_heads(x, params.wv, params.bv, cfg)
-            if kv.self_k is not None:
-                k = ops.concat([kv.self_k, k], axis=-2)
-                v = ops.concat([kv.self_v, v], axis=-2)
-            kv.self_k, kv.self_v = k, v
-            return attend(q, k, v, params, cfg, mask, counter)
-        if kv.cross_k is None:
-            kv.cross_k = project_heads(context, params.wk, params.bk, cfg)
-            kv.cross_v = project_heads(context, params.wv, params.bv, cfg)
-        return attend(q, kv.cross_k, kv.cross_v, params, cfg, mask, counter)
+            q, k, v = ops.heads_in(x, pairs, cfg.n_heads)
+            return attend(q, kv.k.append(k), kv.v.append(v), params, cfg, mask, counter)
+        (q,) = ops.heads_in(x, pairs[:1], cfg.n_heads)
+        if kv.cross is None:
+            kv.cross = ops.heads_in(context, pairs[1:], cfg.n_heads)
+        return attend(q, *kv.cross, params, cfg, mask, counter)
 
     def _band(self) -> MaskSpec | None:
         """The token stacks' self-attention mask: the band, or none."""
@@ -527,7 +566,10 @@ class Model:
 
     def encode(self, token_ids, counter: OpCounter | None = None,
                weights=None, labels=None) -> Tensor:
-        """Full encoder pass; ``topdown_mode="none"`` stops after bottom-up."""
+        """Full encoder pass; ``topdown_mode="none"`` stops after bottom-up.
+        A process's first encode applies the heap policy of
+        ``tensor._keep_heap``."""
+        _keep_heap()
         x = self.encode_bottom_up(self.embed(token_ids), counter)
         if self.config.topdown_mode == "none":
             return x
@@ -545,7 +587,9 @@ class Model:
         ``cache.length`` positions that earlier calls decoded: only the new
         positions run, attending the cached keys and values, and the cache
         is extended with theirs. Its cross-attention keys and values are
-        projected from ``enc_out`` on the first call and reused after.
+        projected from ``enc_out`` on the first call and reused after. A
+        one-position step attends every cached position, so it builds no
+        causal mask. A call that raises leaves the cache as it found it.
         """
         if self.pos_dec is None:
             raise UsageError("n_decoder_layers=0: the model has no decoder")
@@ -554,9 +598,14 @@ class Model:
         batch, t = y.shape[:-2], y.shape[-2]
         if past and batch != cache.batch_shape:
             raise ShapeError(f"prefix batch {batch} != cached batch {cache.batch_shape}")
-        mask = build_mask(MaskSpec.causal(), t, past + t)
-        for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
-            pass
+        mask = None if t == 1 else build_mask(MaskSpec.causal(), t, past + t)
+        try:
+            for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
+                pass
+        except BaseException:
+            if cache is not None:
+                cache._undo_step()
+            raise
         if cache is not None:
             cache.length += t
             cache.batch_shape = batch

@@ -105,6 +105,23 @@ def concat(parts, axis: int) -> Tensor:
     return _record(out, tuple(parts), vjp)
 
 
+def append_rows(buf: Tensor, past, x) -> Tensor:
+    """``concat([past, x], axis=-2)`` as a view of the first rows of a
+    cache's buffer ``buf``: x's rows are written after past's n rows (past
+    None: n = 0), which are copied in first unless past is a view of buf.
+    The cache appends once per length, so the written rows lie past every
+    view handed out before. The vjp is concat's split."""
+    b, a = buf.data, _data(x)
+    n = 0 if past is None else past.shape[-2]
+    if n and past.data.base is not b:
+        b[..., :n, :] = past.data
+    b[..., n : n + a.shape[-2], :] = a
+    out = _view(b[..., : n + a.shape[-2], :], buf)
+    if past is None:
+        return _record(out, (x,), lambda g: (g,))
+    return _record(out, (past, x), lambda g: (g[..., :n, :], g[..., n:, :]))
+
+
 # -----------------------------------------------------------------------------
 # Arithmetic
 # -----------------------------------------------------------------------------
@@ -220,33 +237,102 @@ def _ln_forward(a: np.ndarray, gain, bias, eps: float):
     return y, vjp, (xhat, inv)
 
 
+def _affine_vjp(flat: np.ndarray, shape: tuple, w: np.ndarray, g: np.ndarray,
+                bias: bool = True) -> tuple:
+    """The gradients of ``flat @ w (+ b)`` from the upstream ``g``: the
+    input's (as ``shape``), w's and, with ``bias``, b's."""
+    gf = g.reshape(-1, w.shape[1])
+    grads = ((gf @ w.T).reshape(shape), flat.T @ gf)
+    return grads + (gf.sum(axis=0),) if bias else grads
+
+
+def _head_axes(lead: int) -> tuple:
+    """The axis order that swaps [..., n, h, hd] and [..., h, n, hd] after
+    ``lead`` leading axes (its own inverse)."""
+    return tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+
+def heads_in(x, pairs, n_heads: int) -> tuple:
+    """Project x [..., n, d] by each (weight [d, e], bias [e]) of ``pairs``
+    (one to three) and split each projection into heads: one
+    [..., n_heads, n, e / n_heads] tensor per pair, from one tape entry.
+
+    Each projection is :func:`linear`'s product and bias add, screened, in
+    one reused [rows, e] scratch, then copied head-split into its own
+    output: the bits of linear, reshape and transpose. The entry lists x
+    once per pair, last pair first, and the vjp returns x's gradients in
+    that order, so backward sums them as it summed the unfused projections';
+    weight and bias gradients are linear's products.
+    """
+    a = _data(x)
+    ws = [_data(w) for w, _ in pairs]
+    bs = [_data(b) for _, b in pairs]
+    d = a.shape[-1] if a.ndim else 0
+    e = ws[0].shape[-1] if ws and ws[0].ndim else 0
+    if a.ndim < 2 or not 1 <= len(pairs) <= 3 or e % n_heads or any(
+            w.shape != (d, e) or b.shape != (e,) for w, b in zip(ws, bs)):
+        raise ShapeError(f"heads_in: input {a.shape}, weights {[w.shape for w in ws]}, "
+                         f"biases {[b.shape for b in bs]}, {n_heads} heads")
+    inputs = tuple(v for w, b in reversed(pairs) for v in (x, w, b))
+    lead, n = a.shape[:-2], a.shape[-2]
+    axes = _head_axes(len(lead))
+    flat = a if a.ndim == 2 else a.reshape(-1, d)
+    y = np.empty((len(flat), e))
+    outs = []
+    for w, b in zip(ws, bs):
+        np.matmul(flat, w, out=y)
+        y += b
+        _check_finite("heads_in", y, inputs)
+        # a C-order copy: with one head the transpose alone would be a view of y
+        outs.append(_screened(y.reshape(lead + (n, n_heads, e // n_heads)).transpose(axes).copy()))
+
+    def vjp(gs):
+        return [grad for w, g in zip(reversed(ws), reversed(gs))
+                for grad in _affine_vjp(flat, a.shape, w, g.transpose(axes).reshape(-1, e))]
+
+    return _record(tuple(outs), inputs, vjp)
+
+
+def heads_out(ctx, weight, bias) -> Tensor:
+    """Merge heads [..., h, n, hd] into [..., n, h * hd] and project by
+    (weight [h * hd, e], bias [e]), as one op with the bits of transpose,
+    reshape and :func:`linear`."""
+    c = _data(ctx)
+    if c.ndim < 3:
+        raise ShapeError(f"heads_out: heads {c.shape}")
+    axes = _head_axes(c.ndim - 3)
+    merged = np.ascontiguousarray(c.transpose(axes))
+    return _affine("heads_out", ctx, merged.reshape(c.shape[:-3] + (c.shape[-2], -1)),
+                   weight, bias, lambda gm: gm.reshape(merged.shape).transpose(axes), (merged,))
+
+
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map along the last axis: x @ W (+ b)."""
-    a = _data(x)
+    return _affine("linear", x, _data(x), weight, bias)
+
+
+def _affine(op: str, x, a: np.ndarray, weight, bias, unmerge=None, saved: tuple = ()) -> Tensor:
+    """``a @ W (+ b)`` along the last axis, screened and recorded as op
+    ``op`` of x, whose data is ``a`` or, with ``unmerge``, the array that
+    maps a's gradient to x's. ``saved`` lists the arrays behind ``a`` that
+    are not x's."""
     w = _data(weight)
-    if w.ndim != 2 or a.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input {a.shape} vs weight {w.shape}")
+    b = None if bias is None else _data(bias)
+    if w.ndim != 2 or a.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
+        raise ShapeError(f"{op}: input {a.shape}, weight {w.shape}, "
+                         f"bias {None if b is None else b.shape}")
     flat = a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
     y = flat @ w
-    if bias is not None:
-        b = _data(bias)
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear: bias {b.shape} vs weight {w.shape}")
+    if b is not None:
         y += b  # y is freshly allocated by the matmul
-    if a.ndim != 2:
-        y = y.reshape(a.shape[:-1] + (w.shape[1],))
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _result("linear", y, inputs)
+    out = _result(op, y.reshape(a.shape[:-1] + (w.shape[1],)), inputs)
 
     def vjp(g):
-        gf = g.reshape(-1, w.shape[1])
-        gx = (gf @ w.T).reshape(a.shape)
-        gw = flat.T @ gf
-        if bias is None:
-            return gx, gw
-        return gx, gw, gf.sum(axis=0)
+        grads = _affine_vjp(flat, a.shape, w, g, b is not None)
+        return grads if unmerge is None else (unmerge(grads[0]),) + grads[1:]
 
-    return _record(out, inputs, vjp)
+    return _record(out, inputs, vjp, saved)
 
 
 # -----------------------------------------------------------------------------
@@ -327,14 +413,17 @@ def _zero_filled_add(total, shape: tuple, idx, g: np.ndarray) -> np.ndarray:
     return total
 
 
-def attention_probs(q, k, bias: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T + bias) over the last axis, for queries [..., n, d] and
-    keys [..., m, d] with equal leading axes. ``bias`` is an optional constant
-    additive [n, m] array (a mask penalty; no gradient). Scores, bias and
-    softmax share one buffer."""
+def attention_probs(q, k, bias: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
+    """softmax((q * scale) k^T + bias) over the last axis, for queries
+    [..., n, d] and keys [..., m, d] with equal leading axes. ``bias`` is an
+    optional constant additive [n, m] array (a mask penalty; no gradient).
+    Scaling the queries, not the scores, keeps the bits of a scale op before
+    the scorer. Scores, bias and softmax share one buffer."""
     dq, dk = _data(q), _data(k)
     if dq.ndim < 2 or dk.shape[:-2] != dq.shape[:-2] or dk.shape[-1] != dq.shape[-1]:
         raise ShapeError(f"attention_probs: queries {dq.shape} vs keys {dk.shape}")
+    if scale != 1.0:
+        dq = dq * scale
     kt = np.ascontiguousarray(dk.swapaxes(-1, -2))
     p = np.matmul(dq, kt)
     if bias is not None:
@@ -345,9 +434,11 @@ def attention_probs(q, k, bias: np.ndarray | None = None) -> Tensor:
     def vjp(g):
         gs = _softmax_vjp(g, p)
         gq = np.matmul(gs, kt.swapaxes(-1, -2))
+        if scale != 1.0:
+            gq *= scale
         return gq, np.matmul(dq.swapaxes(-1, -2), gs).swapaxes(-1, -2)
 
-    return _record(out, (q, k), vjp, (kt,))
+    return _record(out, (q, k), vjp, (kt, dq) if scale != 1.0 else (kt,))
 
 
 @functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
@@ -414,24 +505,24 @@ def _key_blocks_t(dk: np.ndarray, s: int, nb: int) -> np.ndarray:
     return np.ascontiguousarray(dk[_blocks_from(s, nb)].swapaxes(-1, -2))
 
 
-def band_attention(q, k, v, window: int, return_weights: bool = False):
-    """Banded attention softmax(q k^T + mask) v: query i attends the keys j
-    with |i - j| <= w/2. Queries and keys are [..., n, d], values [..., n, e];
-    returns the context [..., n, e] and, with ``return_weights``, the dense
-    [..., n, n] weights too (no gradient).
+def band_attention(q, k, v, window: int, return_weights: bool = False, scale: float = 1.0):
+    """Banded attention softmax((q * scale) k^T + mask) v: query i attends
+    the keys j with |i - j| <= w/2. Queries and keys are [..., n, d],
+    values [..., n, e]; returns the context [..., n, e] and, with
+    ``return_weights``, the dense [..., n, n] weights too (no gradient).
 
-    Queries go in nb = ceil(n / block) blocks of block = w/2 rows, the tail
-    zero-padded; keys and values get one more zero block per side. Query
-    block i scores key blocks i, i+1 and i+2 (left, centre, right) into one
-    [..., nb, block, 3*block] buffer that takes the bias and the softmax in
-    place, so live memory is O(n * w); the context sums the three slices
-    times their value blocks. The vjp keeps the padded keys and values, the
-    probabilities and, when the tail pads, the padded queries.
+    Queries go in nb = ceil(n / block) blocks of block = w/2 rows, scaled
+    and the tail zero-padded in one copy; keys and values get one more zero
+    block per side. Query block i scores key blocks i, i+1 and i+2 (left,
+    centre, right) into one [..., nb, block, 3*block] buffer that takes the
+    bias and the softmax in place, so live memory is O(n * w); the context
+    sums the three slices times their value blocks. The vjp keeps the
+    padded keys, values and scaled queries and the probabilities.
 
-    Outputs and gradients are the bits of the unfused chain pad, reshape,
-    scores, context, reshape, slice: the same products in the same order,
-    the vjp's right, centre and left sums in that chain's tape order. The
-    products read and write strided block views, which keeps those bits
+    Outputs and gradients are the bits of the unfused chain scale, pad,
+    reshape, scores, context, reshape, slice: the same products in the same
+    order, the vjp's right, centre and left sums in that chain's tape order.
+    The products read and write strided block views, which keeps those bits
     only while BLAS computes a strided matrix like its contiguous copy;
     tests/digest.py checks that it does.
     """
@@ -446,8 +537,11 @@ def band_attention(q, k, v, window: int, return_weights: bool = False):
     n_pad = nb * block
     rows = (..., slice(0, n), slice(None))  # the queries' rows of the padded layout
     kv_rows = (..., slice(block, block + n), slice(None))
-    # np.pad copies even when it adds nothing
-    qp = _pad_rows(dq, 0, n_pad - n) if n_pad > n else dq
+    if n_pad > n:
+        qp = _pad_rows(dq, 0, n_pad - n)
+        qp *= scale  # the same products as scaling first: the pad stays 0.0
+    else:
+        qp = dq * scale
     q_blk = qp.reshape(lead + (nb, block, d))
     kp = _pad_rows(dk, block, n_pad - n + block)
     k_blk = kp.reshape(lead + (nb + 2, block, d))
@@ -490,10 +584,11 @@ def band_attention(q, k, v, window: int, return_weights: bool = False):
             gq = gq.reshape(qp.shape)
             if n_pad > n:
                 gq = np.ascontiguousarray(gq[rows])
+            gq *= scale
             return (gq, np.ascontiguousarray(gk.reshape(kp.shape)[kv_rows]),
                     np.ascontiguousarray(gv.reshape(vp.shape)[kv_rows]))
 
-        _record(out, inputs, vjp, (kp, vp, p) + ((qp,) if n_pad > n else ()))
+        _record(out, inputs, vjp, (kp, vp, p, qp))
     if return_weights:
         return out, _band_weights_dense(p, n)
     return out
@@ -636,14 +731,11 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
 
     def vjp(g):
         gz, g_gain, g_bias = ln_vjp(g)
-        gz = gz.reshape(-1, d)
-        gh = gz @ dw2.T
-        gw2 = act.T @ gz
-        gb2 = gz.sum(axis=0)
+        gh, gw2, gb2 = _affine_vjp(act, act.shape, dw2, gz)
         _gelu_tiles_vjp(h, th, gh)
-        gx = (gh @ dw1.T).reshape(a.shape)
+        gx, gw1, gb1 = _affine_vjp(flat, a.shape, dw1, gh)
         gx += g  # the residual's gradient plus the first linear's
-        return gx, flat.T @ gh, gh.sum(axis=0), gw2, gb2, g_gain, g_bias
+        return gx, gw1, gb1, gw2, gb2, g_gain, g_bias
 
     return _record(out, inputs, vjp, (h, th, act) + ln_saved)
 

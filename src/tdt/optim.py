@@ -19,12 +19,17 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+def check_lr(lr: float) -> None:
+    """Adam's learning-rate rule: ConfigError unless a positive finite number."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"learning rate must be a positive finite number, got {lr!r}")
+
+
 class Adam:
     """First and second moments for a parameter list, updated in place."""
 
     def __init__(self, params, lr: float):
-        if not (math.isfinite(lr) and lr > 0):
-            raise ConfigError(f"learning rate must be a positive finite number, got {lr!r}")
+        check_lr(lr)
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.t = 0

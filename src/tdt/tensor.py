@@ -3,6 +3,8 @@
 Values are immutable once produced: every operation returns a fresh array
 (or a view of its input) and writes only into scratch buffers of its own,
 which a fused op may reuse in place before one of them becomes its output.
+A decode cache's buffer is the one tensor written after it was made:
+``ops.append_rows`` writes only rows past every view handed out so far.
 Parameters are the only mutable objects and are touched exclusively by the
 optimizer and ``zero_grads``.
 
@@ -168,7 +170,7 @@ def _all_finite(arr: np.ndarray) -> bool:
     """The finiteness screen of every arithmetic result. Fast path: a NaN or
     Inf entry makes the sum non-finite. A non-finite sum of genuinely finite
     entries (overflow) passes the precise check."""
-    if math.isfinite(float(arr.sum())):
+    if math.isfinite(float(np.add.reduce(arr, axis=None))):  # arr.sum() minus its wrapper
         return True
     with np.errstate(all="ignore"):
         return bool(np.all(np.isfinite(arr)))
@@ -240,16 +242,18 @@ def zero_grads(params) -> None:
 class TapeEntry:
     """One recorded op: its output, its inputs and its vjp closure.
 
-    ``saved`` holds the arrays the closure keeps besides the inputs' and the
-    output's data (a layer norm's ``xhat``, softmax probabilities, a hidden
-    layer). Those that own their memory are counted as live bytes while the
-    entry lives; a view among them belongs to the array it views, which is
+    ``out`` is one tensor or a tuple of them. The vjp of a tuple takes one
+    gradient per output, zeros for an output nothing read. ``saved`` holds
+    the arrays the closure keeps besides the inputs' and the output's data
+    (a layer norm's ``xhat``, softmax probabilities, a hidden layer). Those
+    that own their memory are counted as live bytes while the entry lives;
+    a view among them belongs to the array it views, which is
     counted where it lives.
     """
 
     __slots__ = ("out", "inputs", "vjp", "nbytes", "_alloc")
 
-    def __init__(self, out: Tensor, inputs: tuple, vjp, saved: tuple = ()):
+    def __init__(self, out: Tensor | tuple, inputs: tuple, vjp, saved: tuple = ()):
         self.out = out
         self.inputs = inputs
         self.vjp = vjp
@@ -322,20 +326,23 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (mal
 # rule keeps the trim threshold at twice the mmap threshold.
 _MMAP_THRESHOLD_BYTES = 32 << 20
 
-_heap_kept = False  # whether this process has applied the training heap policy
+_heap_kept = False  # whether this process has applied the heap policy
 
 
 def _keep_heap() -> None:
-    """Make glibc keep a training step's freed heap for the next step.
+    """Make glibc keep the heap a request freed for the next request.
 
     ``backward`` frees the tape entry by entry, and glibc trims the heap top
     it leaves (or unmaps arrays above its dynamic mmap threshold), so every
-    forward then faults those pages in again. Fixed thresholds at the
-    dynamic rule's ceiling keep that memory mapped. Called by the first
-    backward in a process, so processes that never train (encode, generate)
-    keep glibc's defaults; a no-op off glibc.
+    forward then faults those pages in again; under the same dynamic rule a
+    change in allocation order can make a long encode trim and re-fault its
+    heap on every call. Fixed thresholds at the dynamic rule's ceiling keep
+    that memory mapped. Called by every ``backward`` and ``Model.encode``;
+    only a process's first call acts, and it is a no-op off glibc.
     """
     global _heap_kept
+    if _heap_kept:
+        return
     _heap_kept = True
     try:
         libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -362,24 +369,32 @@ def backward(loss: Tensor, tape: Tape) -> None:
     al., arXiv 1604.06174). A second backward
     on the spent tape raises UsageError. Each parameter's ``grad`` receives
     exactly one accumulation per call, so two backward passes over two
-    tapes without ``zero_grads`` double the gradients. The first call in a
-    process applies the heap policy of :func:`_keep_heap`.
+    tapes without ``zero_grads`` double the gradients. An input listed more
+    than once in an entry receives its gradients in the listed order. The
+    first call in a process applies the heap policy of :func:`_keep_heap`.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise UsageError("backward expects a scalar loss tensor")
     if tape.spent:
         raise UsageError("backward on a spent tape: a tape supports one backward pass")
-    if not _heap_kept:
-        _keep_heap()
+    _keep_heap()
     entries = tape.entries
     tape._recorded = len(entries)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     touched: dict[int, Parameter] = {}
     while entries:
         entry = entries.pop()
-        g_out = grads.pop(id(entry.out), None)
-        if g_out is None:
-            continue
+        out = entry.out
+        if type(out) is tuple:
+            g_out = tuple(grads.pop(id(o), None) for o in out)
+            if all(g is None for g in g_out):
+                continue
+            g_out = tuple(np.zeros_like(o.data) if g is None else g
+                          for o, g in zip(out, g_out))
+        else:
+            g_out = grads.pop(id(out), None)
+            if g_out is None:
+                continue
         in_grads = entry.vjp(g_out)
         for obj, g in zip(entry.inputs, in_grads):
             if g is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .model import BOS_ID, EOS_ID, PAD_ID, Model, ModelConfig
-from .optim import Adam
+from .optim import Adam, check_lr
 from .rng import RngStream
 from .tensor import (
     ConfigError,
@@ -28,6 +28,7 @@ from .tensor import (
     Parameter,
     Tape,
     Tensor,
+    UsageError,
     backward,
     recording,
 )
@@ -74,6 +75,15 @@ def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: fl
         return loss if loss_scale == 1.0 else ops.scale(loss, loss_scale)
 
 
+def _check_loop(lr, batch_size) -> None:
+    """ConfigError for what no training run accepts, checked before any
+    step (also before a run of zero steps): a batch size below 1, or a
+    learning rate that is not a positive finite number."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_lr(lr)
+
+
 def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
     """The optimizer loop of ``train`` and ``train_tagger``: yields
     ``(step, summed loss)`` after each of ``steps`` Adam steps.
@@ -82,12 +92,10 @@ def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
     ``batch_size``, groups the items by ``key(item)`` in first-seen order, and
     records one tape per group holding ``group_loss(group, scale)``, the
     group's mean loss times ``scale = len(group) / batch_size``, so the losses
-    sum to the batch mean. A ``NumericsError`` propagates to the caller; a
-    ``batch_size`` below 1 raises ``ConfigError``, as ``Adam`` does for a
-    learning rate that is not a positive finite number.
+    sum to the batch mean. A ``NumericsError`` propagates to the caller, and
+    the inputs :func:`_check_loop` refuses raise ``ConfigError``.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _check_loop(lr, batch_size)
     opt = Adam(params, lr)
     for step in range(1, steps + 1):
         # Every op screens its result and raises NumericsError, so numpy's
@@ -144,6 +152,7 @@ def train(
     """
     if steps < 0:
         raise ConfigError("steps must be >= 0")
+    _check_loop(lr, batch_size)
     if model.config.pooling_mode == "ada":
         raise ConfigError(
             "pooling_mode=ada pools with tagger weights, which training does not "
@@ -281,6 +290,7 @@ def train_tagger(
 
     A non-finite value aborts the run and restores the parameters the last
     completed step's forward ran on, whose loss is the last one reported.
+    A label other than 0 or 1 raises ``UsageError``.
     """
     tagger = Tagger(config, seed=seed)
     report = TrainReport(seed=seed, config_hash=tagger.config.config_hash(), steps=steps)
@@ -288,6 +298,9 @@ def train_tagger(
     def group_loss(group, scale):
         ids = np.array([ids for ids, _ in group], dtype=np.int64)
         labels = np.array([labels for _, labels in group], dtype=np.int64)
+        if not np.isin(labels, (0, 1)).all():  # else cross_entropy would skip a -1 as padding
+            bad = sorted(set(labels.ravel().tolist()) - {0, 1})
+            raise UsageError(f"tagger labels must be 0 or 1, got {bad}")
         z = ops.reshape(tagger.logits(ids), ids.shape + (1,))
         two_class = ops.concat([Tensor(np.zeros(z.shape)), z], axis=-1)
         return ops.scale(ops.cross_entropy(two_class, labels, pad_id=-1), scale)

@@ -287,14 +287,16 @@ def test_local_attention_gradient_check():
 
 @pytest.mark.parametrize("n", [16, 13], ids=["whole-blocks", "tail-pads"])
 def test_banded_local_attention_records_one_entry_for_the_band(n):
-    # 3 projections x (linear, reshape, transpose), the query scale, the
-    # banded op, the head merge (transpose, reshape) and the output linear
+    # one op projects x into query, key and value heads, one scores the band
+    # and forms the context, one merges the heads and projects them out
     d = 8
     tape = Tape()
     with recording(tape):
         local_self_attention(Tensor(RngStream(4).normal((n, d))), _params(5, d),
                              AttentionConfig(d, 2, 8))
-    assert len(tape) == 14
+    heads_in, band, heads_out = tape.entries
+    assert len(heads_in.out) == 3 and band.inputs == heads_in.out
+    assert heads_out.inputs[0] is band.out
 
 
 # -----------------------------------------------------------------------------

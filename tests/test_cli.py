@@ -247,6 +247,26 @@ def test_training_refuses_inputs_that_train_nothing(tmp_path, capsys, flags, kwa
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [(["--batch-size", "0"], {"batch_size": 0}), (["--lr", "nan"], {"lr": float("nan")})],
+    ids=["batch-size-0", "lr-nan"],
+)
+def test_training_of_zero_steps_still_refuses_bad_inputs(tmp_path, capsys, flags, kwargs):
+    from tdt import ConfigError, gen_copy_task, train, train_tagger
+
+    cfg = desk_config()
+    with pytest.raises(ConfigError):
+        train(Model(cfg, seed=0), lambda rng: gen_copy_task(rng, (4, 4), cfg.vocab_size),
+              steps=0, seed=0, **kwargs)
+    with pytest.raises(ConfigError):
+        train_tagger(cfg, lambda rng: ([3, 4, 5, 6], [0, 1, 0, 1]), steps=0, seed=0, **kwargs)
+    code, _, err = run(capsys, "train", "--steps", "0", "--n-tokens", "8",
+                       "--out", str(tmp_path / "run"), *flags)
+    assert code == 2 and err
+    assert not (tmp_path / "run").exists()
+
+
 def test_copy_task_at_max_positions_leaves_room_for_bos(tmp_path, capsys):
     # max_positions 16 and --n-tokens 16: a 16-token target made a 17-token
     # decoder input (BOS + target) before the copy length was capped at 15

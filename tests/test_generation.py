@@ -15,9 +15,11 @@ from tdt import (
     Tensor,
     UsageError,
     desk_config,
+    backward,
     encode_score_budget,
     recording,
 )
+from tdt import ops
 from tdt.model import DecodeCache
 
 from helpers import reference_beam, reference_greedy
@@ -75,6 +77,93 @@ def test_cached_rows_follow_select():
     full_a = m.decode(a, enc).data[-1]
     for got, want in zip(step, (full_b, full_ab, full_a)):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cached_steps_across_buffer_regrowths_match_full_decode():
+    cfg = _cfg()
+    m = Model(cfg, seed=11)
+    enc = m.encode(_src(12, 20, cfg))
+    prefix = [BOS_ID] + list(_src(13, 13, cfg))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    batch_enc = Tensor(enc.data[None])
+    m.decode([prefix[:3]], batch_enc, cache=cache)  # buffers of 3 rows
+    capacities = set()
+    for t in range(3, len(prefix)):
+        step = m.decode([prefix[t:t + 1]], batch_enc, cache=cache).data[0, -1]
+        full = m.decode(prefix[: t + 1], enc).data[-1]
+        assert np.max(np.abs(step - full)) <= 1e-12
+        capacities.add(cache.layers[0].k.buf.shape[-2])
+    assert capacities == {6, 12, 24}  # each regrowth doubles
+
+
+def test_cached_steps_after_select_match_full_decode():
+    cfg = _cfg()
+    m = Model(cfg, seed=14)
+    enc = m.encode(_src(15, 18, cfg))
+    rows = [[BOS_ID] + list(_src(16 + r, 9, cfg)) for r in range(3)]
+    cache = DecodeCache(cfg.n_decoder_layers)
+    m.decode([r[:2] for r in rows], Tensor(np.stack([enc.data] * 3)), cache=cache)
+    cache.select([2, 0, 2, 1])  # a repeated row, and one more row than before
+    kept = [rows[2], rows[0], rows[2], rows[1]]
+    batch_enc = Tensor(np.stack([enc.data] * 4))
+    for t in range(2, 10):  # through the regrowths at 4 and 8 positions
+        step = m.decode([r[t:t + 1] for r in kept], batch_enc, cache=cache).data[:, -1]
+        for got, r in zip(step, kept):
+            assert np.max(np.abs(got - m.decode(r[: t + 1], enc).data[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("past", [0, 2], ids=["first-call", "later-call"])
+def test_a_decode_that_raises_leaves_the_cache_as_it_was(past):
+    from tdt import NumericsError
+
+    cfg = _cfg()
+    m = Model(cfg, seed=21)
+    enc = m.encode(_src(22, 12, cfg))
+    batch_enc = Tensor(enc.data[None])
+    prefix = [BOS_ID, 5, 9]
+    cache = DecodeCache(cfg.n_decoder_layers)
+    if past:
+        m.decode([prefix[:past]], batch_enc, cache=cache)
+    w1 = m.params["decoder.1.ffn.w1"].value.data
+    kept = w1.copy()
+    w1[...] = 1e308  # the last layer's FFN overflows after layer 0 appended its rows
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        m.decode([prefix[past:]], batch_enc, cache=cache)
+    w1[...] = kept
+    assert cache.length == past
+    step = m.decode([prefix[past:]], batch_enc, cache=cache).data[0, -1]
+    assert np.max(np.abs(step - m.decode(prefix, enc).data[-1])) <= 1e-12
+
+
+def test_cached_decode_under_a_tape_has_the_uncached_gradients():
+    cfg = _cfg(tie_output=False)
+    m = Model(cfg, seed=17)
+    src = _src(18, 16, cfg)
+    prefix = [BOS_ID] + list(_src(19, 6, cfg))
+    weights = RngStream(20).normal((len(prefix), cfg.vocab_size))
+
+    def grads(cached):
+        for p in m.parameters():
+            p.zero_grad()
+        tape = Tape()
+        with recording(tape):
+            enc = m.encode(src)
+            if cached:
+                cache, batch_enc = DecodeCache(cfg.n_decoder_layers), ops.reshape(enc, (1, 16, -1))
+                steps = [m.decode([prefix[t:t + 1]], batch_enc, cache=cache)
+                         for t in range(len(prefix))]
+                logits = ops.reshape(ops.concat(steps, axis=-2), (len(prefix), -1))
+            else:
+                logits = m.decode(prefix, enc)
+            loss = ops.sum_all(ops.mul_const(logits, weights))
+        backward(loss, tape)
+        return {name: p.grad.copy() for name, p in m.params.items()}
+
+    full, stepped = grads(False), grads(True)
+    assert set(full) == set(stepped)
+    for name, g in full.items():
+        assert np.abs(g).max() > 0, name
+        np.testing.assert_allclose(stepped[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -168,6 +257,13 @@ def test_position_bound_raises_usage_error_at_the_oracle_step(strategy, beam):
             reference_beam(m, src, 20, beam, NO_EOS)
     # the last position that fits still decodes
     assert len(m.generate(src, 12, strategy, beam_size=beam, eos_id=NO_EOS)) == 12
+
+
+def test_greedy_to_the_position_bound_matches_the_oracle():
+    cfg = _cfg(max_positions=12)
+    m = Model(cfg, seed=8)
+    src = _src(9, 10, cfg)
+    assert m.generate(src, 12, eos_id=NO_EOS) == reference_greedy(m, src, 12, NO_EOS)
 
 
 def test_generate_rejects_bad_beam_size_and_batched_source():

@@ -369,7 +369,7 @@ def test_ffn_block_gradient_check():
     ["matmul", "softmax", "layer_norm", "logsumexp", "embedding",
      "gather_windows", "take_index", "concat", "transpose_reshape",
      "residual_ln", "attention_probs", "attention_probs_bias", "band_attention_probs",
-     "band_context", "band_attention"],
+     "band_context", "band_attention", "heads_in", "heads_out"],
 )
 def test_gradients_random_shapes(name):
     import zlib
@@ -425,6 +425,15 @@ def test_gradients_random_shapes(name):
             k = Tensor(RngStream(12).normal((2, 6, 3)))
             v = ops.reshape(w, (2, 6, 2))
             out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+        elif name == "heads_in":
+            # w as [2, 2, 5] projected three times into two heads of 2; the
+            # first pair is trained, so x's gradient sums three projections'
+            pairs = [(hw, hb)] + [(Tensor(f[:5]), Tensor(f[5])) for f in heads_fixed]
+            heads = ops.heads_in(ops.reshape(w, (2, 2, 5)), pairs, 2)
+            out = ops.sum_all(ops.mul_const(ops.concat(list(heads), axis=0), heads_w))
+        elif name == "heads_out":  # w as heads [2, 2, 5] merged into [2, 10] and projected
+            out = ops.heads_out(ops.reshape(w, (2, 2, 5)), hw_out, hb_out)
+            out = ops.sum_all(ops.mul_const(out, att_w[0]))
         else:  # band_attention: n=5, w=4, so the third query block pads one row
             q = ops.transpose(w, (1, 0))
             k = ops.mul_const(q, rng_fixed.T)
@@ -444,7 +453,14 @@ def test_gradients_random_shapes(name):
     band_w = {"band_attention_probs": RngStream(9).normal((2, 5, 3)),
               "band_context": RngStream(9).normal((2, 6, 2)),
               "band_attention": RngStream(9).normal((5, 4))}
-    params = [w] + ([ln_g, ln_b] if name in ("layer_norm", "residual_ln") else [])
+    hw = Parameter("hw", RngStream(10).normal((5, 4)))
+    hb = Parameter("hb", RngStream(11).normal((4,)))
+    heads_fixed = RngStream(12).normal((2, 6, 4))  # two more (weight, bias) pairs
+    heads_w = RngStream(12).normal((6, 2, 2, 2))
+    hw_out = Parameter("hw_out", RngStream(13).normal((10, 2)))
+    hb_out = Parameter("hb_out", RngStream(14).normal((2,)))
+    params = [w] + {"layer_norm": [ln_g, ln_b], "residual_ln": [ln_g, ln_b],
+                    "heads_in": [hw, hb], "heads_out": [hw_out, hb_out]}.get(name, [])
     check_param_grads(build, params)
 
 
@@ -605,3 +621,113 @@ def test_gather_rows_takes_any_index_shape_on_any_leading_axes():
     out = ops.gather_rows(T(a), idx)
     assert out.shape == (2, 2, 2, 3)
     np.testing.assert_array_equal(out.data, a[:, idx, :])
+
+
+# -----------------------------------------------------------------------------
+# projecting into heads and out of them
+# -----------------------------------------------------------------------------
+
+
+def _head_axes(lead):
+    k = len(lead)
+    return tuple(range(k)) + (k + 1, k, k + 2)
+
+
+def _heads_in_chain(a, ws, bs, h, gs, g_res):
+    """linear, reshape and transpose per projection, in plain numpy, and
+    their vjps in reverse tape order. Returns the head-split outputs, each
+    projection's (weight, bias) gradients, and x's gradient summed as
+    backward summed it: the residual's first, then the projections' last
+    to first."""
+    lead, n, d = a.shape[:-2], a.shape[-2], a.shape[-1]
+    flat = a if a.ndim == 2 else a.reshape(-1, d)
+    outs = []
+    for w, b in zip(ws, bs):
+        y = flat @ w
+        y += b
+        y = y.reshape(lead + (n, h, w.shape[1] // h))
+        outs.append(np.ascontiguousarray(y.transpose(_head_axes(lead))))
+    gx, pgrads = g_res, []
+    for w, g in zip(ws[::-1], gs[::-1]):
+        gf = g.transpose(_head_axes(lead)).reshape(lead + (n, w.shape[1])).reshape(-1, w.shape[1])
+        gx = gx + (gf @ w.T).reshape(a.shape)
+        pgrads.insert(0, (flat.T @ gf, gf.sum(axis=0)))
+    return outs, pgrads, gx
+
+
+def _signed_zero_rows(a, row):
+    """``a`` with one row of its sequence axis set to -0.0."""
+    a[..., row, :] = -0.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "lead, n_pairs",
+    [((), 1), ((3,), 2), ((2, 3), 3), ((), 3)],
+    ids=["query", "keys-values-batched", "self-two-lead-axes", "self-one-sequence"],
+)
+def test_heads_in_is_bitwise_linear_reshape_transpose(lead, n_pairs):
+    rng = RngStream(10 * n_pairs + len(lead))
+    d, e, h, n = 6, 8, 2, 5
+    a = rng.normal(lead + (n, d))
+    ws = [rng.normal((d, e)) for _ in range(n_pairs)]
+    bs = [rng.normal((e,)) for _ in range(n_pairs)]
+    # upstream rows of -0.0 in every output and in the residual's gradient
+    gs = tuple(_signed_zero_rows(rng.normal(lead + (h, n, e // h)), 0) for _ in range(n_pairs))
+    g_res = _signed_zero_rows(rng.normal(lead + (n, d)), 0)
+    x = T(a)
+    pairs = [(T(w), T(b)) for w, b in zip(ws, bs)]
+    tape = Tape()
+    with recording(tape):
+        outs = ops.heads_in(x, pairs, h)
+    (entry,) = tape.entries
+    # x once per projection, last projection first
+    assert entry.inputs == tuple(v for w, b in pairs[::-1] for v in (x, w, b))
+    raw = entry.vjp(gs)
+    got_gx = g_res
+    for inp, g in zip(entry.inputs, raw):
+        if inp is x:
+            got_gx = got_gx + g  # backward's sum, in the listed order
+    want_outs, want_p, want_gx = _heads_in_chain(a, ws, bs, h, gs, g_res)
+    assert [o.data.tobytes() for o in outs] == [o.tobytes() for o in want_outs]
+    got_p = [(raw[3 * i + 1], raw[3 * i + 2]) for i in range(n_pairs)][::-1]
+    for (gw, gb), (ww, wb) in zip(got_p, want_p):
+        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+    assert got_gx.tobytes() == want_gx.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
+                         ids=["one-sequence", "batched", "two-lead-axes"])
+def test_heads_out_is_bitwise_transpose_reshape_linear(lead):
+    rng = RngStream(40 + len(lead))
+    h, n, hd, e = 2, 5, 3, 4
+    c = rng.normal(lead + (h, n, hd))
+    w, b = rng.normal((h * hd, e)), rng.normal((e,))
+    g = _signed_zero_rows(rng.normal(lead + (n, e)), 2)
+    tape = Tape()
+    with recording(tape):
+        out = ops.heads_out(T(c), T(w), T(b))
+    (entry,) = tape.entries
+    gc_, gw, gb = entry.vjp(g)
+    merged = np.ascontiguousarray(c.transpose(_head_axes(lead))).reshape(lead + (n, h * hd))
+    flat = merged if merged.ndim == 2 else merged.reshape(-1, h * hd)
+    y = flat @ w
+    y += b
+    gf = g.reshape(-1, e)
+    want_gc = (gf @ w.T).reshape(merged.shape).reshape(lead + (n, h, hd))
+    want_gc = want_gc.transpose(_head_axes(lead))
+    assert out.data.tobytes() == y.reshape(lead + (n, e)).tobytes()
+    assert gc_.shape == want_gc.shape and gc_.tobytes() == want_gc.tobytes()
+    assert gw.tobytes() == (flat.T @ gf).tobytes() and gb.tobytes() == gf.sum(axis=0).tobytes()
+
+
+def test_heads_in_and_heads_out_refuse_mismatched_shapes():
+    x, w, b = T(np.zeros((4, 6))), T(np.zeros((6, 8))), T(np.zeros(8))
+    with pytest.raises(ShapeError):
+        ops.heads_in(x, [(w, b)], 3)  # 8 columns into 3 heads
+    with pytest.raises(ShapeError):
+        ops.heads_in(x, [(w, b), (T(np.zeros((6, 4))), T(np.zeros(4)))], 2)
+    with pytest.raises(ShapeError):
+        ops.heads_in(x, [], 2)
+    with pytest.raises(ShapeError):
+        ops.heads_out(T(np.zeros((2, 4, 3))), T(np.zeros((5, 6))), T(np.zeros(6)))

@@ -9,6 +9,7 @@ from tdt import (
     NumericsError,
     RngStream,
     Tape,
+    UsageError,
     backward,
     desk_config,
     gen_copy_task,
@@ -244,6 +245,13 @@ def test_an_aborted_tagger_keeps_the_parameters_of_its_last_completed_step():
     initial = Tagger(cfg, seed=5)  # what step 1's forward ran on
     for name, p in tagger.params.items():
         np.testing.assert_array_equal(p.value.data, initial.params[name].value.data)
+
+
+@pytest.mark.parametrize("labels", [[-1, -1, 1, 0], [0, 2, 1, 0]], ids=["minus-one", "two"])
+def test_tagger_refuses_labels_other_than_zero_and_one(labels):
+    # a -1 was skipped as padding: the step trained on fewer positions
+    with pytest.raises(UsageError, match="tagger labels must be 0 or 1"):
+        train_tagger(desk_config(), lambda rng: ([3, 4, 5, 6], labels), steps=1, seed=0)
 
 
 def test_tagger_weights_feed_weighted_pooling_directly():
