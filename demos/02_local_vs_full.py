@@ -13,7 +13,6 @@ import numpy as np
 
 import tdt
 from tdt import (
-    AttentionConfig,
     MaskSpec,
     Model,
     OpCounter,
@@ -22,7 +21,6 @@ from tdt import (
     build_mask,
     desk_config,
     encode_score_budget,
-    local_self_attention,
     multi_head_attention,
 )
 from tdt.attention import init_attention_params
@@ -32,14 +30,12 @@ d, heads, n, w = 32, 4, 24, 8
 x = Tensor(rng.normal((n, d)))
 params = init_attention_params(rng.split("p"), d, "demo")
 
-local = local_self_attention(x, params, AttentionConfig(d, heads, w))
-dense = multi_head_attention(
-    x, x, x, params, AttentionConfig(d, heads), build_mask(MaskSpec.band(w), n, n)
-)
+local = multi_head_attention(x, None, params, heads, MaskSpec.band(w))
+dense = multi_head_attention(x, None, params, heads, build_mask(MaskSpec.band(w), n, n))
 print(f"banded vs dense-masked, max abs diff: {np.abs(local.data - dense.data).max():.2e}")
 
 counter = OpCounter()
-local_self_attention(x, params, AttentionConfig(d, heads, w), counter)
+multi_head_attention(x, None, params, heads, MaskSpec.band(w), counter)
 print(f"counter: {counter.score_evals}  (budget: {heads * tdt.band_popcount(n, w)})")
 
 print("\nPeak tracked allocation of one encoder forward at N=1024, d=64:")

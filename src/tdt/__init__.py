@@ -4,14 +4,12 @@ tensor engine with reverse-mode gradients."""
 
 from . import attention, bench, checkpoint, model, ops, optim, pooling, rouge, tasks, training
 from .attention import (
-    AttentionConfig,
     MaskSpec,
     OpCounter,
     ScoreBudget,
     band_popcount,
     build_mask,
     count_budget,
-    local_self_attention,
     multi_head_attention,
 )
 from .checkpoint import load_model, save_model

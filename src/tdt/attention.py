@@ -1,22 +1,20 @@
-"""Attention: one core, :func:`attend`, with a dense scorer and a banded
-scorer, plus masks and exact score-evaluation accounting.
+"""Attention: one path, :func:`multi_head_attention`, for every attention
+the model runs (bottom-up local, segment full, token-segment cross, decoder
+self and cross); only the mask and the context differ.
 
-Every attention the model runs (bottom-up local, segment full, token-segment
-cross, decoder self and cross) is the same sequence: ``ops.heads_in``
-projects the inputs straight into heads, one op per distinct source (self
-attention one, cross attention two), then :func:`attend` scores, takes the
-softmax and the context, and ``ops.heads_out`` merges the heads and applies
-the output projection as one op, and the counter is advanced. The scorers
-take the 1/sqrt(head_dim) query scale themselves. The mask picks the
-scorer. A band that leaves some pair out is one op, ``ops.band_attention``,
-which never materializes an N x N score matrix, so live memory grows with
-N * w; its blocked layout is known to ``ops`` alone. Everything else is
-scored by ``ops.attention_probs``, which forms the scores, adds the mask
-penalty and takes the softmax in one buffer, and a context product.
-Masked slots get a -1e30 additive penalty whose exponent underflows to
-exactly zero, meaning tokens outside the mask cannot influence a row even
-at the bit level. :func:`multi_head_attention` and
-:func:`local_self_attention` are thin entry points over the core.
+``ops.heads_in`` projects straight into heads, one op per source (self
+attention one, cross attention two); a layer's decode cache (``_LayerKV``,
+the one owner of the cache layout) extends the self keys and values or
+reuses the context's. :func:`attend` then scores (the scorers take the
+1/sqrt(head_dim) query scale), takes the softmax and the context, and
+``ops.heads_out`` merges the heads and projects them out as one op. The mask
+picks the scorer. A band that leaves some pair out is one op,
+``ops.band_attention``, which never materializes an N x N score matrix, so
+live memory grows with N * w; its blocked layout is known to ``ops`` alone.
+Everything else is scored by ``ops.attention_probs`` (scores, mask penalty
+and softmax in one buffer) and a context product. Masked slots get a -1e30
+additive penalty whose exponent underflows to exactly zero, so tokens
+outside the mask cannot influence a row even at the bit level.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
 increment equals the number of admitted query-key pairs summed over heads,
@@ -26,40 +24,18 @@ which :func:`count_budget` predicts in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .tensor import ConfigError, Parameter, ShapeError, UsageError
+from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, _screened, _view
 
 
 def _check_window(window: int | None) -> None:
     """The one window rule: None (unbounded) or an even integer >= 2."""
     if window is not None and (window < 2 or window % 2 != 0):
         raise ConfigError(f"window must be None or even and >= 2, got {window}")
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Width, head count and local window for one attention stack."""
-
-    d_model: int
-    n_heads: int
-    window: int | None = None  # None means unbounded (full attention)
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.n_heads <= 0:
-            raise ConfigError("d_model and n_heads must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-        _check_window(self.window)
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
 
 class OpCounter:
@@ -199,19 +175,78 @@ def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02
 
 
 # -----------------------------------------------------------------------------
+# Decode cache: one layer's keys and values
+# -----------------------------------------------------------------------------
+
+
+class _Rows:
+    """Cached rows on the second-to-last axis that grow in place: a buffer
+    whose capacity doubles when full, and ``view``, the tensor of its filled
+    rows. Rows past the view are scratch, written by the next append."""
+
+    __slots__ = ("buf", "view")
+
+    def __init__(self):
+        self.buf = self.view = None
+
+    def append(self, x) -> Tensor:
+        """The cached rows followed by x's, as one view of the buffer."""
+        n = 0 if self.view is None else self.view.shape[-2]
+        if self.buf is None or self.buf.shape[-2] < n + x.shape[-2]:
+            cap = max(2 * n, n + x.shape[-2])  # no row is read before it is written
+            self.buf = _screened(np.empty(x.shape[:-2] + (cap, x.shape[-1])))
+        self.view = ops.append_rows(self.buf, self.view, x)
+        return self.view
+
+    def select(self, rows: np.ndarray) -> None:
+        if self.buf is not None:
+            self.buf = _screened(self.buf.data[rows])
+            self.view = _view(self.buf.data[..., : self.view.shape[-2], :], self.buf)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n rows, in a copy of the buffer: the views handed
+        out keep their rows."""
+        if self.view is not None and self.view.shape[-2] > n:
+            self.buf = _screened(self.buf.data.copy()) if n else None
+            self.view = _view(self.buf.data[..., :n, :], self.buf) if n else None
+
+
+@dataclass
+class _LayerKV:
+    """One layer's cache for :func:`multi_head_attention`: the self keys
+    and values of the positions seen so far, each [..., heads, positions,
+    head_dim], and the projected context's keys and values."""
+
+    k: _Rows = field(default_factory=_Rows)
+    v: _Rows = field(default_factory=_Rows)
+    cross: tuple | None = None  # the context's keys and values
+
+    def select(self, rows: np.ndarray) -> None:
+        self.k.select(rows)
+        self.v.select(rows)
+        if self.cross is not None:
+            self.cross = tuple(_screened(t.data[rows]) for t in self.cross)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n positions; with none, no context keys either."""
+        self.k.truncate(n)
+        self.v.truncate(n)
+        if not n:
+            self.cross = None
+
+
+# -----------------------------------------------------------------------------
 # Kernels
 # -----------------------------------------------------------------------------
 
 
-def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
-           mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
-           return_weights: bool = False):
+def attend(q, k, v, params: AttentionParams, mask: np.ndarray | MaskSpec | None,
+           counter: OpCounter | None = None, return_weights: bool = False):
     """Scaled dot-product attention over already projected, head-split
     queries [..., heads, n, head_dim] and keys/values [..., heads, m,
     head_dim], followed by the head merge and output projection back to
-    [..., n, d] (``ops.heads_out``). Every attention in the library runs
-    here: score (the scorer scales the queries by 1/sqrt(head_dim)),
-    softmax, context, output projection, count.
+    [..., n, d] (``ops.heads_out``), with the head count and width of q:
+    score (scaled by 1/sqrt(head_dim)), softmax, context, projection, count.
 
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
     a :class:`MaskSpec`, or None (every pair admitted). Masked pairs get an
@@ -222,15 +257,12 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
     scores, penalty and softmax in one buffer. ``return_weights`` adds the
     [..., heads, n, m] attention weights (a copy; no gradient).
     """
-    n = q.shape[-2]
+    *lead, h, n, dh = q.shape
     m = k.shape[-2]
     if m < 1:
         raise UsageError("attention requires at least one key")
     if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
         raise ShapeError("query/key/value leading shapes disagree")
-    lead = q.shape[:-3]
-    batch = math.prod(lead)
-    h, dh = config.n_heads, config.head_dim
     window = None
     if isinstance(mask, MaskSpec):
         if mask.kind == "band" and n == m and mask.window < 2 * (n - 1):
@@ -260,35 +292,32 @@ def attend(q, k, v, params: AttentionParams, config: AttentionConfig,
         pairs = band_popcount(n, window)
     out = ops.heads_out(ctx, params.wo, params.bo)
     if counter is not None:
-        counter.add(batch * h * pairs)
+        counter.add(math.prod(lead) * h * pairs)
     return (out, weights) if return_weights else out
 
 
-def multi_head_attention(q_in, k_in, v_in, params: AttentionParams, config: AttentionConfig,
+def multi_head_attention(x, context, params: AttentionParams, n_heads: int,
                          mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
-                         return_weights: bool = False):
-    """Project [..., n, d] queries and [..., m, d] keys/values into heads and
-    :func:`attend` under ``mask``. Neighbouring inputs that are one object
-    share one ``ops.heads_in``: self-attention projects once, cross-attention
-    twice (queries; keys and values). One head with identity projections
-    reduces to plain softmax(q k^T / sqrt(d)) v."""
-    sources, pairs, heads = (q_in, k_in, v_in), params.pairs(), []
-    i = 0
-    while i < 3:
-        j = i + 1
-        while j < 3 and sources[j] is sources[i]:
-            j += 1
-        heads += ops.heads_in(sources[i], pairs[i:j], config.n_heads)
-        i = j
-    return attend(*heads, params, config, mask, counter, return_weights)
-
-
-def local_self_attention(x, params: AttentionParams, config: AttentionConfig,
-                         counter: OpCounter | None = None, return_weights: bool = False):
-    """Self-attention under ``config.window``: each token attends w/2
-    neighbors per side plus itself, truncated at the boundaries; a window
-    of None means full attention. A window that covers every pair
-    (w >= 2(N-1)) is scored densely, bit-identical to full attention."""
-    mask = None if config.window is None else MaskSpec.band(config.window)
-    return multi_head_attention(x, x, x, params, config, mask, counter, return_weights)
-
+                         cache: _LayerKV | None = None, return_weights: bool = False):
+    """Attend x [..., n, d] to itself (``context`` None) or to ``context``
+    [..., m, d] under ``mask``. A layer ``cache`` extends the cached self
+    keys and values, or projects the context's on its first call and
+    reuses them. One head with identity projections reduces to plain
+    softmax(q k^T / sqrt(d)) v."""
+    d = x.shape[-1]
+    if n_heads < 1 or d % n_heads:
+        raise ConfigError(f"width {d} does not split into {n_heads} heads")
+    pairs = params.pairs()
+    if context is None:
+        q, k, v = ops.heads_in(x, pairs, n_heads)
+        if cache is not None:
+            k, v = cache.k.append(k), cache.v.append(v)
+    else:
+        (q,) = ops.heads_in(x, pairs[:1], n_heads)
+        if cache is None:
+            k, v = ops.heads_in(context, pairs[1:], n_heads)
+        else:
+            if cache.cross is None:
+                cache.cross = ops.heads_in(context, pairs[1:], n_heads)
+            k, v = cache.cross
+    return attend(q, k, v, params, mask, counter, return_weights)

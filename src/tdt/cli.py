@@ -212,7 +212,8 @@ def _load_vocab(path: str) -> dict:
 
 def _cmd_bench(args) -> int:
     seed = _resolve_seed(args)
-    cfg = _load_config(args, window=args.w, max_positions=max(args.N_list))
+    # an empty grid is bench_sweep's ConfigError
+    cfg = _load_config(args, window=args.w, max_positions=max(args.N_list, default=1))
     records = bench_sweep(
         args.N_list, args.w, variants=args.variants, trials=args.trials,
         seed=seed, base=cfg,
@@ -310,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate from a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--source", default="", help="comma-separated token ids")
-    p.add_argument("--source-file", dest="source_file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--source", default="", help="comma-separated token ids")
+    source.add_argument("--source-file", dest="source_file")
     p.add_argument("--max-len", type=int, default=32, dest="max_len")
     p.add_argument("--strategy", default="greedy", choices=("greedy", "beam"))
     p.add_argument("--beam", type=int, default=1)

@@ -28,22 +28,21 @@ never normalized, so a zero-weight branch is exactly the identity.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import ops
 from .attention import (
-    AttentionConfig,
     AttentionParams,
     MaskSpec,
     OpCounter,
-    attend,
+    _LayerKV,
+    _check_window,
     build_mask,
     count_budget,
     init_attention_params,
@@ -63,8 +62,6 @@ from .tensor import (
     Tensor,
     UsageError,
     _keep_heap,
-    _screened,
-    _view,
     recording,
 )
 
@@ -119,17 +116,16 @@ class ModelConfig:
             raise ConfigError("layer counts must be non-negative")
         if self.max_positions < 1 or self.ffn_mult < 1:
             raise ConfigError("max_positions and ffn_mult must be positive")
-        # Validate divisibility / window / segmentation eagerly.
-        AttentionConfig(self.d_model, self.n_heads, self.window)
+        if self.d_model <= 0 or self.n_heads <= 0:
+            raise ConfigError("d_model and n_heads must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        _check_window(self.window)
         SegmentationSpec(self.kernel_size, self.stride)
 
     @property
     def segmentation(self) -> SegmentationSpec:
         return SegmentationSpec(self.kernel_size, self.stride)
-
-    @functools.cached_property  # read by every attention call
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(self.d_model, self.n_heads, self.window)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -212,60 +208,21 @@ class _Layer:
     ln_concat: _LnParams | None = None
 
 
-class _Rows:
-    """Cached rows on the second-to-last axis that grow in place: a buffer
-    whose capacity doubles when full, and ``view``, the tensor of its filled
-    rows. Rows past the view are scratch, written by the next append."""
-
-    __slots__ = ("buf", "view")
-
-    def __init__(self):
-        self.buf = self.view = None
-
-    def append(self, x) -> Tensor:
-        """The cached rows followed by x's, as one view of the buffer."""
-        n = 0 if self.view is None else self.view.shape[-2]
-        if self.buf is None or self.buf.shape[-2] < n + x.shape[-2]:
-            cap = max(2 * n, n + x.shape[-2])  # no row is read before it is written
-            self.buf = _screened(np.empty(x.shape[:-2] + (cap, x.shape[-1])))
-        self.view = ops.append_rows(self.buf, self.view, x)
-        return self.view
-
-    def select(self, rows: np.ndarray) -> None:
-        if self.buf is not None:
-            self.buf = _screened(self.buf.data[rows])
-            self.view = _view(self.buf.data[..., : self.view.shape[-2], :], self.buf)
-
-    def truncate(self, n: int) -> None:
-        """Keep the first n rows, in a copy of the buffer: the views handed
-        out keep their rows."""
-        if self.view is not None and self.view.shape[-2] > n:
-            self.buf = _screened(self.buf.data.copy()) if n else None
-            self.view = _view(self.buf.data[..., :n, :], self.buf) if n else None
-
-
-@dataclass
-class _LayerKV:
-    k: _Rows = field(default_factory=_Rows)
-    v: _Rows = field(default_factory=_Rows)
-    cross: tuple | None = None  # the encoder output's keys and values
-
-
 class DecodeCache:
-    """Keys and values that let :meth:`Model.decode` continue a prefix.
-
-    Per decoder layer it holds the self-attention keys and values of the
-    ``length`` positions decoded so far and the cross-attention keys and
-    values of the encoder output, each [B, heads, positions, head_dim] with
-    one row per batch row of the decode calls. Each step's keys and values
-    are written into buffers that double when full, so a step copies no
-    cached row.
+    """What lets :meth:`Model.decode` continue a prefix: the ``length``
+    positions decoded so far, the ``batch_shape`` of the decoded ids, one
+    :func:`~tdt.attention.multi_head_attention` cache per decoder layer
+    (``layers``: self-attention keys and values, and the encoder output's
+    cross-attention keys and values, with one row per batch row), and the
+    output projection its first call made (the tied readout is a transpose
+    of the token table, which a step need not copy again).
     """
 
     def __init__(self, n_layers: int):
         self.length = 0
         self.batch_shape: tuple = ()  # leading shape of the decoded ids
         self.layers = [_LayerKV() for _ in range(n_layers)]
+        self.readout = None  # the output projection, once a call made it
 
     def select(self, rows) -> None:
         """Keep batch rows ``rows`` (in that order, repeats allowed), e.g.
@@ -277,19 +234,13 @@ class DecodeCache:
             raise UsageError(f"cannot select rows {rows.tolist()} of a batch {self.batch_shape}")
         self.batch_shape = rows.shape
         for kv in self.layers:
-            kv.k.select(rows)
-            kv.v.select(rows)
-            if kv.cross is not None:
-                kv.cross = tuple(_screened(t.data[rows]) for t in kv.cross)
+            kv.select(rows)
 
     def _undo_step(self) -> None:
         """Drop what a decode call that raised part-way appended: each layer
         keeps its first ``length`` rows, and a first call no cross keys."""
         for kv in self.layers:
-            kv.k.truncate(self.length)
-            kv.v.truncate(self.length)
-            if not self.length:
-                kv.cross = None
+            kv.truncate(self.length)
 
 
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
@@ -480,15 +431,12 @@ class Model:
         rebinds ``x``, and each caller rebinds its own input to each output
         (``for x in self._blocks(x, ...)``), so the stack's input is freed
         after the first layer instead of staying alive in the caller."""
-        if context is not None and context.shape[-2] < 1:
-            raise UsageError("cross attention requires at least one context row")
+        mha, h = multi_head_attention, self.config.n_heads
         for i, layer in enumerate(layers):
             kv = None if cache is None else cache.layers[i]
-            x = _residual(x, self._attention(x, None, layer.self_attn, mask, counter, kv),
-                          layer.ln_self)
+            x = _residual(x, mha(x, None, layer.self_attn, h, mask, counter, kv), layer.ln_self)
             if layer.cross is not None:
-                x = _residual(x, self._attention(x, context, layer.cross, None, counter, kv),
-                              layer.ln_cross)
+                x = _residual(x, mha(x, context, layer.cross, h, None, counter, kv), layer.ln_cross)
             elif layer.concat_w is not None:
                 x = top_down_concat_update(
                     x, context, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
@@ -496,25 +444,6 @@ class Model:
             f = layer.ffn
             x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias, LN_EPS)
             yield x
-
-    def _attention(self, x, context, params: AttentionParams, mask, counter,
-                   kv: _LayerKV | None) -> Tensor:
-        """Attention branch of ``x`` to itself (``context`` None) or to
-        ``context``. With a layer cache ``kv``, the self keys and values
-        extend the cached ones, and the context's are projected on the first
-        call and reused after."""
-        cfg = self.config.attention
-        if kv is None:
-            src = x if context is None else context
-            return multi_head_attention(x, src, src, params, cfg, mask, counter)
-        pairs = params.pairs()
-        if context is None:
-            q, k, v = ops.heads_in(x, pairs, cfg.n_heads)
-            return attend(q, kv.k.append(k), kv.v.append(v), params, cfg, mask, counter)
-        (q,) = ops.heads_in(x, pairs[:1], cfg.n_heads)
-        if kv.cross is None:
-            kv.cross = ops.heads_in(context, pairs[1:], cfg.n_heads)
-        return attend(q, *kv.cross, params, cfg, mask, counter)
 
     def _band(self) -> MaskSpec | None:
         """The token stacks' self-attention mask: the band, or none."""
@@ -587,9 +516,10 @@ class Model:
         ``cache.length`` positions that earlier calls decoded: only the new
         positions run, attending the cached keys and values, and the cache
         is extended with theirs. Its cross-attention keys and values are
-        projected from ``enc_out`` on the first call and reused after. A
-        one-position step attends every cached position, so it builds no
-        causal mask. A call that raises leaves the cache as it found it.
+        projected from ``enc_out`` on the first call and reused after, and
+        so is the output projection. A one-position step attends every
+        cached position, so it builds no causal mask. A call that raises
+        leaves the cache as it found it.
         """
         if self.pos_dec is None:
             raise UsageError("n_decoder_layers=0: the model has no decoder")
@@ -609,7 +539,11 @@ class Model:
         if cache is not None:
             cache.length += t
             cache.batch_shape = batch
-        w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
+        w = None if cache is None else cache.readout
+        if w is None:
+            w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
+            if cache is not None:
+                cache.readout = w
         return ops.linear(y, w)
 
     def generate(self, source_ids, max_len: int, strategy: str = "greedy",

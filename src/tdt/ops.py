@@ -153,13 +153,6 @@ def scale(x, c: float) -> Tensor:
     return _record(out, (x,), lambda g: (g * c,))
 
 
-def mul_const(x, factor: np.ndarray) -> Tensor:
-    """Multiply by a constant array (no gradient to the factor)."""
-    a = _data(x)
-    out = _result("mul_const", a * factor, (x,))
-    return _record(out, (x,), lambda g: (g * factor,))
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; leading batch axes must match exactly."""
     da, db = _data(a), _data(b)
@@ -175,12 +168,6 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), vjp)
-
-
-def sum_all(x) -> Tensor:
-    a = _data(x)
-    out = _result("sum_all", np.sum(a).reshape(()), (x,))
-    return _record(out, (x,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 # -----------------------------------------------------------------------------

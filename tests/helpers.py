@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, dense attention, scalar loops,
-segment assignment, full-prefix generation.
+segment assignment, full-prefix generation; and the test-only readout ops
+``mul_const`` and ``sum_all``.
 
 The oracles here are deliberately independent of the library's compute paths:
 dense attention is an explicit per-head loop, pooling oracles walk windows
@@ -14,10 +15,24 @@ import math
 
 import numpy as np
 
-from tdt import RngStream, Tape, backward, recording
+from tdt import RngStream, Tape, Tensor, backward, ops, recording
 
 FD_H = 1e-5
 FD_RTOL = 1e-4
+
+
+def mul_const(x, factor: np.ndarray) -> Tensor:
+    """Multiply by a constant array (no gradient to the factor): a test-only
+    op on the library's tape, for weighting an output before a readout."""
+    out = ops._result("mul_const", ops._data(x) * factor, (x,))
+    return ops._record(out, (x,), lambda g: (g * factor,))
+
+
+def sum_all(x) -> Tensor:
+    """The sum of every entry as a 0-d tensor: the tests' scalar readout."""
+    a = ops._data(x)
+    out = ops._result("sum_all", np.sum(a).reshape(()), (x,))
+    return ops._record(out, (x,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def rel_err(a: float, b: float) -> float:

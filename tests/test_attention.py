@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tdt import (
-    AttentionConfig,
     ConfigError,
     MaskSpec,
+    ModelConfig,
     OpCounter,
     RngStream,
     Tensor,
@@ -14,7 +14,6 @@ from tdt import (
     band_popcount,
     build_mask,
     count_budget,
-    local_self_attention,
     multi_head_attention,
 )
 from tdt.attention import init_attention_params
@@ -24,6 +23,8 @@ from helpers import (
     check_param_grads,
     cross_attention_oracle,
     dense_attention_oracle,
+    mul_const,
+    sum_all,
 )
 
 
@@ -68,14 +69,14 @@ def test_band_spec_rejects_odd_or_tiny_window():
 
 @pytest.mark.parametrize("w", [3, -4, 0, 1])
 def test_one_window_rule_for_config_mask_popcount_and_budget(w):
-    for build in (lambda: AttentionConfig(8, 2, w), lambda: MaskSpec.band(w),
+    for build in (lambda: ModelConfig(d_model=8, n_heads=2, window=w), lambda: MaskSpec.band(w),
                   lambda: band_popcount(9, w), lambda: count_budget(9, w, 2)):
         with pytest.raises(ConfigError, match="window"):
             build()
 
 
 def test_an_unbounded_window_is_full_attention_but_no_band():
-    assert AttentionConfig(8, 2, None).window is None
+    assert ModelConfig(d_model=8, n_heads=2, window=None).window is None
     assert band_popcount(9, None) == count_budget(9, None, 2).local == 81
     with pytest.raises(ConfigError):
         MaskSpec.band(None)
@@ -144,9 +145,8 @@ def _identity_params(d):
 def test_single_position_identity_projections_returns_value():
     d = 4
     p = _identity_params(d)
-    cfg = AttentionConfig(d, 1)
     v = RngStream(3).normal((1, d))
-    out = multi_head_attention(Tensor(v), Tensor(v), Tensor(v), p, cfg, None)
+    out = multi_head_attention(Tensor(v), None, p, 1, None)
     np.testing.assert_allclose(out.data, v, atol=1e-12)
 
 
@@ -157,8 +157,7 @@ def test_full_mask_matches_dense_oracle():
         d = 8
         x = rng.normal((n, d))
         p = _params(trial, d)
-        cfg = AttentionConfig(d, 2)
-        out = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), p, cfg, None)
+        out = multi_head_attention(Tensor(x), None, p, 2, None)
         expected = dense_attention_oracle(x, x, x, p, 2, None)
         assert np.max(np.abs(out.data - expected)) <= 1e-10
 
@@ -167,9 +166,8 @@ def test_counter_counts_admitted_pairs_per_head():
     d = 8
     x = RngStream(1).normal((16, d))
     p = _params(2, d)
-    cfg = AttentionConfig(d, 2)
     counter = OpCounter()
-    multi_head_attention(Tensor(x), Tensor(x), Tensor(x), p, cfg, None, counter)
+    multi_head_attention(Tensor(x), None, p, 2, None, counter)
     assert counter.score_evals == 2 * 16 * 16 == 512
 
 
@@ -177,11 +175,10 @@ def test_fully_masked_row_raises():
     d = 4
     x = RngStream(4).normal((3, d))
     p = _params(0, d)
-    cfg = AttentionConfig(d, 1)
     mask = np.ones((3, 3), dtype=bool)
     mask[2] = False
     with pytest.raises(UsageError):
-        multi_head_attention(Tensor(x), Tensor(x), Tensor(x), p, cfg, mask)
+        multi_head_attention(Tensor(x), None, p, 1, mask)
 
 
 def test_attention_weights_row_stochastic():
@@ -189,11 +186,8 @@ def test_attention_weights_row_stochastic():
     d = 8
     x = rng.normal((10, d))
     p = _params(5, d)
-    cfg = AttentionConfig(d, 2)
     mask = build_mask(MaskSpec.band(4), 10, 10)
-    _, weights = multi_head_attention(
-        Tensor(x), Tensor(x), Tensor(x), p, cfg, mask, return_weights=True
-    )
+    _, weights = multi_head_attention(Tensor(x), None, p, 2, mask, return_weights=True)
     assert weights.min() >= 0.0
     np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 10)), atol=1e-9)
     # masked positions carry exactly zero weight
@@ -201,7 +195,7 @@ def test_attention_weights_row_stochastic():
 
 
 # -----------------------------------------------------------------------------
-# local_self_attention
+# banded self-attention
 # -----------------------------------------------------------------------------
 
 
@@ -210,12 +204,10 @@ def test_saturated_window_bit_matches_full_attention():
     n = 6
     x = RngStream(21).normal((n, d))
     p = _params(9, d)
-    full = multi_head_attention(
-        Tensor(x), Tensor(x), Tensor(x), p, AttentionConfig(d, 2), None
-    )
-    local = local_self_attention(Tensor(x), p, AttentionConfig(d, 2, 2 * (n - 1)))
+    full = multi_head_attention(Tensor(x), None, p, 2, None)
+    local = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(2 * (n - 1)))
     np.testing.assert_array_equal(local.data, full.data)
-    wider = local_self_attention(Tensor(x), p, AttentionConfig(d, 2, 4 * n))
+    wider = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(4 * n))
     np.testing.assert_array_equal(wider.data, local.data)
 
 
@@ -223,8 +215,7 @@ def test_local_attention_matches_banded_dense_oracle_9_4():
     d = 8
     x = RngStream(33).normal((9, d))
     p = _params(13, d)
-    cfg = AttentionConfig(d, 2, 4)
-    out = local_self_attention(Tensor(x), p, cfg)
+    out = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(4))
     mask = build_mask(MaskSpec.band(4), 9, 9)
     expected = dense_attention_oracle(x, x, x, p, 2, mask)
     assert np.max(np.abs(out.data - expected)) <= 1e-10
@@ -240,8 +231,7 @@ def test_local_attention_oracle_equivalence_many_configs():
         w = 2 * int(rng.randint(1, w_half_max + 1, 1)[0])
         x = rng.normal((n, d))
         p = _params(1000 + trial, d)
-        cfg = AttentionConfig(d, heads, w)
-        out = local_self_attention(Tensor(x), p, cfg)
+        out = multi_head_attention(Tensor(x), None, p, heads, MaskSpec.band(w))
         mask = build_mask(MaskSpec.band(w), n, n)
         expected = dense_attention_oracle(x, x, x, p, heads, mask)
         assert np.max(np.abs(out.data - expected)) <= 1e-10, (n, heads, w)
@@ -253,7 +243,7 @@ def test_local_attention_counter_equals_popcount():
     x = RngStream(3).normal((n, d))
     p = _params(4, d)
     counter = OpCounter()
-    local_self_attention(Tensor(x), p, AttentionConfig(d, 2, w), counter)
+    multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(w), counter)
     assert counter.score_evals == 2 * band_popcount(n, w)
 
 
@@ -262,9 +252,8 @@ def test_local_attention_weights_match_band_mask():
     n, w = 9, 4
     x = RngStream(8).normal((n, d))
     p = _params(6, d)
-    _, weights = local_self_attention(
-        Tensor(x), p, AttentionConfig(d, 1, w), return_weights=True
-    )
+    _, weights = multi_head_attention(Tensor(x), None, p, 1, MaskSpec.band(w),
+                                      return_weights=True)
     mask = build_mask(MaskSpec.band(w), n, n)
     assert np.all(weights[:, ~mask] == 0.0)
     np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, n)), atol=1e-9)
@@ -275,11 +264,11 @@ def test_local_attention_gradient_check():
     d = 8
     x = Tensor(rng.normal((10, d)))
     p = _params(71, d)
-    cfg = AttentionConfig(d, 2, 4)
+    band = MaskSpec.band(4)
     probe = rng.normal((10, d))
 
     def loss_fn(tape=False):
-        out = ops.sum_all(ops.mul_const(local_self_attention(x, p, cfg), probe))
+        out = sum_all(mul_const(multi_head_attention(x, None, p, 2, band), probe))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, p.all())
@@ -292,8 +281,8 @@ def test_banded_local_attention_records_one_entry_for_the_band(n):
     d = 8
     tape = Tape()
     with recording(tape):
-        local_self_attention(Tensor(RngStream(4).normal((n, d))), _params(5, d),
-                             AttentionConfig(d, 2, 8))
+        multi_head_attention(Tensor(RngStream(4).normal((n, d))), None, _params(5, d), 2,
+                             MaskSpec.band(8))
     heads_in, band, heads_out = tape.entries
     assert len(heads_in.out) == 3 and band.inputs == heads_in.out
     assert heads_out.inputs[0] is band.out
@@ -308,8 +297,8 @@ def _cross_ln(d):
     return Parameter("lng", np.ones(d)), Parameter("lnb", np.zeros(d))
 
 
-def _cross_update(e, s, p, g, b, cfg, counter=None):
-    return ops.residual_ln(e, multi_head_attention(e, s, s, p, cfg, None, counter), g, b)
+def _cross_update(e, s, p, g, b, n_heads, counter=None):
+    return ops.residual_ln(e, multi_head_attention(e, s, p, n_heads, None, counter), g, b)
 
 
 def test_cross_attention_single_segment_broadcasts_branch():
@@ -319,10 +308,7 @@ def test_cross_attention_single_segment_broadcasts_branch():
     s = rng.normal((1, d))
     p = _params(91, d)
     g, b = _cross_ln(d)
-    cfg = AttentionConfig(d, 2)
-    attn, weights = multi_head_attention(
-        Tensor(e), Tensor(s), Tensor(s), p, cfg, None, return_weights=True
-    )
+    attn, weights = multi_head_attention(Tensor(e), Tensor(s), p, 2, None, return_weights=True)
     out = ops.residual_ln(Tensor(e), attn, g, b)
     np.testing.assert_allclose(weights, np.ones((2, 5, 1)))
     branch = out.data - e
@@ -341,7 +327,7 @@ def test_cross_attention_zero_value_path_is_identity():
     p.wo.value.data[...] = 0.0
     p.bo.value.data[...] = 0.0
     g, b = _cross_ln(d)
-    out = _cross_update(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2))
+    out = _cross_update(Tensor(e), Tensor(s), p, g, b, 2)
     np.testing.assert_array_equal(out.data, e)
 
 
@@ -354,8 +340,7 @@ def test_cross_attention_matches_scalar_oracle():
     p.wo.value.data[...] = np.eye(d)
     p.bo.value.data[...] = 0.0
     g, b = _cross_ln(d)
-    cfg = AttentionConfig(d, 1)
-    out = _cross_update(Tensor(e), Tensor(s), p, g, b, cfg)
+    out = _cross_update(Tensor(e), Tensor(s), p, g, b, 1)
     expected = cross_attention_oracle(e, s, p, g, b, 1)
     assert np.max(np.abs(out.data - expected)) <= 1e-10
 
@@ -367,10 +352,10 @@ def test_cross_attention_counter_and_empty_segments():
     p = _params(94, d)
     g, b = _cross_ln(d)
     counter = OpCounter()
-    _cross_update(Tensor(e), Tensor(s), p, g, b, AttentionConfig(d, 2), counter)
+    _cross_update(Tensor(e), Tensor(s), p, g, b, 2, counter)
     assert counter.score_evals == 2 * 5 * 3
     with pytest.raises(UsageError):
-        _cross_update(Tensor(e), Tensor(np.zeros((0, d))), p, g, b, AttentionConfig(d, 2))
+        _cross_update(Tensor(e), Tensor(np.zeros((0, d))), p, g, b, 2)
 
 
 def test_cross_attention_gradient_check():
@@ -380,12 +365,11 @@ def test_cross_attention_gradient_check():
     s = Tensor(rng.normal((3, d)))
     p = _params(95, d)
     g, b = _cross_ln(d)
-    cfg = AttentionConfig(d, 2)
     probe = rng.normal((5, d))
 
     def loss_fn(tape=False):
-        out = _cross_update(e, s, p, g, b, cfg)
-        out = ops.sum_all(ops.mul_const(out, probe))
+        out = _cross_update(e, s, p, g, b, 2)
+        out = sum_all(mul_const(out, probe))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, p.all() + [g, b])
@@ -396,13 +380,12 @@ def test_mha_gradient_check_with_mask():
     rng = RngStream(85)
     x = Tensor(rng.normal((6, d)))
     p = _params(96, d)
-    cfg = AttentionConfig(d, 2)
     mask = build_mask(MaskSpec.band(4), 6, 6)
     probe = rng.normal((6, d))
 
     def loss_fn(tape=False):
-        out = multi_head_attention(x, x, x, p, cfg, mask)
-        out = ops.sum_all(ops.mul_const(out, probe))
+        out = multi_head_attention(x, None, p, 2, mask)
+        out = sum_all(mul_const(out, probe))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, p.all())
@@ -410,9 +393,29 @@ def test_mha_gradient_check_with_mask():
 
 def test_attention_config_validation():
     with pytest.raises(ConfigError):
-        AttentionConfig(10, 3)
+        ModelConfig(d_model=10, n_heads=3)
     with pytest.raises(ConfigError):
-        AttentionConfig(8, 2, window=3)
+        ModelConfig(d_model=8, n_heads=2, window=3)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"d_model": 0}, "must be positive"), ({"n_heads": 0}, "must be positive"),
+     ({"d_model": 64, "n_heads": 3}, "not divisible"), ({"window": 3}, "window")],
+    ids=["d_model-0", "n_heads-0", "n_heads-3", "window-3"],
+)
+def test_model_config_owns_the_width_head_and_window_checks(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ModelConfig(**fields)
+
+
+@pytest.mark.parametrize("n_heads", [0, 3])
+def test_multi_head_attention_refuses_heads_that_do_not_split_the_width(n_heads):
+    d = 8
+    x, s = Tensor(RngStream(5).normal((4, d))), Tensor(RngStream(6).normal((2, d)))
+    for context in (None, s):
+        with pytest.raises(ConfigError, match=f"width 8 does not split into {n_heads} heads"):
+            multi_head_attention(x, context, _params(7, d), n_heads, None)
 
 
 # -----------------------------------------------------------------------------
@@ -441,7 +444,7 @@ def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
         x = RngStream(trial).normal(lead + (n, d))
         p = _params(500 + trial, d)
         counter = OpCounter()
-        out = local_self_attention(Tensor(x), p, AttentionConfig(d, heads, w), counter)
+        out = multi_head_attention(Tensor(x), None, p, heads, MaskSpec.band(w), counter)
         mask = build_mask(MaskSpec.band(w), n, n)
         rows, got = x.reshape(-1, n, d), out.data.reshape(-1, n, d)
         for b in range(rows.shape[0]):

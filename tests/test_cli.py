@@ -305,6 +305,25 @@ def test_bench_csv_output(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_on_an_empty_grid_exits_2(capsys):
+    code, out, err = run(capsys, "bench", "--N-list", "", "--w", "8")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bench grid must be non-empty"
+
+
+def test_generate_takes_one_source_flag(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.tdtx"
+    save_model(Model(desk_config(), seed=0), ckpt)
+    doc = tmp_path / "ids.txt"
+    doc.write_text("3 4\n")
+    argv = ("generate", "--ckpt", str(ckpt), "--max-len", "2")
+    assert run(capsys, *argv, "--source", "3,4")[0] == 0
+    assert run(capsys, *argv, "--source-file", str(doc))[0] == 0
+    code, out, err = run(capsys, *argv, "--source", "3,4", "--source-file", str(doc))
+    assert (code, out) == (2, "")
+    assert "argument --source-file: not allowed with argument --source" in err
+
+
 @pytest.mark.parametrize(
     "command, ids",
     [("generate", ""), ("generate", "3,4,999"), ("tag", "3 4 999\n"), ("tag", "3 4\n\n")],

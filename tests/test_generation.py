@@ -22,7 +22,7 @@ from tdt import (
 from tdt import ops
 from tdt.model import DecodeCache
 
-from helpers import reference_beam, reference_greedy
+from helpers import mul_const, reference_beam, reference_greedy, sum_all
 
 NO_EOS = -1  # no token id is negative, so generation runs to max_len
 
@@ -136,7 +136,16 @@ def test_a_decode_that_raises_leaves_the_cache_as_it_was(past):
 
 
 def test_cached_decode_under_a_tape_has_the_uncached_gradients():
-    cfg = _cfg(tie_output=False)
+    _check_cached_decode_gradients(tie_output=False)
+
+
+def test_cached_tied_readout_under_a_tape_has_the_uncached_gradients():
+    # every step reads the one transposed token table the cache keeps
+    _check_cached_decode_gradients(tie_output=True)
+
+
+def _check_cached_decode_gradients(tie_output):
+    cfg = _cfg(tie_output=tie_output)
     m = Model(cfg, seed=17)
     src = _src(18, 16, cfg)
     prefix = [BOS_ID] + list(_src(19, 6, cfg))
@@ -155,7 +164,7 @@ def test_cached_decode_under_a_tape_has_the_uncached_gradients():
                 logits = ops.reshape(ops.concat(steps, axis=-2), (len(prefix), -1))
             else:
                 logits = m.decode(prefix, enc)
-            loss = ops.sum_all(ops.mul_const(logits, weights))
+            loss = sum_all(mul_const(logits, weights))
         backward(loss, tape)
         return {name: p.grad.copy() for name, p in m.params.items()}
 
@@ -287,3 +296,39 @@ def test_cache_rejects_mismatched_batch_and_rows():
         m.decode([[5], [6], [7]], both, cache=cache)
     with pytest.raises(UsageError):
         cache.select([0, 2])
+
+
+def test_generation_copies_the_tied_token_table_once(monkeypatch):
+    cfg = _cfg()
+    m = Model(cfg, seed=21)
+    src = _src(22, 16, cfg)
+    transpose, calls = ops.transpose, []
+    monkeypatch.setattr(ops, "transpose", lambda *a: calls.append(a) or transpose(*a))
+    out = m.generate(src, 8, eos_id=NO_EOS)
+    assert len(out) == 8 and len(calls) == 1
+    # the kept readout gives the logits of a fresh transpose at every step
+    enc = ops.reshape(m.encode(src), (1, 16, -1))
+    kept, fresh = DecodeCache(cfg.n_decoder_layers), DecodeCache(cfg.n_decoder_layers)
+    for tok in [BOS_ID] + out[:-1]:
+        fresh.readout = None
+        np.testing.assert_array_equal(m.decode([[tok]], enc, cache=kept).data,
+                                      m.decode([[tok]], enc, cache=fresh).data)
+    assert len(calls) == 1 + 1 + len(out)
+
+
+def test_decode_on_an_empty_encoder_output_raises_and_leaves_the_cache():
+    cfg = _cfg()
+    m = Model(cfg, seed=23)
+    empty = Tensor(np.zeros((1, 0, cfg.d_model)))
+    with pytest.raises(UsageError, match="at least one key"):
+        m.decode([BOS_ID], Tensor(empty.data[0]))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    with pytest.raises(UsageError, match="at least one key"):
+        m.decode([[BOS_ID]], empty, cache=cache)
+    assert (cache.length, cache.batch_shape, cache.readout) == (0, (), None)
+    for kv in cache.layers:
+        assert kv.k.buf is kv.v.buf is kv.cross is None
+    enc = m.encode(_src(24, 12, cfg))
+    prefix = [BOS_ID] + list(_src(25, 4, cfg))
+    step = m.decode([prefix], Tensor(enc.data[None]), cache=cache).data[0]
+    np.testing.assert_array_equal(step, m.decode([prefix], Tensor(enc.data[None])).data[0])

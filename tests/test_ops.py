@@ -16,7 +16,7 @@ from tdt import (
 )
 from tdt import ops
 from tdt.tensor import Tape, backward, recording
-from helpers import check_param_grads, layer_norm_oracle
+from helpers import check_param_grads, layer_norm_oracle, mul_const, sum_all
 
 
 def T(a):
@@ -211,7 +211,7 @@ def test_linear_gradient_matches_finite_differences():
     b = Parameter("b", rng.normal((5,)))
 
     def loss_fn(tape=False):
-        out = ops.sum_all(ops.linear(x, w, b))
+        out = sum_all(ops.linear(x, w, b))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, [w, b])
@@ -331,7 +331,7 @@ def test_ffn_block_tiled_matches_unfused_oracle_bitwise():
     tape = Tape()
     with recording(tape):
         out = ops.ffn_block(x, **p)
-        loss = ops.sum_all(ops.mul_const(out, g_out))
+        loss = sum_all(mul_const(out, g_out))
     assert len(tape) == 3  # ffn_block is one tape entry
     backward(loss, tape)
     assert out.data.tobytes() == expected.tobytes()
@@ -353,7 +353,7 @@ def test_ffn_block_gradient_check():
     p = _ffn_params(rng, 4, 8)
 
     def loss_fn(tape=False):
-        out = ops.sum_all(ops.ffn_block(x, **p))
+        out = sum_all(ops.ffn_block(x, **p))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, p.values())
@@ -379,66 +379,66 @@ def test_gradients_random_shapes(name):
 
     def build(tape=False):
         if name == "matmul":
-            out = ops.sum_all(ops.matmul(Tensor(np.arange(8.0).reshape(2, 4) / 7), w))
+            out = sum_all(ops.matmul(Tensor(np.arange(8.0).reshape(2, 4) / 7), w))
         elif name == "softmax":  # softmax(w) as attention_probs(w, I)
             out = ops.attention_probs(w, Tensor(np.eye(5)))
-            out = ops.sum_all(ops.mul_const(out, rng_fixed))
+            out = sum_all(mul_const(out, rng_fixed))
         elif name == "layer_norm":  # LN(w) as residual_ln(0, w)
             out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b, 1e-5)
-            out = ops.sum_all(ops.mul_const(out, rng_fixed))
+            out = sum_all(mul_const(out, rng_fixed))
         elif name == "logsumexp":  # cross_entropy's log-sum-exp and pick, no padding
             out = ops.cross_entropy(w, np.array([1, 0, 4, 2]), pad_id=-1)
         elif name == "embedding":  # gather_rows as a table lookup, a row taken twice
             ids = np.array([[0, 2], [2, 1]])
-            out = ops.sum_all(ops.mul_const(ops.gather_rows(w, ids), emb_w.reshape(2, 2, 5)))
+            out = sum_all(mul_const(ops.gather_rows(w, ids), emb_w.reshape(2, 2, 5)))
         elif name == "gather_windows":  # window_sum; the second window passes the end
             out = ops.window_sum(w, np.array([0, 2]), win_k)
-            out = ops.sum_all(ops.mul_const(out, win_w))
+            out = sum_all(mul_const(out, win_w))
         elif name == "take_index":  # cross_entropy on [2, 2, 5] logits, one position padded
             out = ops.cross_entropy(ops.reshape(w, (2, 2, 5)), np.array([[1, 0], [4, 2]]), 0)
             out = ops.scale(out, -0.7)
         elif name == "concat":
-            c = ops.concat([w, ops.mul_const(w, rng_fixed)], axis=0)
-            out = ops.sum_all(ops.mul_const(c, cat_w))
+            c = ops.concat([w, mul_const(w, rng_fixed)], axis=0)
+            out = sum_all(mul_const(c, cat_w))
         elif name == "transpose_reshape":
-            out = ops.sum_all(ops.mul_const(ops.reshape(ops.transpose(w, (1, 0)), (2, 10)), tr_w))
+            out = sum_all(mul_const(ops.reshape(ops.transpose(w, (1, 0)), (2, 10)), tr_w))
         elif name == "residual_ln":
-            out = ops.residual_ln(w, ops.mul_const(w, rng_fixed), ln_g, ln_b, 1e-5)
-            out = ops.sum_all(ops.mul_const(out, emb_w))
+            out = ops.residual_ln(w, mul_const(w, rng_fixed), ln_g, ln_b, 1e-5)
+            out = sum_all(mul_const(out, emb_w))
         elif name in ("attention_probs", "attention_probs_bias"):
             # queries [2, 2, 5] and keys [2, 2, 5], both read from w
             q = ops.reshape(w, (2, 2, 5))
-            k = ops.reshape(ops.mul_const(w, rng_fixed), (2, 2, 5))
+            k = ops.reshape(mul_const(w, rng_fixed), (2, 2, 5))
             bias = ops.NEG_MASK * np.array([[0.0, 1.0], [0.0, 0.0]]) if "bias" in name else None
-            out = ops.sum_all(ops.mul_const(ops.attention_probs(q, k, bias), att_w))
+            out = sum_all(mul_const(ops.attention_probs(q, k, bias), att_w))
         elif name == "band_attention_probs":
             # queries and keys [2, 5, 2] from w, values fixed: the gradient
             # reaches w only through the probabilities; n=5, w=4 pads one row
             q = ops.reshape(w, (2, 5, 2))
-            k = ops.mul_const(q, rng_fixed.reshape(2, 5, 2))
+            k = mul_const(q, rng_fixed.reshape(2, 5, 2))
             v = Tensor(RngStream(10).normal((2, 5, 3)))
-            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
         elif name == "band_context":
             # values [2, 6, 2] from w, queries and keys fixed: the gradient
             # reaches w only through the context; n=6, w=4 pads no row
             q = Tensor(RngStream(11).normal((2, 6, 3)))
             k = Tensor(RngStream(12).normal((2, 6, 3)))
             v = ops.reshape(w, (2, 6, 2))
-            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
         elif name == "heads_in":
             # w as [2, 2, 5] projected three times into two heads of 2; the
             # first pair is trained, so x's gradient sums three projections'
             pairs = [(hw, hb)] + [(Tensor(f[:5]), Tensor(f[5])) for f in heads_fixed]
             heads = ops.heads_in(ops.reshape(w, (2, 2, 5)), pairs, 2)
-            out = ops.sum_all(ops.mul_const(ops.concat(list(heads), axis=0), heads_w))
+            out = sum_all(mul_const(ops.concat(list(heads), axis=0), heads_w))
         elif name == "heads_out":  # w as heads [2, 2, 5] merged into [2, 10] and projected
             out = ops.heads_out(ops.reshape(w, (2, 2, 5)), hw_out, hb_out)
-            out = ops.sum_all(ops.mul_const(out, att_w[0]))
+            out = sum_all(mul_const(out, att_w[0]))
         else:  # band_attention: n=5, w=4, so the third query block pads one row
             q = ops.transpose(w, (1, 0))
-            k = ops.mul_const(q, rng_fixed.T)
+            k = mul_const(q, rng_fixed.T)
             v = ops.reshape(w, (5, 4))
-            out = ops.sum_all(ops.mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
         return out if tape else out.item()
 
     ln_g = Parameter("g", RngStream(1).normal((5,)))

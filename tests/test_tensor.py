@@ -29,6 +29,7 @@ from tdt import (
 from tdt import ops
 from tdt.tensor import TapeEntry
 from tdt.training import batch_loss
+from helpers import sum_all
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -90,7 +91,7 @@ def test_backward_linear_case_outer_product_structure():
     w = Parameter("w", np.zeros((2, 3)))
     tape = Tape()
     with recording(tape):
-        loss = ops.sum_all(ops.matmul(x, w))
+        loss = sum_all(ops.matmul(x, w))
     backward(loss, tape)
     expected = np.outer(x.data.sum(axis=0), np.ones(3))
     np.testing.assert_array_equal(w.grad, expected)
@@ -103,7 +104,7 @@ def test_backward_accumulates_exactly_twice_without_zero():
     def run():
         tape = Tape()
         with recording(tape):
-            loss = ops.sum_all(ops.matmul(x, w))
+            loss = sum_all(ops.matmul(x, w))
         backward(loss, tape)
 
     run()
@@ -120,7 +121,7 @@ def test_parameter_used_twice_gets_single_summed_accumulation():
     with recording(tape):
         a = ops.matmul(x, w)
         b = ops.matmul(a, w)
-        loss = ops.sum_all(b)
+        loss = sum_all(b)
     backward(loss, tape)
     # d/dw (x*w*w) = 2*x*w = 12
     np.testing.assert_allclose(w.grad, [[12.0]])
@@ -132,7 +133,7 @@ def test_tape_reverse_order_and_entry_count():
     with recording(tape):
         y = ops.scale(x, 2.0)
         z = ops.add(y, x)
-        ops.sum_all(z)
+        sum_all(z)
     assert len(tape) == 3
     assert tape.entries[-1].out.size == 1  # last executed is last recorded
 
@@ -256,7 +257,7 @@ def _ln_loss(tape, params):
     ``tape``; returns the loss and the layer norm's output."""
     with recording(tape):
         y = ops.residual_ln(*params)
-        loss = ops.sum_all(y)
+        loss = sum_all(y)
     return loss, y
 
 
@@ -320,7 +321,7 @@ def test_band_attention_saved_arrays_are_counted_until_backward_pops_its_entry()
     tape = Tape()
     with recording(tape):
         out = ops.band_attention(q, k, v, 2 * block)
-        loss = ops.sum_all(out)
+        loss = sum_all(out)
     padded_kv = h * (nb + 2) * block * d * 8
     probs = h * nb * block * 3 * block * 8
     padded_q = h * nb * block * d * 8
@@ -353,7 +354,7 @@ def test_a_multi_output_entry_counts_its_outputs_and_gets_zeros_for_an_unread_on
     tape = Tape()
     with recording(tape):
         q, k, v = ops.heads_in(x, pairs, 2)
-        loss = ops.sum_all(k)  # q and v unread
+        loss = sum_all(k)  # q and v unread
     assert tape.entries[0].out == (q, k, v)
     heads = 3 * 3 * 4 * 8
     assert tdt.live_bytes() - base == heads + 8
