@@ -302,8 +302,9 @@ def multi_head_attention(x, context, params: AttentionParams, n_heads: int,
     """Attend x [..., n, d] to itself (``context`` None) or to ``context``
     [..., m, d] under ``mask``. A layer ``cache`` extends the cached self
     keys and values, or projects the context's on its first call and
-    reuses them. One head with identity projections reduces to plain
-    softmax(q k^T / sqrt(d)) v."""
+    reuses them; a later context must have the length and width of the
+    first (ShapeError otherwise). One head with identity projections
+    reduces to plain softmax(q k^T / sqrt(d)) v."""
     d = x.shape[-1]
     if n_heads < 1 or d % n_heads:
         raise ConfigError(f"width {d} does not split into {n_heads} heads")
@@ -320,4 +321,8 @@ def multi_head_attention(x, context, params: AttentionParams, n_heads: int,
             if cache.cross is None:
                 cache.cross = ops.heads_in(context, pairs[1:], n_heads)
             k, v = cache.cross
+            m, width = k.shape[-2], params.wk.shape[0]
+            if context.shape[-2:] != (m, width):
+                raise ShapeError(f"context rows and width {context.shape[-2:]} != the cached "
+                                 f"context's {(m, width)}")
     return attend(q, k, v, params, mask, counter, return_weights)

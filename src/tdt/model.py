@@ -489,7 +489,11 @@ class Model:
         assign = None
         if self.config.topdown_mode == "concat":
             assign = token_segment_assignment(x.shape[-2], self.config.segmentation)
-        for x in self._blocks(x, self.top_down, self._band(), counter, segs, assign):
+        if not self.top_down:
+            return x
+        blocks = self._blocks(x, self.top_down, self._band(), counter, segs, assign)
+        del x  # the stack frees its input after its first sublayer, not its first layer
+        for x in blocks:
             pass
         return x
 
@@ -497,13 +501,14 @@ class Model:
                weights=None, labels=None) -> Tensor:
         """Full encoder pass; ``topdown_mode="none"`` stops after bottom-up.
         A process's first encode applies the heap policy of
-        ``tensor._keep_heap``."""
+        ``tensor._keep_heap``. The bottom-up output is handed to the
+        top-down stack, so this frame keeps no reference to it."""
         _keep_heap()
-        x = self.encode_bottom_up(self.embed(token_ids), counter)
+        xs = [self.encode_bottom_up(self.embed(token_ids), counter)]
         if self.config.topdown_mode == "none":
-            return x
-        segs = self.encode_segments(x, counter, weights=weights, labels=labels)
-        return self.encode_top_down(x, segs, counter)
+            return xs.pop()
+        segs = self.encode_segments(xs[0], counter, weights=weights, labels=labels)
+        return self.encode_top_down(xs.pop(), segs, counter)
 
     # -- decoder ----------------------------------------------------------------
 
@@ -516,8 +521,9 @@ class Model:
         ``cache.length`` positions that earlier calls decoded: only the new
         positions run, attending the cached keys and values, and the cache
         is extended with theirs. Its cross-attention keys and values are
-        projected from ``enc_out`` on the first call and reused after, and
-        so is the output projection. A one-position step attends every
+        projected from ``enc_out`` on the first call and reused after (a
+        later ``enc_out`` of another length or width raises ShapeError),
+        and so is the output projection. A one-position step attends every
         cached position, so it builds no causal mask. A call that raises
         leaves the cache as it found it.
         """

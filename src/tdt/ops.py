@@ -224,6 +224,11 @@ def _ln_forward(a: np.ndarray, gain, bias, eps: float):
     return y, vjp, (xhat, inv)
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix of its last-axis rows (``a`` itself when 2-D)."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+
+
 def _affine_vjp(flat: np.ndarray, shape: tuple, w: np.ndarray, g: np.ndarray,
                 bias: bool = True) -> tuple:
     """The gradients of ``flat @ w (+ b)`` from the upstream ``g``: the
@@ -263,7 +268,7 @@ def heads_in(x, pairs, n_heads: int) -> tuple:
     inputs = tuple(v for w, b in reversed(pairs) for v in (x, w, b))
     lead, n = a.shape[:-2], a.shape[-2]
     axes = _head_axes(len(lead))
-    flat = a if a.ndim == 2 else a.reshape(-1, d)
+    flat = _flat(a)
     y = np.empty((len(flat), e))
     outs = []
     for w, b in zip(ws, bs):
@@ -283,43 +288,52 @@ def heads_in(x, pairs, n_heads: int) -> tuple:
 def heads_out(ctx, weight, bias) -> Tensor:
     """Merge heads [..., h, n, hd] into [..., n, h * hd] and project by
     (weight [h * hd, e], bias [e]), as one op with the bits of transpose,
-    reshape and :func:`linear`."""
+    reshape and :func:`linear`. The vjp merges the heads again rather than
+    keep the merged copy."""
     c = _data(ctx)
     if c.ndim < 3:
         raise ShapeError(f"heads_out: heads {c.shape}")
     axes = _head_axes(c.ndim - 3)
-    merged = np.ascontiguousarray(c.transpose(axes))
-    return _affine("heads_out", ctx, merged.reshape(c.shape[:-3] + (c.shape[-2], -1)),
-                   weight, bias, lambda gm: gm.reshape(merged.shape).transpose(axes), (merged,))
+    split = c.shape[:-3] + (c.shape[-2], c.shape[-3], c.shape[-1])
+
+    def merge(heads):
+        return np.ascontiguousarray(heads.transpose(axes)).reshape(split[:-2] + (-1,))
+
+    return _affine("heads_out", ctx, weight, bias, merge,
+                   lambda gm: gm.reshape(split).transpose(axes))
 
 
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map along the last axis: x @ W (+ b)."""
-    return _affine("linear", x, _data(x), weight, bias)
+    return _affine("linear", x, weight, bias)
 
 
-def _affine(op: str, x, a: np.ndarray, weight, bias, unmerge=None, saved: tuple = ()) -> Tensor:
+def _affine(op: str, x, weight, bias, merge=None, unmerge=None) -> Tensor:
     """``a @ W (+ b)`` along the last axis, screened and recorded as op
-    ``op`` of x, whose data is ``a`` or, with ``unmerge``, the array that
-    maps a's gradient to x's. ``saved`` lists the arrays behind ``a`` that
-    are not x's."""
+    ``op`` of x, where ``a`` is x's data or, with ``merge``, merge of it,
+    which the vjp rebuilds rather than keep; ``unmerge`` maps a's gradient
+    to x's."""
+    def operand() -> np.ndarray:
+        return _data(x) if merge is None else merge(_data(x))
+
+    a = operand()
     w = _data(weight)
     b = None if bias is None else _data(bias)
     if w.ndim != 2 or a.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
         raise ShapeError(f"{op}: input {a.shape}, weight {w.shape}, "
                          f"bias {None if b is None else b.shape}")
-    flat = a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
-    y = flat @ w
+    y = _flat(a) @ w
     if b is not None:
         y += b  # y is freshly allocated by the matmul
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _result(op, y.reshape(a.shape[:-1] + (w.shape[1],)), inputs)
 
     def vjp(g):
-        grads = _affine_vjp(flat, a.shape, w, g, b is not None)
+        a = operand()
+        grads = _affine_vjp(_flat(a), a.shape, w, g, b is not None)
         return grads if unmerge is None else (unmerge(grads[0]),) + grads[1:]
 
-    return _record(out, inputs, vjp, saved)
+    return _record(out, inputs, vjp)
 
 
 # -----------------------------------------------------------------------------
@@ -400,19 +414,23 @@ def _zero_filled_add(total, shape: tuple, idx, g: np.ndarray) -> np.ndarray:
     return total
 
 
+def _scorer_operands(dq: np.ndarray, dk: np.ndarray, scale: float) -> tuple:
+    """The scaled queries and the contiguous key transpose that
+    :func:`attention_probs` multiplies; its vjp rebuilds them bit for bit."""
+    return dq * scale if scale != 1.0 else dq, np.ascontiguousarray(dk.swapaxes(-1, -2))
+
+
 def attention_probs(q, k, bias: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
     """softmax((q * scale) k^T + bias) over the last axis, for queries
     [..., n, d] and keys [..., m, d] with equal leading axes. ``bias`` is an
     optional constant additive [n, m] array (a mask penalty; no gradient).
     Scaling the queries, not the scores, keeps the bits of a scale op before
-    the scorer. Scores, bias and softmax share one buffer."""
+    the scorer. Scores, bias and softmax share one buffer, and the vjp keeps
+    only the probabilities."""
     dq, dk = _data(q), _data(k)
     if dq.ndim < 2 or dk.shape[:-2] != dq.shape[:-2] or dk.shape[-1] != dq.shape[-1]:
         raise ShapeError(f"attention_probs: queries {dq.shape} vs keys {dk.shape}")
-    if scale != 1.0:
-        dq = dq * scale
-    kt = np.ascontiguousarray(dk.swapaxes(-1, -2))
-    p = np.matmul(dq, kt)
+    p = np.matmul(*_scorer_operands(dq, dk, scale))
     if bias is not None:
         p += bias
     out = _result("attention_probs", _softmax(p, p), (q, k))
@@ -420,12 +438,13 @@ def attention_probs(q, k, bias: np.ndarray | None = None, scale: float = 1.0) ->
 
     def vjp(g):
         gs = _softmax_vjp(g, p)
+        qs, kt = _scorer_operands(dq, dk, scale)
         gq = np.matmul(gs, kt.swapaxes(-1, -2))
         if scale != 1.0:
             gq *= scale
-        return gq, np.matmul(dq.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+        return gq, np.matmul(qs.swapaxes(-1, -2), gs).swapaxes(-1, -2)
 
-    return _record(out, (q, k), vjp, (kt, dq) if scale != 1.0 else (kt,))
+    return _record(out, (q, k), vjp)
 
 
 @functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
@@ -472,9 +491,10 @@ def _band_weights_dense(probs: np.ndarray, n: int) -> np.ndarray:
 
 def _pad_rows(a: np.ndarray, before: int, after: int) -> np.ndarray:
     """``a`` with zero rows added before and after its second-to-last axis."""
-    widths = [(0, 0)] * a.ndim
-    widths[-2] = (before, after)
-    return np.pad(a, widths)
+    n = a.shape[-2]
+    out = np.zeros(a.shape[:-2] + (before + n + after, a.shape[-1]))
+    out[..., before : before + n, :] = a
+    return out
 
 
 def _blocks_from(s: int, nb: int) -> tuple:
@@ -503,8 +523,8 @@ def band_attention(q, k, v, window: int, return_weights: bool = False, scale: fl
     block per side. Query block i scores key blocks i, i+1 and i+2 (left,
     centre, right) into one [..., nb, block, 3*block] buffer that takes the
     bias and the softmax in place, so live memory is O(n * w); the context
-    sums the three slices times their value blocks. The vjp keeps the
-    padded keys, values and scaled queries and the probabilities.
+    sums the three slices times their value blocks. The vjp keeps only the
+    probabilities and pads the scaled queries, keys and values again.
 
     Outputs and gradients are the bits of the unfused chain scale, pad,
     reshape, scores, context, reshape, slice: the same products in the same
@@ -524,24 +544,25 @@ def band_attention(q, k, v, window: int, return_weights: bool = False, scale: fl
     n_pad = nb * block
     rows = (..., slice(0, n), slice(None))  # the queries' rows of the padded layout
     kv_rows = (..., slice(block, block + n), slice(None))
-    if n_pad > n:
+
+    def q_blocks():  # the queries scaled, the tail zero-padded
+        if n_pad == n:
+            return (dq * scale).reshape(lead + (nb, block, d))
         qp = _pad_rows(dq, 0, n_pad - n)
         qp *= scale  # the same products as scaling first: the pad stays 0.0
-    else:
-        qp = dq * scale
-    q_blk = qp.reshape(lead + (nb, block, d))
-    kp = _pad_rows(dk, block, n_pad - n + block)
-    k_blk = kp.reshape(lead + (nb + 2, block, d))
+        return qp.reshape(lead + (nb, block, d))
+
+    def kv_blocks(a):  # keys or values, one zero block more on each side
+        return _pad_rows(a, block, n_pad - n + block).reshape(lead + (nb + 2, block, a.shape[-1]))
+
+    q_blk, k_blk = q_blocks(), kv_blocks(dk)
     p = np.empty(lead + (nb, block, 3 * block))
     for s in range(3):
         np.matmul(q_blk, _key_blocks_t(k_blk, s, nb), out=p[_slot(s, block)])
     p += bias
     _check_finite("band_attention", _softmax(p, p), inputs)
-    recording = current_tape() is not None
-    if not recording:
-        del qp, q_blk, kp, k_blk  # read no more: one less array beside the scores
-    vp = _pad_rows(dv, block, n_pad - n + block)
-    v_blk = vp.reshape(lead + (nb + 2, block, e))
+    del q_blk, k_blk  # read no more: one less array beside the scores
+    v_blk = kv_blocks(dv)
     ctx = np.matmul(p[_slot(0, block)], v_blk[_blocks_from(0, nb)])
     part = np.empty_like(ctx)
     for s in (1, 2):
@@ -550,32 +571,36 @@ def band_attention(q, k, v, window: int, return_weights: bool = False, scale: fl
     _check_finite("band_attention", ctx, inputs)
     out = _screened(np.ascontiguousarray(ctx.reshape(lead + (n_pad, e))[rows]))
     del ctx
-    if recording:
+    if current_tape() is not None:
         def vjp(g):
             full = np.zeros(lead + (n_pad, e))
             full[rows] = g
             g = full.reshape(lead + (nb, block, e))
+            v_blk = kv_blocks(dv)
             gp = gv = None
             for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
                 ga = np.matmul(g, v_blk[_blocks_from(s, nb)].swapaxes(-1, -2))
                 gp = _zero_filled_add(gp, p.shape, _slot(s, block), ga)
                 gb = np.matmul(p[_slot(s, block)].swapaxes(-1, -2), g)
                 gv = _zero_filled_add(gv, v_blk.shape, _blocks_from(s, nb), gb)
+            del v_blk
             gs = _softmax_vjp(gp, p)
+            q_blk, k_blk = q_blocks(), kv_blocks(dk)
             gq = gk = None
             for s in (2, 1, 0):
                 ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(k_blk, s, nb).swapaxes(-1, -2))
                 gq = ga if gq is None else np.add(gq, ga, out=gq)
                 gb = np.matmul(q_blk.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
                 gk = _zero_filled_add(gk, k_blk.shape, _blocks_from(s, nb), gb)
-            gq = gq.reshape(qp.shape)
+            gq = gq.reshape(lead + (n_pad, d))
             if n_pad > n:
                 gq = np.ascontiguousarray(gq[rows])
             gq *= scale
-            return (gq, np.ascontiguousarray(gk.reshape(kp.shape)[kv_rows]),
-                    np.ascontiguousarray(gv.reshape(vp.shape)[kv_rows]))
+            pad = lead + (n_pad + 2 * block, -1)
+            return (gq, np.ascontiguousarray(gk.reshape(pad)[kv_rows]),
+                    np.ascontiguousarray(gv.reshape(pad)[kv_rows]))
 
-        _record(out, inputs, vjp, (kp, vp, p, qp))
+        _record(out, inputs, vjp, (p,))
     if return_weights:
         return out, _band_weights_dense(p, n)
     return out
@@ -610,43 +635,50 @@ def _row_tiles(rows: int, width: int) -> tuple[int, range]:
     return tile, range(0, rows, tile)
 
 
-def _gelu_tiles(h: np.ndarray, recording: bool, screen):
-    """GELU, tanh form 0.5*h*(1 + tanh(sqrt(2/pi)*(h + 0.044715*h^3))), over
-    row tiles of the matrix ``h``, each tile through every step in the
-    formula's own operation order, so the bits match the unfused expression.
+def _gelu_out(a: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
+    """GELU's last steps 0.5*a*(1 + t) on one tile, in place in ``a``, from
+    its tanh term ``t``, with the tile of scratch ``s`` (which may be t)."""
+    np.multiply(a, 0.5, out=a)
+    np.add(t, 1.0, out=s)
+    a *= s
 
-    Unless ``recording``, it works in place in ``h`` with one tile of scratch
-    and returns ``(h, None)``; otherwise it returns a fresh output and the
-    tanh term, which the vjp reads with ``h``. ``screen(stage, tile)`` checks
-    each pre-activation tile and each output tile while it is in cache."""
+
+def _gelu_tiles(h: np.ndarray, recording: bool, screen):
+    """GELU, tanh form 0.5*h*(1 + tanh(sqrt(2/pi)*(h + 0.044715*h^3))), in
+    place in the matrix ``h``, over row tiles, each tile through every step
+    in the formula's own operation order, so the bits match the unfused
+    expression.
+
+    It works with one tile of scratch and returns None unless
+    ``recording``; then it returns the tanh term, the one array the vjp
+    keeps. ``screen(stage, tile)`` checks each pre-activation tile and each
+    output tile while it is in cache."""
     rows, hidden = h.shape
     tile, starts = _row_tiles(rows, hidden)
     scratch = np.empty((min(rows, tile), hidden))
-    act, th = (np.empty_like(h), np.empty_like(h)) if recording else (h, None)
+    th = np.empty_like(h) if recording else None
     for r0 in starts:
         a = h[r0 : r0 + tile]
         screen("linear1", a)
         s = scratch[: len(a)]
-        t = th[r0 : r0 + tile] if recording else s
+        t = s if th is None else th[r0 : r0 + tile]
         np.multiply(a, a, out=t)
         t *= _GELU_A
         t *= a
         t += a
         t *= _GELU_C
         np.tanh(t, out=t)
-        y = act[r0 : r0 + tile]
-        np.multiply(a, 0.5, out=y)  # in place in a when not recording
-        np.add(t, 1.0, out=s)
-        y *= s
-        screen("gelu", y)
-    return act, th
+        _gelu_out(a, t, s)
+        screen("gelu", a)
+    return th
 
 
-def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
     """GELU's vjp over the row tiles of :func:`_gelu_tiles`, written in place
     into the upstream gradient ``g``:
     d = 0.5(1+t) + 0.5*C*h*(1 + 3A*h^2)*sech^2, with h*h recomputed per tile
-    (the same bits as keeping it)."""
+    (the same bits as keeping it). Each tile of the pre-activation ``h``
+    then becomes GELU's output, by the forward's own steps."""
     rows, hidden = h.shape
     tile, starts = _row_tiles(rows, hidden)
     u_buf = np.empty((min(rows, tile), hidden))
@@ -667,7 +699,7 @@ def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> np.ndarray:
         u += w
         gt = g[r0 : r0 + tile]
         np.multiply(u, gt, out=gt)
-    return g
+        _gelu_out(a, t, w)
 
 
 def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
@@ -677,14 +709,16 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     The two products are each one whole GEMM, as :func:`linear` computes
     them; they are not split into row tiles because a row-tiled BLAS product
     can round differently (it does when a tile has one row). The GELU
-    between them runs over row tiles of about 256 KB that stay in cache
-    through all of its steps (see :func:`_gelu_tiles`), in place in the
-    hidden layer unless a tape records. The residual and layer norm are
+    between them runs in place in the hidden layer, over row tiles of about
+    256 KB that stay in cache through all of its steps (see
+    :func:`_gelu_tiles`). The residual and layer norm are
     :func:`residual_ln`'s. Each stage's result is screened as the unfused
     ops screened theirs, and a non-finite one raises NumericsError naming
     the stage. The vjp runs the stages backward in the unfused tape's
     order (layer norm, second linear, GELU, first linear), so outputs and
-    gradients are the bits of that four-op chain.
+    gradients are the bits of that four-op chain. Of the hidden layer it
+    keeps only the tanh term: it runs the first product again and rebuilds
+    the GELU output from the two, as the forward did.
     """
     inputs = (x, w1, b1, w2, b2, ln_gain, ln_bias)
     a, dw1, db1, dw2, db2 = (_data(v) for v in inputs[:5])
@@ -700,12 +734,16 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     def screen(stage: str, arr: np.ndarray) -> None:
         _check_finite(f"ffn_block ({stage})", arr, inputs)
 
-    flat = a if a.ndim == 2 else a.reshape(-1, d)
-    h = flat @ dw1
-    h += db1
-    recording = current_tape() is not None
-    act, th = _gelu_tiles(h, recording, screen)
-    z = act @ dw2
+    flat = _flat(a)
+
+    def hidden_layer() -> np.ndarray:
+        h = flat @ dw1
+        h += db1
+        return h
+
+    h = hidden_layer()
+    th = _gelu_tiles(h, current_tape() is not None, screen)
+    z = h @ dw2
     z += db2
     screen("linear2", z)
     y, ln_vjp, ln_saved = _ln_forward(z.reshape(a.shape), ln_gain, ln_bias, eps)
@@ -713,18 +751,22 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
     y += a
     screen("residual_ln", y)
     out = _screened(y)
-    if not recording:
+    if th is None:
         return out
 
     def vjp(g):
         gz, g_gain, g_bias = ln_vjp(g)
-        gh, gw2, gb2 = _affine_vjp(act, act.shape, dw2, gz)
-        _gelu_tiles_vjp(h, th, gh)
+        gzf = gz.reshape(-1, d)
+        gh = gzf @ dw2.T
+        h = hidden_layer()
+        _gelu_tiles_vjp(h, th, gh)  # h is the GELU output after it
+        gw2, gb2 = h.T @ gzf, gzf.sum(axis=0)
+        del h
         gx, gw1, gb1 = _affine_vjp(flat, a.shape, dw1, gh)
         gx += g  # the residual's gradient plus the first linear's
         return gx, gw1, gb1, gw2, gb2, g_gain, g_bias
 
-    return _record(out, inputs, vjp, (h, th, act) + ln_saved)
+    return _record(out, inputs, vjp, (th,) + ln_saved)
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:

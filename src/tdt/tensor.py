@@ -245,10 +245,14 @@ class TapeEntry:
     ``out`` is one tensor or a tuple of them. The vjp of a tuple takes one
     gradient per output, zeros for an output nothing read. ``saved`` holds
     the arrays the closure keeps besides the inputs' and the output's data
-    (a layer norm's ``xhat``, softmax probabilities, a hidden layer). Those
-    that own their memory are counted as live bytes while the entry lives;
-    a view among them belongs to the array it views, which is
-    counted where it lives.
+    (a layer norm's ``xhat``, softmax probabilities, the FFN's tanh term):
+    only what the vjp cannot rebuild bit for bit from them. Those that own
+    their memory are counted as live bytes while the entry lives; a view
+    among them belongs to the array it views, which is counted where it
+    lives. What a vjp rebuilds (a hidden layer, padded copies) is scratch
+    of ``backward`` and is not counted, nor are gradients: in training the
+    tracker's peak reads that much under ``tracemalloc``'s (16% on the
+    desk train step).
     """
 
     __slots__ = ("out", "inputs", "vjp", "nbytes", "_alloc")

@@ -332,3 +332,20 @@ def test_decode_on_an_empty_encoder_output_raises_and_leaves_the_cache():
     prefix = [BOS_ID] + list(_src(25, 4, cfg))
     step = m.decode([prefix], Tensor(enc.data[None]), cache=cache).data[0]
     np.testing.assert_array_equal(step, m.decode([prefix], Tensor(enc.data[None])).data[0])
+
+
+@pytest.mark.parametrize("rows, width", [(0, None), (11, None), (None, 32)],
+                         ids=["zero-rows", "other-length", "other-width"])
+def test_a_warm_cache_refuses_another_encoder_output_and_stays_as_it_was(rows, width):
+    cfg = _cfg()
+    m = Model(cfg, seed=26)
+    enc = Tensor(m.encode(_src(27, 12, cfg)).data[None])
+    prefix = [BOS_ID] + list(_src(28, 3, cfg))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    m.decode([prefix[:2]], enc, cache=cache)
+    other = Tensor(np.ones((1, 12 if rows is None else rows, width or cfg.d_model)))
+    with pytest.raises(ShapeError, match="cached context"):
+        m.decode([prefix[2:3]], other, cache=cache)
+    assert (cache.length, cache.batch_shape) == (2, (1,))
+    step = m.decode([prefix[2:]], enc, cache=cache).data[0]
+    assert np.max(np.abs(step - m.decode([prefix], enc).data[0, 2:])) <= 1e-12

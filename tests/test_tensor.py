@@ -312,26 +312,48 @@ def test_saved_arrays_are_released_when_an_unused_tape_is_dropped():
     assert tdt.live_bytes() - base == 8 + y.nbytes
 
 
-def test_band_attention_saved_arrays_are_counted_until_backward_pops_its_entry():
-    # 2 heads, n=7, w=4: blocks of 2, so 4 query blocks and one padded query row
-    h, n, d, block, nb = 2, 7, 3, 2, 4
-    q, k, v = (Parameter(name, RngStream(i).normal((h, n, d))) for i, name in enumerate("qkv"))
+def _assert_saved_until_backward(op, params, saved: int) -> None:
+    """Recording ``op(*params)`` leaves its output and ``saved`` bytes of its
+    entry's own arrays live beside the scalar loss; backward frees the
+    saved bytes, and dropping the output leaves the loss alone."""
     gc.collect()
     base = tdt.live_bytes()
     tape = Tape()
     with recording(tape):
-        out = ops.band_attention(q, k, v, 2 * block)
+        out = op(*params)
         loss = sum_all(out)
-    padded_kv = h * (nb + 2) * block * d * 8
-    probs = h * nb * block * 3 * block * 8
-    padded_q = h * nb * block * d * 8
-    assert tdt.live_bytes() - base == 8 + out.nbytes + 2 * padded_kv + probs + padded_q
+    assert tdt.live_bytes() - base == 8 + out.nbytes + saved
     backward(loss, tape)
     gc.collect()
     assert tdt.live_bytes() - base == 8 + out.nbytes
     del out
     gc.collect()
     assert tdt.live_bytes() - base == 8
+
+
+def _normal_params(*shapes):
+    return [Parameter(f"p{i}", RngStream(i).normal(shape)) for i, shape in enumerate(shapes)]
+
+
+def test_band_attention_saved_arrays_are_counted_until_backward_pops_its_entry():
+    # 2 heads, n=7, w=4: blocks of 2, so 4 query blocks and one padded query row;
+    # the entry keeps only the probabilities, the vjp pads q, k and v again
+    h, n, d, block, nb = 2, 7, 3, 2, 4
+    probs = h * nb * block * 3 * block * 8
+    _assert_saved_until_backward(lambda q, k, v: ops.band_attention(q, k, v, 2 * block, scale=0.5),
+                                 _normal_params(*[(h, n, d)] * 3), probs)
+
+
+@pytest.mark.parametrize("op, shapes, saved", [
+    # 5 rows, d 4, hidden 16: the tanh term [5, 16], the layer norm's xhat [5, 4] and 1/std [5, 1]
+    (ops.ffn_block, [(5, 4), (4, 16), (16,), (16, 4), (4,), (4,), (4,)], (5 * 16 + 5 * 4 + 5) * 8),
+    # nothing: the vjp rebuilds the key transpose and the scaled queries
+    (lambda q, k: ops.attention_probs(q, k, scale=0.5), [(2, 3, 4), (2, 5, 4)], 0),
+    # nothing: the vjp merges the heads again
+    (ops.heads_out, [(2, 3, 4), (8, 6), (6,)], 0),
+], ids=["ffn_block", "attention_probs", "heads_out"])
+def test_an_entry_keeps_only_what_its_vjp_cannot_rebuild(op, shapes, saved):
+    _assert_saved_until_backward(op, _normal_params(*shapes), saved)
 
 
 def test_a_saved_view_adds_no_bytes():
@@ -386,6 +408,22 @@ def test_live_bytes_return_to_the_pre_forward_level_after_a_train_step():
     del loss
     gc.collect()
     assert tdt.live_bytes() == base
+
+
+def test_a_desk_forward_leaves_at_most_16_mb_live():
+    # 8 key-value instances at N=64: the traced train_desk step's batch. Each
+    # op's entry keeps only what its vjp cannot rebuild (26.61 MB when the
+    # FFN kept its hidden layer and the scorers their padded and scaled copies).
+    cfg = desk_config()
+    m = Model(cfg, seed=1)
+    batch = [gen_keyvalue_task(RngStream(1).split(str(j)), 64, cfg.window,
+                                cfg.n_bottom_up, cfg.vocab_size) for j in range(8)]
+    gc.collect()
+    base = tdt.live_bytes()
+    tape = Tape()
+    batch_loss(m, batch, tape)
+    assert len(tape) == 63
+    assert tdt.live_bytes() - base <= 16 * 10**6
 
 
 # -----------------------------------------------------------------------------
