@@ -16,6 +16,7 @@ from tdt import (
     MaskSpec,
     Model,
     OpCounter,
+    Parameter,
     RngStream,
     Tensor,
     build_mask,
@@ -29,13 +30,14 @@ rng = RngStream(0)
 d, heads, n, w = 32, 4, 24, 8
 x = Tensor(rng.normal((n, d)))
 params = init_attention_params(rng.split("p"), d, "demo")
+ln = (Parameter("demo.ln.gain", np.ones(d)), Parameter("demo.ln.bias", np.zeros(d)))
 
-local = multi_head_attention(x, None, params, heads, MaskSpec.band(w))
-dense = multi_head_attention(x, None, params, heads, build_mask(MaskSpec.band(w), n, n))
+local = multi_head_attention(x, None, params, ln, heads, MaskSpec.band(w))
+dense = multi_head_attention(x, None, params, ln, heads, build_mask(MaskSpec.band(w), n, n))
 print(f"banded vs dense-masked, max abs diff: {np.abs(local.data - dense.data).max():.2e}")
 
 counter = OpCounter()
-multi_head_attention(x, None, params, heads, MaskSpec.band(w), counter)
+multi_head_attention(x, None, params, ln, heads, MaskSpec.band(w), counter)
 print(f"counter: {counter.score_evals}  (budget: {heads * tdt.band_popcount(n, w)})")
 
 print("\nPeak tracked allocation of one encoder forward at N=1024, d=64:")

@@ -1,20 +1,16 @@
 """Attention: one path, :func:`multi_head_attention`, for every attention
-the model runs (bottom-up local, segment full, token-segment cross, decoder
-self and cross); only the mask and the context differ.
+sublayer the model runs (bottom-up local, segment full, token-segment cross,
+decoder self and cross); only the mask and the context differ.
 
 ``ops.heads_in`` projects straight into heads, one op per source (self
 attention one, cross attention two); a layer's decode cache (``_LayerKV``,
 the one owner of the cache layout) extends the self keys and values or
-reuses the context's. :func:`attend` then scores (the scorers take the
-1/sqrt(head_dim) query scale), takes the softmax and the context, and
-``ops.heads_out`` merges the heads and projects them out as one op. The mask
-picks the scorer. A band that leaves some pair out is one op,
-``ops.band_attention``, which never materializes an N x N score matrix, so
-live memory grows with N * w; its blocked layout is known to ``ops`` alone.
-Everything else is scored by ``ops.attention_probs`` (scores, mask penalty
-and softmax in one buffer) and a context product. Masked slots get a -1e30
-additive penalty whose exponent underflows to exactly zero, so tokens
-outside the mask cannot influence a row even at the bit level.
+reuses the context's. ``ops.attention_block`` then turns the heads into the
+sublayer's output x + LN(branch) as one op. A band that leaves some pair
+out is scored blocked, never N x N, so live memory grows with N * w. Masked
+slots get a -1e30 additive penalty whose exponent underflows to exactly
+zero, so tokens outside the mask cannot influence a row even at the bit
+level.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
 increment equals the number of admitted query-key pairs summed over heads,
@@ -222,9 +218,10 @@ class _LayerKV:
     cross: tuple | None = None  # the context's keys and values
 
     def select(self, rows: np.ndarray) -> None:
+        """Keep batch rows ``rows``; context keys and values of batch one serve them all."""
         self.k.select(rows)
         self.v.select(rows)
-        if self.cross is not None:
+        if self.cross is not None and self.cross[0].shape[0] > 1:
             self.cross = tuple(_screened(t.data[rows]) for t in self.cross)
 
     def truncate(self, n: int) -> None:
@@ -240,71 +237,22 @@ class _LayerKV:
 # -----------------------------------------------------------------------------
 
 
-def attend(q, k, v, params: AttentionParams, mask: np.ndarray | MaskSpec | None,
-           counter: OpCounter | None = None, return_weights: bool = False):
-    """Scaled dot-product attention over already projected, head-split
-    queries [..., heads, n, head_dim] and keys/values [..., heads, m,
-    head_dim], followed by the head merge and output projection back to
-    [..., n, d] (``ops.heads_out``), with the head count and width of q:
-    score (scaled by 1/sqrt(head_dim)), softmax, context, projection, count.
+def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
+                         mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
+                         cache: _LayerKV | None = None):
+    """The attention sublayer x + LN(attention of x [..., n, d] to itself
+    (``context`` None) or to ``context`` [..., m, d]) under ``mask``, with
+    ``ln`` its layer norm's (gain, bias). A batch-one context serves every
+    batch row of x.
 
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
-    a :class:`MaskSpec`, or None (every pair admitted). Masked pairs get an
-    additive penalty whose exponent underflows to exactly zero. A band that
-    leaves some pair out (w < 2(n-1)) goes to ``ops.band_attention``, one
-    op from the heads to the context that never materializes anything
-    n x n (live memory O(n * w)). Every other mask is scored densely,
-    scores, penalty and softmax in one buffer. ``return_weights`` adds the
-    [..., heads, n, m] attention weights (a copy; no gradient).
+    a :class:`MaskSpec`, or None (every pair admitted); a band that leaves
+    some pair out (w < 2(n-1)) is scored blocked, in O(n * w) memory. A
+    layer ``cache`` extends the cached self keys and values, or projects the
+    context's on its first call and reuses them; a later context must have
+    the length and width of the first (ShapeError otherwise). ``counter``
+    gains the admitted pairs summed over heads and leading axes.
     """
-    *lead, h, n, dh = q.shape
-    m = k.shape[-2]
-    if m < 1:
-        raise UsageError("attention requires at least one key")
-    if v.shape[-2] != m or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
-        raise ShapeError("query/key/value leading shapes disagree")
-    window = None
-    if isinstance(mask, MaskSpec):
-        if mask.kind == "band" and n == m and mask.window < 2 * (n - 1):
-            window, mask = mask.window, None
-        else:
-            mask = build_mask(mask, n, m)
-    elif mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
-        if not mask.any(axis=1).all():
-            raise UsageError("attention row with no admitted positions")
-    scale = 1.0 / math.sqrt(dh)
-    weights = None
-    if window is None:
-        bias = None if mask is None or mask.all() else ops.NEG_MASK * (~mask)
-        probs = ops.attention_probs(q, k, bias, scale)
-        ctx = ops.matmul(probs, v)
-        if return_weights:
-            weights = probs.data.copy()
-        del probs  # the branch's largest array: free it before the projection
-        pairs = int(mask.sum()) if mask is not None else n * m
-    else:
-        ctx = ops.band_attention(q, k, v, window, return_weights, scale)
-        if return_weights:
-            ctx, weights = ctx
-        pairs = band_popcount(n, window)
-    out = ops.heads_out(ctx, params.wo, params.bo)
-    if counter is not None:
-        counter.add(math.prod(lead) * h * pairs)
-    return (out, weights) if return_weights else out
-
-
-def multi_head_attention(x, context, params: AttentionParams, n_heads: int,
-                         mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
-                         cache: _LayerKV | None = None, return_weights: bool = False):
-    """Attend x [..., n, d] to itself (``context`` None) or to ``context``
-    [..., m, d] under ``mask``. A layer ``cache`` extends the cached self
-    keys and values, or projects the context's on its first call and
-    reuses them; a later context must have the length and width of the
-    first (ShapeError otherwise). One head with identity projections
-    reduces to plain softmax(q k^T / sqrt(d)) v."""
     d = x.shape[-1]
     if n_heads < 1 or d % n_heads:
         raise ConfigError(f"width {d} does not split into {n_heads} heads")
@@ -325,4 +273,31 @@ def multi_head_attention(x, context, params: AttentionParams, n_heads: int,
             if context.shape[-2:] != (m, width):
                 raise ShapeError(f"context rows and width {context.shape[-2:]} != the cached "
                                  f"context's {(m, width)}")
-    return attend(q, k, v, params, mask, counter, return_weights)
+    *lead, h, n, dh = q.shape
+    m = k.shape[-2]
+    if m < 1:
+        raise UsageError("attention requires at least one key")
+    window = bias = None
+    if isinstance(mask, MaskSpec):
+        if mask.kind == "band" and n == m and mask.window < 2 * (n - 1):
+            window, mask = mask.window, None
+        else:
+            mask = build_mask(mask, n, m)
+    elif mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
+        if not mask.any(axis=1).all():
+            raise UsageError("attention row with no admitted positions")
+    if mask is not None and not mask.all():
+        bias = ops.NEG_MASK * (~mask)
+    gain, shift = ln
+    out = ops.attention_block(x, q, k, v, params.wo, params.bo, gain, shift, bias, window,
+                              1.0 / math.sqrt(dh))
+    if counter is not None:
+        if window is not None:
+            admitted = band_popcount(n, window)
+        else:
+            admitted = n * m if mask is None else int(mask.sum())
+        counter.add(math.prod(lead) * h * admitted)
+    return out

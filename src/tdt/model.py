@@ -33,6 +33,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 
-LN_EPS = 1e-5
+LN_EPS = ops.LN_EPS
 # Branch layer-norm gains start small so the residual stream is dominated by
 # token content rather than normalized init noise; the gains are trainable
 # and grow as branches become useful.
@@ -178,8 +179,7 @@ def paper_config(**overrides) -> ModelConfig:
 # -----------------------------------------------------------------------------
 
 
-@dataclass
-class _LnParams:
+class _LnParams(NamedTuple):
     gain: Parameter
     bias: Parameter
 
@@ -213,7 +213,7 @@ class DecodeCache:
     positions decoded so far, the ``batch_shape`` of the decoded ids, one
     :func:`~tdt.attention.multi_head_attention` cache per decoder layer
     (``layers``: self-attention keys and values, and the encoder output's
-    cross-attention keys and values, with one row per batch row), and the
+    cross-attention keys and values, with its batch: one serves all), and the
     output projection its first call made (the tied readout is a transpose
     of the token table, which a step need not copy again).
     """
@@ -267,11 +267,6 @@ def top_down_concat_update(e, segs, assignment, proj_w, proj_b, ln: _LnParams,
     """Concat ablation update: e + LN(proj([e_i ; s_assign(i)]))."""
     cat = ops.concat([e, ops.gather_rows(segs, assignment)], axis=-1)
     return ops.residual_ln(e, ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
-
-
-def _residual(x, branch, ln: _LnParams):
-    """x + LayerNorm(branch): the residual stream itself is never normalized."""
-    return ops.residual_ln(x, branch, ln.gain, ln.bias, LN_EPS)
 
 
 # -----------------------------------------------------------------------------
@@ -418,8 +413,7 @@ class Model:
             )
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
-        tok = ops.gather_rows(self.tok_emb, ids)
-        return ops.add(tok, ops.gather_rows(pos_table, np.arange(start, start + t)))
+        return ops.add_rows(ops.gather_rows(self.tok_emb, ids), pos_table, start)
 
     def _blocks(self, x, layers, mask, counter, context=None, assign=None,
                 cache: DecodeCache | None = None):
@@ -434,9 +428,9 @@ class Model:
         mha, h = multi_head_attention, self.config.n_heads
         for i, layer in enumerate(layers):
             kv = None if cache is None else cache.layers[i]
-            x = _residual(x, mha(x, None, layer.self_attn, h, mask, counter, kv), layer.ln_self)
+            x = mha(x, None, layer.self_attn, layer.ln_self, h, mask, counter, kv)
             if layer.cross is not None:
-                x = _residual(x, mha(x, context, layer.cross, h, None, counter, kv), layer.ln_cross)
+                x = mha(x, context, layer.cross, layer.ln_cross, h, None, counter, kv)
             elif layer.concat_w is not None:
                 x = top_down_concat_update(
                     x, context, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
@@ -476,8 +470,7 @@ class Model:
         spec = self.config.segmentation
         p = self._resolve_pool_weights(weights, labels)
         segs = pool_average(x, spec) if p is None else pool_weighted(x, p, spec)
-        m = segs.shape[-2]
-        segs = ops.add(segs, ops.gather_rows(self.pos_seg, np.arange(m)))
+        segs = ops.add_rows(segs, self.pos_seg)
         for segs in self._blocks(segs, self.segment_layers, None, counter):
             pass
         return segs
@@ -607,6 +600,10 @@ class Model:
             if not last:
                 break
             logits = self.decode(last, enc, counter, cache).data[:, -1]
+            # every open row's log-probabilities and best tokens at once
+            peak = logits.max(axis=-1, keepdims=True)
+            logprobs = logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
+            tops = np.argsort(-logprobs, axis=-1, kind="stable")[:, :beam_size].tolist()
             # Candidates carry the cache row of their parent (-1: finished).
             candidates = []
             row = 0
@@ -614,12 +611,9 @@ class Model:
                 if done:
                     candidates.append((ids, logp, True, -1))
                     continue
-                logprobs = logits[row] - _logsumexp(logits[row])
-                top = np.argsort(-logprobs, kind="stable")[: beam_size]
-                for tok in top:
-                    tok = int(tok)
+                for tok in tops[row]:
                     candidates.append(
-                        (ids + (tok,), logp + float(logprobs[tok]), tok == eos_id, row)
+                        (ids + (tok,), logp + float(logprobs[row, tok]), tok == eos_id, row)
                     )
                 row += 1
             candidates.sort(key=lambda h: (-(h[1] / len(h[0])), h[0]))
@@ -628,11 +622,6 @@ class Model:
             hyps = [h[:3] for h in kept]
         best = max(hyps, key=lambda h: (h[1] / max(1, len(h[0])), [-i for i in h[0]]))
         return list(best[0])
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
 
 
 # -----------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .tensor import (
 
 # Additive pre-softmax penalty standing in for -inf on masked logits.
 NEG_MASK = -1e30
+# The epsilon of every layer norm: residual_ln, attention_block, ffn_block.
+LN_EPS = 1e-5
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -245,16 +247,18 @@ def _head_axes(lead: int) -> tuple:
 
 
 def heads_in(x, pairs, n_heads: int) -> tuple:
-    """Project x [..., n, d] by each (weight [d, e], bias [e]) of ``pairs``
-    (one to three) and split each projection into heads: one
-    [..., n_heads, n, e / n_heads] tensor per pair, from one tape entry.
+    """Project x [..., n, d] by each (weight [d, e], bias [e]) of ``pairs``,
+    the query, key and value projections or a suffix of them, and split each
+    projection into heads: one [..., n_heads, n, e / n_heads] tensor per
+    pair, from one tape entry.
 
     Each projection is :func:`linear`'s product and bias add, screened, in
     one reused [rows, e] scratch, then copied head-split into its own
-    output: the bits of linear, reshape and transpose. The entry lists x
-    once per pair, last pair first, and the vjp returns x's gradients in
-    that order, so backward sums them as it summed the unfused projections';
-    weight and bias gradients are linear's products.
+    output: the bits of linear, reshape and transpose. The key is a view of
+    its contiguous transpose, the operand the dense scorer multiplies. The
+    entry lists x once per pair, last pair first, and the vjp returns x's
+    gradients in that order, so backward sums them as it summed the unfused
+    projections'; weight and bias gradients are linear's products.
     """
     a = _data(x)
     ws = [_data(w) for w, _ in pairs]
@@ -268,15 +272,20 @@ def heads_in(x, pairs, n_heads: int) -> tuple:
     inputs = tuple(v for w, b in reversed(pairs) for v in (x, w, b))
     lead, n = a.shape[:-2], a.shape[-2]
     axes = _head_axes(len(lead))
+    key_axes = axes[:-2] + (len(lead) + 2, len(lead))  # [..., n, h, hd] -> [..., h, hd, n]
     flat = _flat(a)
     y = np.empty((len(flat), e))
     outs = []
-    for w, b in zip(ws, bs):
+    for i, (w, b) in enumerate(zip(ws, bs)):
         np.matmul(flat, w, out=y)
         y += b
         _check_finite("heads_in", y, inputs)
-        # a C-order copy: with one head the transpose alone would be a view of y
-        outs.append(_screened(y.reshape(lead + (n, n_heads, e // n_heads)).transpose(axes).copy()))
+        # a C-order copy: the transpose alone can be a view of the scratch y
+        heads = y.reshape(lead + (n, n_heads, e // n_heads))
+        if i == len(pairs) - 2:  # the key
+            outs.append(_screened(heads.transpose(key_axes).copy().swapaxes(-1, -2)))
+        else:
+            outs.append(_screened(heads.transpose(axes).copy()))
 
     def vjp(gs):
         return [grad for w, g in zip(reversed(ws), reversed(gs))
@@ -285,55 +294,25 @@ def heads_in(x, pairs, n_heads: int) -> tuple:
     return _record(tuple(outs), inputs, vjp)
 
 
-def heads_out(ctx, weight, bias) -> Tensor:
-    """Merge heads [..., h, n, hd] into [..., n, h * hd] and project by
-    (weight [h * hd, e], bias [e]), as one op with the bits of transpose,
-    reshape and :func:`linear`. The vjp merges the heads again rather than
-    keep the merged copy."""
-    c = _data(ctx)
-    if c.ndim < 3:
-        raise ShapeError(f"heads_out: heads {c.shape}")
-    axes = _head_axes(c.ndim - 3)
-    split = c.shape[:-3] + (c.shape[-2], c.shape[-3], c.shape[-1])
-
-    def merge(heads):
-        return np.ascontiguousarray(heads.transpose(axes)).reshape(split[:-2] + (-1,))
-
-    return _affine("heads_out", ctx, weight, bias, merge,
-                   lambda gm: gm.reshape(split).transpose(axes))
+def _merge_heads(heads: np.ndarray) -> np.ndarray:
+    """Heads [..., h, n, hd] merged into a C-order [..., n, h * hd]."""
+    axes = _head_axes(heads.ndim - 3)
+    merged = np.ascontiguousarray(heads.transpose(axes))
+    return merged.reshape(heads.shape[:-3] + (heads.shape[-2], -1))
 
 
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map along the last axis: x @ W (+ b)."""
-    return _affine("linear", x, weight, bias)
-
-
-def _affine(op: str, x, weight, bias, merge=None, unmerge=None) -> Tensor:
-    """``a @ W (+ b)`` along the last axis, screened and recorded as op
-    ``op`` of x, where ``a`` is x's data or, with ``merge``, merge of it,
-    which the vjp rebuilds rather than keep; ``unmerge`` maps a's gradient
-    to x's."""
-    def operand() -> np.ndarray:
-        return _data(x) if merge is None else merge(_data(x))
-
-    a = operand()
-    w = _data(weight)
-    b = None if bias is None else _data(bias)
+    a, w, b = _data(x), _data(weight), None if bias is None else _data(bias)
     if w.ndim != 2 or a.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
-        raise ShapeError(f"{op}: input {a.shape}, weight {w.shape}, "
+        raise ShapeError(f"linear: input {a.shape}, weight {w.shape}, "
                          f"bias {None if b is None else b.shape}")
     y = _flat(a) @ w
     if b is not None:
         y += b  # y is freshly allocated by the matmul
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _result(op, y.reshape(a.shape[:-1] + (w.shape[1],)), inputs)
-
-    def vjp(g):
-        a = operand()
-        grads = _affine_vjp(_flat(a), a.shape, w, g, b is not None)
-        return grads if unmerge is None else (unmerge(grads[0]),) + grads[1:]
-
-    return _record(out, inputs, vjp)
+    out = _result("linear", y.reshape(a.shape[:-1] + (w.shape[1],)), inputs)
+    return _record(out, inputs, lambda g: _affine_vjp(_flat(a), a.shape, w, g, b is not None))
 
 
 # -----------------------------------------------------------------------------
@@ -370,6 +349,28 @@ def gather_rows(x, idx) -> Tensor:
     return _record(out, (x,), lambda g: (_scatter_rows(a, idx, g),))
 
 
+def add_rows(x, table, start: int = 0) -> Tensor:
+    """x [..., n, d] plus rows start .. start+n-1 of ``table`` [m, d] (a
+    position table), shared across x's leading axes: the bits of ``add(x,
+    gather_rows(table, arange(start, start + n)))`` as one op. The vjp
+    writes the rows' gradient, summed over the leading axes, into zeros
+    shaped like the table, as :func:`gather_rows`' does."""
+    a, t = _data(x), _data(table)
+    if a.ndim < 2 or t.ndim != 2 or t.shape[1] != a.shape[-1]:
+        raise ShapeError(f"add_rows: input {a.shape} vs table {t.shape}")
+    rows, n = t[start : start + a.shape[-2]], a.shape[-2]
+    if start < 0 or len(rows) < n:
+        raise UsageError(f"add_rows: rows [{start}, {start + n}) outside the table's {len(t)}")
+    out = _result("add_rows", a + rows, (x, table))
+
+    def vjp(g):
+        gt = np.zeros_like(t)
+        gt[start : start + n] += g if g.ndim == 2 else g.reshape((-1,) + rows.shape).sum(axis=0)
+        return g, gt
+
+    return _record(out, (x, table), vjp)
+
+
 def window_sum(x, starts: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted sums of row windows: out[..., j, :] = sum over t of
     weights[..., j, t] * x[..., starts[j] + t, :], for x [..., n, d] and
@@ -397,7 +398,7 @@ def window_sum(x, starts: np.ndarray, weights: np.ndarray) -> Tensor:
 
 
 # -----------------------------------------------------------------------------
-# Attention probabilities and context
+# The attention sublayer
 # -----------------------------------------------------------------------------
 
 
@@ -415,36 +416,22 @@ def _zero_filled_add(total, shape: tuple, idx, g: np.ndarray) -> np.ndarray:
 
 
 def _scorer_operands(dq: np.ndarray, dk: np.ndarray, scale: float) -> tuple:
-    """The scaled queries and the contiguous key transpose that
-    :func:`attention_probs` multiplies; its vjp rebuilds them bit for bit."""
+    """The scaled queries (the bits of a scale op before the scorer) and the
+    contiguous key transpose (``heads_in``'s keys' own memory) that the
+    dense scorer multiplies; its vjp rebuilds them bit for bit."""
     return dq * scale if scale != 1.0 else dq, np.ascontiguousarray(dk.swapaxes(-1, -2))
 
 
-def attention_probs(q, k, bias: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
-    """softmax((q * scale) k^T + bias) over the last axis, for queries
-    [..., n, d] and keys [..., m, d] with equal leading axes. ``bias`` is an
-    optional constant additive [n, m] array (a mask penalty; no gradient).
-    Scaling the queries, not the scores, keeps the bits of a scale op before
-    the scorer. Scores, bias and softmax share one buffer, and the vjp keeps
-    only the probabilities."""
-    dq, dk = _data(q), _data(k)
-    if dq.ndim < 2 or dk.shape[:-2] != dq.shape[:-2] or dk.shape[-1] != dq.shape[-1]:
-        raise ShapeError(f"attention_probs: queries {dq.shape} vs keys {dk.shape}")
-    p = np.matmul(*_scorer_operands(dq, dk, scale))
-    if bias is not None:
-        p += bias
-    out = _result("attention_probs", _softmax(p, p), (q, k))
-    p = out.data
-
-    def vjp(g):
-        gs = _softmax_vjp(g, p)
-        qs, kt = _scorer_operands(dq, dk, scale)
-        gq = np.matmul(gs, kt.swapaxes(-1, -2))
-        if scale != 1.0:
-            gq *= scale
-        return gq, np.matmul(qs.swapaxes(-1, -2), gs).swapaxes(-1, -2)
-
-    return _record(out, (q, k), vjp)
+def _dense_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
+    """Query, key and value gradients of the dense context p v from its own."""
+    gp = np.matmul(g, dv.swapaxes(-1, -2))
+    gv = np.matmul(p.swapaxes(-1, -2), g)
+    gs = _softmax_vjp(gp, p)
+    qs, kt = _scorer_operands(dq, dk, scale)
+    gq = np.matmul(gs, kt.swapaxes(-1, -2))
+    if scale != 1.0:
+        gq *= scale
+    return gq, np.matmul(qs.swapaxes(-1, -2), gs).swapaxes(-1, -2), gv
 
 
 @functools.lru_cache(maxsize=1)  # every banded layer of an encode shares (n, w)
@@ -478,17 +465,6 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     return bias, block, nb
 
 
-def _band_weights_dense(probs: np.ndarray, n: int) -> np.ndarray:
-    """Scatter blocked band weights [..., nb, block, 3*block] into [..., n, n]."""
-    nb, block = probs.shape[-3], probs.shape[-2]
-    i, r, s = np.ogrid[:nb, :block, : 3 * block]
-    q_abs, j_abs = np.broadcast_arrays(i * block + r, (i - 1) * block + s)
-    keep = (q_abs < n) & (j_abs >= 0) & (j_abs < n)
-    dense = np.zeros(probs.shape[:-3] + (n, n))
-    dense[..., q_abs[keep], j_abs[keep]] = probs[..., keep]
-    return dense
-
-
 def _pad_rows(a: np.ndarray, before: int, after: int) -> np.ndarray:
     """``a`` with zero rows added before and after its second-to-last axis."""
     n = a.shape[-2]
@@ -512,98 +488,156 @@ def _key_blocks_t(dk: np.ndarray, s: int, nb: int) -> np.ndarray:
     return np.ascontiguousarray(dk[_blocks_from(s, nb)].swapaxes(-1, -2))
 
 
-def band_attention(q, k, v, window: int, return_weights: bool = False, scale: float = 1.0):
-    """Banded attention softmax((q * scale) k^T + mask) v: query i attends
-    the keys j with |i - j| <= w/2. Queries and keys are [..., n, d],
-    values [..., n, e]; returns the context [..., n, e] and, with
-    ``return_weights``, the dense [..., n, n] weights too (no gradient).
+def _band_q_blocks(dq: np.ndarray, block: int, nb: int, scale: float) -> np.ndarray:
+    """The queries scaled, the tail zero-padded, as [..., nb, block, d]."""
+    lead, n, d = dq.shape[:-2], dq.shape[-2], dq.shape[-1]
+    if nb * block == n:
+        return (dq * scale).reshape(lead + (nb, block, d))
+    qp = _pad_rows(dq, 0, nb * block - n)
+    qp *= scale  # the same products as scaling first: the pad stays 0.0
+    return qp.reshape(lead + (nb, block, d))
 
-    Queries go in nb = ceil(n / block) blocks of block = w/2 rows, scaled
-    and the tail zero-padded in one copy; keys and values get one more zero
-    block per side. Query block i scores key blocks i, i+1 and i+2 (left,
-    centre, right) into one [..., nb, block, 3*block] buffer that takes the
-    bias and the softmax in place, so live memory is O(n * w); the context
-    sums the three slices times their value blocks. The vjp keeps only the
-    probabilities and pads the scaled queries, keys and values again.
 
-    Outputs and gradients are the bits of the unfused chain scale, pad,
-    reshape, scores, context, reshape, slice: the same products in the same
-    order, the vjp's right, centre and left sums in that chain's tape order.
-    The products read and write strided block views, which keeps those bits
-    only while BLAS computes a strided matrix like its contiguous copy;
-    tests/digest.py checks that it does.
-    """
-    inputs = (q, k, v)
-    dq, dk, dv = _data(q), _data(k), _data(v)
-    if dq.ndim < 2 or dk.shape != dq.shape or dv.shape[:-1] != dq.shape[:-1]:
-        raise ShapeError(
-            f"band_attention: queries {dq.shape}, keys {dk.shape}, values {dv.shape}"
-        )
-    lead, n, d, e = dq.shape[:-2], dq.shape[-2], dq.shape[-1], dv.shape[-1]
-    bias, block, nb = _band_block_bias(n, window)
-    n_pad = nb * block
-    rows = (..., slice(0, n), slice(None))  # the queries' rows of the padded layout
-    kv_rows = (..., slice(block, block + n), slice(None))
+def _band_kv_blocks(a: np.ndarray, block: int, nb: int) -> np.ndarray:
+    """Keys or values, one zero block more on each side, as [..., nb + 2, block, e]."""
+    pad = _pad_rows(a, block, nb * block - a.shape[-2] + block)
+    return pad.reshape(a.shape[:-2] + (nb + 2, block, a.shape[-1]))
 
-    def q_blocks():  # the queries scaled, the tail zero-padded
-        if n_pad == n:
-            return (dq * scale).reshape(lead + (nb, block, d))
-        qp = _pad_rows(dq, 0, n_pad - n)
-        qp *= scale  # the same products as scaling first: the pad stays 0.0
-        return qp.reshape(lead + (nb, block, d))
 
-    def kv_blocks(a):  # keys or values, one zero block more on each side
-        return _pad_rows(a, block, n_pad - n + block).reshape(lead + (nb + 2, block, a.shape[-1]))
-
-    q_blk, k_blk = q_blocks(), kv_blocks(dk)
-    p = np.empty(lead + (nb, block, 3 * block))
+def _band_probs(dq: np.ndarray, dk: np.ndarray, window: int, scale: float) -> np.ndarray:
+    """Banded probabilities [..., nb, block, 3*block]: query block i scores key
+    blocks i, i+1 and i+2 into one buffer that takes bias and softmax in place."""
+    bias, block, nb = _band_block_bias(dq.shape[-2], window)
+    q_blk, k_blk = _band_q_blocks(dq, block, nb, scale), _band_kv_blocks(dk, block, nb)
+    p = np.empty(dq.shape[:-2] + (nb, block, 3 * block))
     for s in range(3):
         np.matmul(q_blk, _key_blocks_t(k_blk, s, nb), out=p[_slot(s, block)])
     p += bias
-    _check_finite("band_attention", _softmax(p, p), inputs)
-    del q_blk, k_blk  # read no more: one less array beside the scores
-    v_blk = kv_blocks(dv)
+    return _softmax(p, p)
+
+
+def _band_context(p: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The banded context [..., nb * block, e], padded rows included."""
+    nb, block = p.shape[-3], p.shape[-2]
+    v_blk = _band_kv_blocks(dv, block, nb)
     ctx = np.matmul(p[_slot(0, block)], v_blk[_blocks_from(0, nb)])
     part = np.empty_like(ctx)
     for s in (1, 2):
         ctx += np.matmul(p[_slot(s, block)], v_blk[_blocks_from(s, nb)], out=part)
-    del part
-    _check_finite("band_attention", ctx, inputs)
-    out = _screened(np.ascontiguousarray(ctx.reshape(lead + (n_pad, e))[rows]))
-    del ctx
-    if current_tape() is not None:
-        def vjp(g):
-            full = np.zeros(lead + (n_pad, e))
-            full[rows] = g
-            g = full.reshape(lead + (nb, block, e))
-            v_blk = kv_blocks(dv)
-            gp = gv = None
-            for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
-                ga = np.matmul(g, v_blk[_blocks_from(s, nb)].swapaxes(-1, -2))
-                gp = _zero_filled_add(gp, p.shape, _slot(s, block), ga)
-                gb = np.matmul(p[_slot(s, block)].swapaxes(-1, -2), g)
-                gv = _zero_filled_add(gv, v_blk.shape, _blocks_from(s, nb), gb)
-            del v_blk
-            gs = _softmax_vjp(gp, p)
-            q_blk, k_blk = q_blocks(), kv_blocks(dk)
-            gq = gk = None
-            for s in (2, 1, 0):
-                ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(k_blk, s, nb).swapaxes(-1, -2))
-                gq = ga if gq is None else np.add(gq, ga, out=gq)
-                gb = np.matmul(q_blk.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
-                gk = _zero_filled_add(gk, k_blk.shape, _blocks_from(s, nb), gb)
-            gq = gq.reshape(lead + (n_pad, d))
-            if n_pad > n:
-                gq = np.ascontiguousarray(gq[rows])
-            gq *= scale
-            pad = lead + (n_pad + 2 * block, -1)
-            return (gq, np.ascontiguousarray(gk.reshape(pad)[kv_rows]),
-                    np.ascontiguousarray(gv.reshape(pad)[kv_rows]))
+    return ctx.reshape(dv.shape[:-2] + (nb * block, dv.shape[-1]))
 
-        _record(out, inputs, vjp, (p,))
-    if return_weights:
-        return out, _band_weights_dense(p, n)
-    return out
+
+def _band_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
+    """Query, key and value gradients of the banded context from its own, with
+    the scaled queries, keys and values padded again."""
+    lead, n, d, e = dq.shape[:-2], dq.shape[-2], dq.shape[-1], dv.shape[-1]
+    nb, block = p.shape[-3], p.shape[-2]
+    n_pad = nb * block
+    g = _pad_rows(g, 0, n_pad - n).reshape(lead + (nb, block, e))
+    v_blk = _band_kv_blocks(dv, block, nb)
+    gp = gv = None
+    for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
+        ga = np.matmul(g, v_blk[_blocks_from(s, nb)].swapaxes(-1, -2))
+        gp = _zero_filled_add(gp, p.shape, _slot(s, block), ga)
+        gb = np.matmul(p[_slot(s, block)].swapaxes(-1, -2), g)
+        gv = _zero_filled_add(gv, v_blk.shape, _blocks_from(s, nb), gb)
+    del v_blk
+    gs = _softmax_vjp(gp, p)
+    q_blk, k_blk = _band_q_blocks(dq, block, nb, scale), _band_kv_blocks(dk, block, nb)
+    gq = gk = None
+    for s in (2, 1, 0):
+        ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(k_blk, s, nb).swapaxes(-1, -2))
+        gq = ga if gq is None else np.add(gq, ga, out=gq)
+        gb = np.matmul(q_blk.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
+        gk = _zero_filled_add(gk, k_blk.shape, _blocks_from(s, nb), gb)
+    gq = gq.reshape(lead + (n_pad, d))
+    if n_pad > n:
+        gq = np.ascontiguousarray(gq[..., :n, :])
+    gq *= scale
+    pad, rows = lead + (n_pad + 2 * block, -1), (..., slice(block, block + n), slice(None))
+    return (gq, np.ascontiguousarray(gk.reshape(pad)[rows]),
+            np.ascontiguousarray(gv.reshape(pad)[rows]))
+
+
+def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | None = None,
+                    window: int | None = None, scale: float = 1.0, eps: float = LN_EPS) -> Tensor:
+    """The attention sublayer x + LN(merge(softmax((q * scale) k^T + mask) v) wo + bo)
+    as one op, for the residual x [..., n, e] and the heads: queries
+    [..., h, n, hd], keys [..., h, m, hd] and values [..., h, m, hv]. Keys
+    and values may broadcast over the queries' leading axes (one encoder
+    output for every beam); their gradients are summed over those axes.
+
+    The mask is the constant [n, m] penalty ``bias`` (None: every pair), or
+    a self-attention band: ``window`` w admits |i - j| <= w/2. The band runs
+    in query blocks of w/2 rows, each scoring its three neighbouring key
+    blocks, so nothing n x n exists and live memory is O(n * w).
+
+    Each stage runs the unfused chain's numpy calls (scores, context, head
+    merge and projection, residual layer norm) and is screened as that chain
+    was: a non-finite result raises NumericsError naming the stage. The vjp
+    runs the stages backward in the chain's tape order, so outputs and
+    gradients keep its bits; the banded products keep them only while BLAS
+    computes a strided block view like its contiguous copy, which
+    tests/digest.py checks. The probabilities count as live bytes while they
+    exist. A recording keeps them and the layer norm's ``xhat`` and 1/std;
+    the vjp rebuilds the context from them with the same products.
+    """
+    inputs = (x, q, k, v, wo, bo, ln_gain, ln_bias)
+    r, dq, dk, dv, dwo, dbo = (_data(t) for t in inputs[:6])
+    broadcast = tuple(i for i, (a, b) in enumerate(zip(dk.shape[:-2], dq.shape[:-2])) if a != b)
+    if (dq.ndim < 3 or dk.ndim != dq.ndim or dk.shape[-1] != dq.shape[-1]
+            or dv.shape[:-1] != dk.shape[:-1] or any(dk.shape[i] != 1 for i in broadcast)
+            or (window is not None and dk.shape != dq.shape)
+            or r.shape[:-1] != dq.shape[:-3] + dq.shape[-2:-1]
+            or dwo.shape != (dq.shape[-3] * dv.shape[-1],) + r.shape[-1:]
+            or dbo.shape != r.shape[-1:]):
+        raise ShapeError(f"attention_block: residual {r.shape}, queries {dq.shape}, keys "
+                         f"{dk.shape}, values {dv.shape}, projection {dwo.shape} + {dbo.shape}")
+    n = dq.shape[-2]
+
+    def screen(stage: str, arr: np.ndarray) -> np.ndarray:
+        _check_finite(f"attention_block ({stage})", arr, inputs)
+        return arr
+
+    def context(p: np.ndarray) -> np.ndarray:  # [..., h, n or nb * block, hv]
+        return np.matmul(p, dv) if window is None else _band_context(p, dv)
+
+    if window is None:  # scores, penalty and softmax in one buffer
+        p = np.matmul(*_scorer_operands(dq, dk, scale))
+        if bias is not None:
+            p += bias
+        _softmax(p, p)
+    else:
+        p = _band_probs(dq, dk, window, scale)
+    held = _screened(screen("softmax", p))  # counts the probabilities while they live
+    merged = _merge_heads(screen("context", context(p))[..., :n, :])
+    if current_tape() is None:
+        del held, p  # the sublayer's largest array: free it before the projection
+    z = _flat(merged) @ dwo
+    z += dbo
+    del merged
+    y, ln_vjp, ln_saved = _ln_forward(screen("projection", z).reshape(r.shape), ln_gain,
+                                      ln_bias, eps)
+    del z
+    y += r
+    out = _screened(screen("residual_ln", y))
+    if current_tape() is None:
+        return out
+    del held  # the entry counts them from here
+
+    def vjp(g):
+        gz, g_gain, g_bias = ln_vjp(g)
+        merged = _merge_heads(context(p)[..., :n, :])
+        g_merged, g_wo, g_bo = _affine_vjp(_flat(merged), merged.shape, dwo, gz)
+        del merged
+        h, hv = dq.shape[-3], dv.shape[-1]
+        g_ctx = g_merged.reshape(r.shape[:-1] + (h, hv)).transpose(_head_axes(dq.ndim - 3))
+        gq, gk, gv = (_dense_vjp if window is None else _band_vjp)(g_ctx, p, dq, dk, dv, scale)
+        if broadcast:  # keys and values broadcast over these axes: sum them
+            gk, gv = (a.sum(axis=broadcast, keepdims=True) for a in (gk, gv))
+        return g, gq, gk, gv, g_wo, g_bo, g_gain, g_bias
+
+    return _record(out, inputs, vjp, (p,) + ln_saved)
 
 
 # -----------------------------------------------------------------------------
@@ -611,7 +645,7 @@ def band_attention(q, k, v, window: int, return_weights: bool = False, scale: fl
 # -----------------------------------------------------------------------------
 
 
-def residual_ln(x, branch, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
+def residual_ln(x, branch, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
     """The sublayer rule x + LN(branch), as one op.
 
     The residual passes through untouched; only the branch is normalized, so a
@@ -702,7 +736,7 @@ def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
         _gelu_out(a, t, w)
 
 
-def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = 1e-5) -> Tensor:
+def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
     """Position-wise feed-forward sublayer x + LN(W2 gelu(W1 x + b1) + b2),
     as one op.
 

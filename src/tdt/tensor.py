@@ -251,7 +251,7 @@ class TapeEntry:
     among them belongs to the array it views, which is counted where it
     lives. What a vjp rebuilds (a hidden layer, padded copies) is scratch
     of ``backward`` and is not counted, nor are gradients: in training the
-    tracker's peak reads that much under ``tracemalloc``'s (16% on the
+    tracker's peak reads that much under ``tracemalloc``'s (19% on the
     desk train step).
     """
 

@@ -125,12 +125,19 @@ def tagger_run() -> None:
             path, "tagger", tagger.config.to_dict(), tagger.params))
 
 
-def main() -> None:
+def compute() -> str:
+    """The digest of the tree that ``tdt`` is imported from."""
+    global _H
+    _H = hashlib.sha256()
     model_outputs()
     long_encode()
     train_run()
     tagger_run()
-    print(_H.hexdigest())
+    return _H.hexdigest()
+
+
+def main() -> None:
+    print(compute())
 
 
 if __name__ == "__main__":

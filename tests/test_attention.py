@@ -17,12 +17,14 @@ from tdt import (
     multi_head_attention,
 )
 from tdt.attention import init_attention_params
-from tdt.tensor import Parameter, Tape, backward, recording
+from tdt.ops import LN_EPS
+from tdt.tensor import Parameter, Tape, recording
 from tdt import ops
 from helpers import (
     check_param_grads,
     cross_attention_oracle,
     dense_attention_oracle,
+    layer_norm_oracle,
     mul_const,
     sum_all,
 )
@@ -30,6 +32,29 @@ from helpers import (
 
 def _params(seed, d):
     return init_attention_params(RngStream(seed), d, "t")
+
+
+def _ln(d):
+    """A sublayer's layer norm (gain, bias) at the identity: ones and zeros."""
+    return Parameter("lng", np.ones(d)), Parameter("lnb", np.zeros(d))
+
+
+def _sublayer(x, branch):
+    """The oracle of a sublayer's output x + LN(branch), with _ln's identity."""
+    d = x.shape[-1]
+    return x + layer_norm_oracle(branch, np.ones(d), np.zeros(d), LN_EPS)
+
+
+def _constant_value_params(seed, d, c, b0):
+    """Every value row is c (zero value weights, bias c), projected out by
+    the identity plus b0: a row whose attention weights sum to s has the
+    branch s * c + b0, which is c + b0 exactly when they sum to one."""
+    p = _params(seed, d)
+    p.wv.value.data[...] = 0.0
+    p.bv.value.data[...] = c
+    p.wo.value.data[...] = np.eye(d)
+    p.bo.value.data[...] = b0
+    return p
 
 
 # -----------------------------------------------------------------------------
@@ -143,11 +168,12 @@ def _identity_params(d):
 
 
 def test_single_position_identity_projections_returns_value():
+    # the branch is the one value, v itself
     d = 4
     p = _identity_params(d)
     v = RngStream(3).normal((1, d))
-    out = multi_head_attention(Tensor(v), None, p, 1, None)
-    np.testing.assert_allclose(out.data, v, atol=1e-12)
+    out = multi_head_attention(Tensor(v), None, p, _ln(d), 1, None)
+    np.testing.assert_allclose(out.data, _sublayer(v, v), atol=1e-12)
 
 
 def test_full_mask_matches_dense_oracle():
@@ -157,8 +183,8 @@ def test_full_mask_matches_dense_oracle():
         d = 8
         x = rng.normal((n, d))
         p = _params(trial, d)
-        out = multi_head_attention(Tensor(x), None, p, 2, None)
-        expected = dense_attention_oracle(x, x, x, p, 2, None)
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), 2, None)
+        expected = _sublayer(x, dense_attention_oracle(x, x, x, p, 2, None))
         assert np.max(np.abs(out.data - expected)) <= 1e-10
 
 
@@ -167,7 +193,7 @@ def test_counter_counts_admitted_pairs_per_head():
     x = RngStream(1).normal((16, d))
     p = _params(2, d)
     counter = OpCounter()
-    multi_head_attention(Tensor(x), None, p, 2, None, counter)
+    multi_head_attention(Tensor(x), None, p, _ln(d), 2, None, counter)
     assert counter.score_evals == 2 * 16 * 16 == 512
 
 
@@ -178,20 +204,37 @@ def test_fully_masked_row_raises():
     mask = np.ones((3, 3), dtype=bool)
     mask[2] = False
     with pytest.raises(UsageError):
-        multi_head_attention(Tensor(x), None, p, 1, mask)
+        multi_head_attention(Tensor(x), None, p, _ln(d), 1, mask)
+
+
+def _assert_weights_row_stochastic_and_zero_outside(x, mask, mask_arg, heads):
+    """Through outputs alone: with every value row c, each row's branch is
+    c + bo, so its weights sum to one; and perturbing the token at the last
+    position leaves bit-identical every row whose mask leaves that token
+    out, so its weight there is exactly zero."""
+    n, d = x.shape
+    rng = RngStream(12)
+    c, b0 = rng.normal((d,)), rng.normal((d,))
+    out = multi_head_attention(Tensor(x), None, _constant_value_params(5, d, c, b0), _ln(d),
+                               heads, mask_arg)
+    expected = _sublayer(x, np.broadcast_to(c + b0, x.shape))
+    assert np.max(np.abs(out.data - expected)) <= 1e-12
+    p = _params(5, d)
+    base = multi_head_attention(Tensor(x), None, p, _ln(d), heads, mask_arg).data
+    far = x.copy()
+    far[-1] += rng.normal((d,))
+    moved = multi_head_attention(Tensor(far), None, p, _ln(d), heads, mask_arg).data
+    outside = ~mask[:, -1]
+    assert outside.sum() >= n // 2
+    assert moved[outside].tobytes() == base[outside].tobytes()
+    assert np.all(np.abs(moved[~outside] - base[~outside]).max(axis=-1) > 0)
 
 
 def test_attention_weights_row_stochastic():
-    rng = RngStream(11)
-    d = 8
-    x = rng.normal((10, d))
-    p = _params(5, d)
+    # a dense boolean band mask: the dense scorer with a penalty
+    x = RngStream(11).normal((10, 8))
     mask = build_mask(MaskSpec.band(4), 10, 10)
-    _, weights = multi_head_attention(Tensor(x), None, p, 2, mask, return_weights=True)
-    assert weights.min() >= 0.0
-    np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 10)), atol=1e-9)
-    # masked positions carry exactly zero weight
-    assert np.all(weights[:, ~mask] == 0.0)
+    _assert_weights_row_stochastic_and_zero_outside(x, mask, mask, 2)
 
 
 # -----------------------------------------------------------------------------
@@ -204,10 +247,10 @@ def test_saturated_window_bit_matches_full_attention():
     n = 6
     x = RngStream(21).normal((n, d))
     p = _params(9, d)
-    full = multi_head_attention(Tensor(x), None, p, 2, None)
-    local = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(2 * (n - 1)))
+    full = multi_head_attention(Tensor(x), None, p, _ln(d), 2, None)
+    local = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(2 * (n - 1)))
     np.testing.assert_array_equal(local.data, full.data)
-    wider = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(4 * n))
+    wider = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(4 * n))
     np.testing.assert_array_equal(wider.data, local.data)
 
 
@@ -215,9 +258,9 @@ def test_local_attention_matches_banded_dense_oracle_9_4():
     d = 8
     x = RngStream(33).normal((9, d))
     p = _params(13, d)
-    out = multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(4))
+    out = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(4))
     mask = build_mask(MaskSpec.band(4), 9, 9)
-    expected = dense_attention_oracle(x, x, x, p, 2, mask)
+    expected = _sublayer(x, dense_attention_oracle(x, x, x, p, 2, mask))
     assert np.max(np.abs(out.data - expected)) <= 1e-10
 
 
@@ -231,9 +274,9 @@ def test_local_attention_oracle_equivalence_many_configs():
         w = 2 * int(rng.randint(1, w_half_max + 1, 1)[0])
         x = rng.normal((n, d))
         p = _params(1000 + trial, d)
-        out = multi_head_attention(Tensor(x), None, p, heads, MaskSpec.band(w))
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, MaskSpec.band(w))
         mask = build_mask(MaskSpec.band(w), n, n)
-        expected = dense_attention_oracle(x, x, x, p, heads, mask)
+        expected = _sublayer(x, dense_attention_oracle(x, x, x, p, heads, mask))
         assert np.max(np.abs(out.data - expected)) <= 1e-10, (n, heads, w)
 
 
@@ -243,20 +286,16 @@ def test_local_attention_counter_equals_popcount():
     x = RngStream(3).normal((n, d))
     p = _params(4, d)
     counter = OpCounter()
-    multi_head_attention(Tensor(x), None, p, 2, MaskSpec.band(w), counter)
+    multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(w), counter)
     assert counter.score_evals == 2 * band_popcount(n, w)
 
 
 def test_local_attention_weights_match_band_mask():
-    d = 4
+    # the blocked band: n=9, w=4 puts the last key in the padded third block
     n, w = 9, 4
-    x = RngStream(8).normal((n, d))
-    p = _params(6, d)
-    _, weights = multi_head_attention(Tensor(x), None, p, 1, MaskSpec.band(w),
-                                      return_weights=True)
-    mask = build_mask(MaskSpec.band(w), n, n)
-    assert np.all(weights[:, ~mask] == 0.0)
-    np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, n)), atol=1e-9)
+    x = RngStream(8).normal((n, 4))
+    _assert_weights_row_stochastic_and_zero_outside(
+        x, build_mask(MaskSpec.band(w), n, n), MaskSpec.band(w), 1)
 
 
 def test_local_attention_gradient_check():
@@ -264,28 +303,30 @@ def test_local_attention_gradient_check():
     d = 8
     x = Tensor(rng.normal((10, d)))
     p = _params(71, d)
+    ln = _ln(d)
     band = MaskSpec.band(4)
     probe = rng.normal((10, d))
 
     def loss_fn(tape=False):
-        out = sum_all(mul_const(multi_head_attention(x, None, p, 2, band), probe))
+        out = sum_all(mul_const(multi_head_attention(x, None, p, ln, 2, band), probe))
         return out if tape else out.item()
 
-    check_param_grads(loss_fn, p.all())
+    check_param_grads(loss_fn, p.all() + list(ln))
 
 
 @pytest.mark.parametrize("n", [16, 13], ids=["whole-blocks", "tail-pads"])
 def test_banded_local_attention_records_one_entry_for_the_band(n):
-    # one op projects x into query, key and value heads, one scores the band
-    # and forms the context, one merges the heads and projects them out
+    # one op projects x into query, key and value heads, one scores the band,
+    # forms the context, merges the heads, projects them out and adds the
+    # layer-normed branch to x
     d = 8
+    x = Tensor(RngStream(4).normal((n, d)))
     tape = Tape()
     with recording(tape):
-        multi_head_attention(Tensor(RngStream(4).normal((n, d))), None, _params(5, d), 2,
-                             MaskSpec.band(8))
-    heads_in, band, heads_out = tape.entries
-    assert len(heads_in.out) == 3 and band.inputs == heads_in.out
-    assert heads_out.inputs[0] is band.out
+        multi_head_attention(x, None, _params(5, d), _ln(d), 2, MaskSpec.band(8))
+    heads_in, block = tape.entries
+    assert len(heads_in.out) == 3 and block.inputs[1:4] == heads_in.out
+    assert block.inputs[0] is x
 
 
 # -----------------------------------------------------------------------------
@@ -294,23 +335,22 @@ def test_banded_local_attention_records_one_entry_for_the_band(n):
 
 
 def _cross_ln(d):
-    return Parameter("lng", np.ones(d)), Parameter("lnb", np.zeros(d))
+    return _ln(d)
 
 
 def _cross_update(e, s, p, g, b, n_heads, counter=None):
-    return ops.residual_ln(e, multi_head_attention(e, s, p, n_heads, None, counter), g, b)
+    return multi_head_attention(e, s, p, (g, b), n_heads, None, counter)
 
 
 def test_cross_attention_single_segment_broadcasts_branch():
+    # one segment takes all of every token's weight: every branch is the same
     d = 8
     rng = RngStream(81)
     e = rng.normal((5, d))
     s = rng.normal((1, d))
     p = _params(91, d)
     g, b = _cross_ln(d)
-    attn, weights = multi_head_attention(Tensor(e), Tensor(s), p, 2, None, return_weights=True)
-    out = ops.residual_ln(Tensor(e), attn, g, b)
-    np.testing.assert_allclose(weights, np.ones((2, 5, 1)))
+    out = _cross_update(Tensor(e), Tensor(s), p, g, b, 2)
     branch = out.data - e
     for i in range(1, 5):
         np.testing.assert_allclose(branch[i], branch[0], atol=1e-12)
@@ -380,15 +420,16 @@ def test_mha_gradient_check_with_mask():
     rng = RngStream(85)
     x = Tensor(rng.normal((6, d)))
     p = _params(96, d)
+    ln = _ln(d)
     mask = build_mask(MaskSpec.band(4), 6, 6)
     probe = rng.normal((6, d))
 
     def loss_fn(tape=False):
-        out = multi_head_attention(x, None, p, 2, mask)
+        out = multi_head_attention(x, None, p, ln, 2, mask)
         out = sum_all(mul_const(out, probe))
         return out if tape else out.item()
 
-    check_param_grads(loss_fn, p.all())
+    check_param_grads(loss_fn, p.all() + list(ln))
 
 
 def test_attention_config_validation():
@@ -415,11 +456,11 @@ def test_multi_head_attention_refuses_heads_that_do_not_split_the_width(n_heads)
     x, s = Tensor(RngStream(5).normal((4, d))), Tensor(RngStream(6).normal((2, d)))
     for context in (None, s):
         with pytest.raises(ConfigError, match=f"width 8 does not split into {n_heads} heads"):
-            multi_head_attention(x, context, _params(7, d), n_heads, None)
+            multi_head_attention(x, context, _params(7, d), _ln(d), n_heads, None)
 
 
 # -----------------------------------------------------------------------------
-# attend: the banded scorer against the dense oracle
+# the banded scorer against the dense oracle
 # -----------------------------------------------------------------------------
 
 def _banded_cases():
@@ -444,11 +485,12 @@ def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
         x = RngStream(trial).normal(lead + (n, d))
         p = _params(500 + trial, d)
         counter = OpCounter()
-        out = multi_head_attention(Tensor(x), None, p, heads, MaskSpec.band(w), counter)
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, MaskSpec.band(w), counter)
         mask = build_mask(MaskSpec.band(w), n, n)
         rows, got = x.reshape(-1, n, d), out.data.reshape(-1, n, d)
         for b in range(rows.shape[0]):
-            expected = dense_attention_oracle(rows[b], rows[b], rows[b], p, heads, mask)
+            expected = _sublayer(rows[b], dense_attention_oracle(rows[b], rows[b], rows[b], p,
+                                                                 heads, mask))
             assert np.max(np.abs(got[b] - expected)) <= 1e-10, (lead, n, w, heads)
         assert counter.score_evals == int(np.prod(lead)) * heads * band_popcount(n, w)
 

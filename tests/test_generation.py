@@ -9,6 +9,7 @@ from tdt import (
     EOS_ID,
     Model,
     OpCounter,
+    Parameter,
     RngStream,
     ShapeError,
     Tape,
@@ -110,6 +111,68 @@ def test_cached_steps_after_select_match_full_decode():
         step = m.decode([r[t:t + 1] for r in kept], batch_enc, cache=cache).data[:, -1]
         for got, r in zip(step, kept):
             assert np.max(np.abs(got - m.decode(r[: t + 1], enc).data[-1])) <= 1e-12
+
+
+def test_select_keeps_the_keys_and_values_of_a_batch_one_context():
+    # beam search: every row reads the one encoder output, so select gathers
+    # none of it and each step reads the keys in the layout the scorer multiplies
+    cfg = _cfg()
+    m = Model(cfg, seed=30)
+    enc = m.encode(_src(31, 14, cfg))
+    cache = DecodeCache(cfg.n_decoder_layers)
+    m.decode([[BOS_ID]], Tensor(enc.data[None]), cache=cache)
+    before = [kv.cross for kv in cache.layers]
+    cache.select([0, 0, 0])
+    for kv, cross in zip(cache.layers, before):
+        assert kv.cross is cross and all(t.shape[0] == 1 for t in cross)
+        assert cross[0].data.swapaxes(-1, -2).flags.c_contiguous
+    step = m.decode([[5], [6], [7]], Tensor(enc.data[None]), cache=cache).data[:, -1]
+    for got, tok in zip(step, (5, 6, 7)):
+        assert np.max(np.abs(got - m.decode([BOS_ID, tok], enc).data[-1])) <= 1e-12
+
+
+def test_a_batch_one_context_gets_the_gradients_of_its_rows_summed():
+    # decoding two prefix rows against one encoder output is decoding them
+    # against that output stacked twice: the same logits, and the context's
+    # gradient is the sum of the stacked rows'
+    cfg = _cfg()
+    m = Model(cfg, seed=32)
+    enc = m.encode(_src(33, 10, cfg)).data
+    prefix = [[BOS_ID, 5, 6], [BOS_ID, 7, 8]]
+    weights = RngStream(34).normal((2, 3, cfg.vocab_size))
+
+    def run(context):
+        for p in m.parameters():
+            p.zero_grad()
+        tape = Tape()
+        with recording(tape):
+            logits = m.decode(prefix, context)
+            loss = sum_all(mul_const(logits, weights))
+        backward(loss, tape)
+        return logits.data, {name: p.grad.copy() for name, p in m.params.items()}
+
+    one, two = Parameter("enc", enc[None]), Parameter("enc2", np.stack([enc, enc]))
+    logits_one, grads_one = run(one)
+    logits_two, grads_two = run(two)
+    assert logits_one.tobytes() == logits_two.tobytes()
+    assert np.max(np.abs(one.grad - two.grad.sum(axis=0, keepdims=True))) <= 1e-12
+    for name, g in grads_one.items():
+        assert np.max(np.abs(g - grads_two[name])) <= 1e-12, name
+
+
+def test_a_cached_decode_step_records_17_ops():
+    # the token gather and the position rows; per decoder layer the self
+    # projection, the two cache appends, the self sublayer, the cross query's
+    # projection, the cross sublayer and the FFN; the readout
+    cfg = _cfg()
+    m = Model(cfg, seed=35)
+    enc = Tensor(m.encode(_src(36, 12, cfg)).data[None])
+    cache = DecodeCache(cfg.n_decoder_layers)
+    m.decode([[BOS_ID]], enc, cache=cache)  # projects the context and the readout once
+    tape = Tape()
+    with recording(tape):
+        m.decode([[5]], enc, cache=cache)
+    assert cfg.n_decoder_layers == 2 and len(tape) == 2 + 2 * 7 + 1 == 17
 
 
 @pytest.mark.parametrize("past", [0, 2], ids=["first-call", "later-call"])

@@ -69,14 +69,15 @@ def test_matmul_batched_matches_per_slice():
 
 
 # -----------------------------------------------------------------------------
-# softmax, through the dense scorer
+# softmax: the kernel of the attention sublayer's scorers
 # -----------------------------------------------------------------------------
 
 
 def softmax(x):
-    """Softmax over the last axis as ``attention_probs(x, I)``: x I^T = x."""
+    """Softmax over the last axis by ``ops._softmax``, which both scorers of
+    ``attention_block`` run on their scores."""
     x = np.asarray(x, dtype=np.float64)
-    return ops.attention_probs(T(x), T(np.eye(x.shape[-1])))
+    return T(ops._softmax(x, np.empty_like(x)))
 
 
 def test_softmax_symmetry():
@@ -380,9 +381,9 @@ def test_gradients_random_shapes(name):
     def build(tape=False):
         if name == "matmul":
             out = sum_all(ops.matmul(Tensor(np.arange(8.0).reshape(2, 4) / 7), w))
-        elif name == "softmax":  # softmax(w) as attention_probs(w, I)
-            out = ops.attention_probs(w, Tensor(np.eye(5)))
-            out = sum_all(mul_const(out, rng_fixed))
+        elif name == "softmax":  # softmax(w) as the context of keys and values I
+            eye = Tensor(np.eye(5)[None])
+            out = sublayer(ops.reshape(w, (1, 4, 5)), eye, eye, scale=1.0)
         elif name == "layer_norm":  # LN(w) as residual_ln(0, w)
             out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b, 1e-5)
             out = sum_all(mul_const(out, rng_fixed))
@@ -406,40 +407,59 @@ def test_gradients_random_shapes(name):
             out = ops.residual_ln(w, mul_const(w, rng_fixed), ln_g, ln_b, 1e-5)
             out = sum_all(mul_const(out, emb_w))
         elif name in ("attention_probs", "attention_probs_bias"):
-            # queries [2, 2, 5] and keys [2, 2, 5], both read from w
+            # the dense scorer: two heads of queries [2, 5] and keys [2, 5],
+            # both read from w, values fixed
             q = ops.reshape(w, (2, 2, 5))
             k = ops.reshape(mul_const(w, rng_fixed), (2, 2, 5))
+            v = Tensor(RngStream(10).normal((2, 2, 3)))
             bias = ops.NEG_MASK * np.array([[0.0, 1.0], [0.0, 0.0]]) if "bias" in name else None
-            out = sum_all(mul_const(ops.attention_probs(q, k, bias), att_w))
+            out = sublayer(q, k, v, bias=bias)
         elif name == "band_attention_probs":
             # queries and keys [2, 5, 2] from w, values fixed: the gradient
             # reaches w only through the probabilities; n=5, w=4 pads one row
             q = ops.reshape(w, (2, 5, 2))
             k = mul_const(q, rng_fixed.reshape(2, 5, 2))
             v = Tensor(RngStream(10).normal((2, 5, 3)))
-            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            out = sublayer(q, k, v, window=4)
         elif name == "band_context":
             # values [2, 6, 2] from w, queries and keys fixed: the gradient
             # reaches w only through the context; n=6, w=4 pads no row
             q = Tensor(RngStream(11).normal((2, 6, 3)))
             k = Tensor(RngStream(12).normal((2, 6, 3)))
             v = ops.reshape(w, (2, 6, 2))
-            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            out = sublayer(q, k, v, window=4)
         elif name == "heads_in":
             # w as [2, 2, 5] projected three times into two heads of 2; the
             # first pair is trained, so x's gradient sums three projections'
             pairs = [(hw, hb)] + [(Tensor(f[:5]), Tensor(f[5])) for f in heads_fixed]
             heads = ops.heads_in(ops.reshape(w, (2, 2, 5)), pairs, 2)
             out = sum_all(mul_const(ops.concat(list(heads), axis=0), heads_w))
-        elif name == "heads_out":  # w as heads [2, 2, 5] merged into [2, 10] and projected
-            out = ops.heads_out(ops.reshape(w, (2, 2, 5)), hw_out, hb_out)
-            out = sum_all(mul_const(out, att_w[0]))
+        elif name == "heads_out":
+            # w as value heads [2, 2, 5] merged into [2, 10] and projected by
+            # trained weights; equal scores make each context the mean of its values
+            qk = Tensor(np.ones((2, 2, 1)))
+            out = sublayer(qk, qk, ops.reshape(w, (2, 2, 5)), hw_out, hb_out)
         else:  # band_attention: n=5, w=4, so the third query block pads one row
-            q = ops.transpose(w, (1, 0))
+            q = ops.reshape(ops.transpose(w, (1, 0)), (1, 5, 4))
             k = mul_const(q, rng_fixed.T)
-            v = ops.reshape(w, (5, 4))
-            out = sum_all(mul_const(ops.band_attention(q, k, v, 4), band_w[name]))
+            v = ops.reshape(w, (1, 5, 4))
+            out = sublayer(q, k, v, window=4)
         return out if tape else out.item()
+
+    def sublayer(q, k, v, wo=None, bo=None, scale=0.5, **mask):
+        """The weighted sum of attention_block's output for these heads, with
+        a fixed residual and layer norm and, unless given, projection."""
+        lead, (h, n, _), hv = q.shape[:-3], q.shape[-3:], v.shape[-1]
+        fixed = RngStream(16)
+        if wo is None:
+            wo, bo = (Tensor(fixed.split(s).normal(shape)) for s, shape in
+                      (("wo", (h * hv, 4)), ("bo", (4,))))
+        e = wo.shape[1]
+        x, g, b, probe = (fixed.split(s).normal(shape) for s, shape in
+                          (("x", lead + (n, e)), ("g", (e,)), ("b", (e,)), ("p", lead + (n, e))))
+        out = ops.attention_block(Tensor(x), q, k, v, wo, bo, Tensor(g), Tensor(b),
+                                  scale=scale, **mask)
+        return sum_all(mul_const(out, probe))
 
     ln_g = Parameter("g", RngStream(1).normal((5,)))
     ln_b = Parameter("b", RngStream(2).normal((5,)))
@@ -449,16 +469,12 @@ def test_gradients_random_shapes(name):
     win_w = RngStream(5).normal((2, 5))
     cat_w = RngStream(6).normal((8, 5))
     tr_w = RngStream(7).normal((2, 10))
-    att_w = RngStream(8).normal((2, 2, 2))
-    band_w = {"band_attention_probs": RngStream(9).normal((2, 5, 3)),
-              "band_context": RngStream(9).normal((2, 6, 2)),
-              "band_attention": RngStream(9).normal((5, 4))}
     hw = Parameter("hw", RngStream(10).normal((5, 4)))
     hb = Parameter("hb", RngStream(11).normal((4,)))
     heads_fixed = RngStream(12).normal((2, 6, 4))  # two more (weight, bias) pairs
     heads_w = RngStream(12).normal((6, 2, 2, 2))
-    hw_out = Parameter("hw_out", RngStream(13).normal((10, 2)))
-    hb_out = Parameter("hb_out", RngStream(14).normal((2,)))
+    hw_out = Parameter("hw_out", RngStream(13).normal((10, 4)))
+    hb_out = Parameter("hb_out", RngStream(14).normal((4,)))
     params = [w] + {"layer_norm": [ln_g, ln_b], "residual_ln": [ln_g, ln_b],
                     "heads_in": [hw, hb], "heads_out": [hw_out, hb_out]}.get(name, [])
     check_param_grads(build, params)
@@ -615,6 +631,26 @@ def test_gather_rows_refuses_an_out_of_range_index(idx):
         ops.gather_rows(table, np.array(idx))
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-sequence", "batched"])
+def test_add_rows_is_bitwise_add_of_gathered_rows(lead):
+    # the forward and vjp of add(x, gather_rows(table, arange(3, 7))): a
+    # -0.0 upstream row becomes 0.0 in the table's zero-filled gradient
+    rng = RngStream(50 + len(lead))
+    x, table = rng.normal(lead + (4, 5)), rng.normal((9, 5))
+    g = _signed_zero_rows(rng.normal(lead + (4, 5)), 1)
+    tape = Tape()
+    with recording(tape):
+        out = ops.add_rows(T(x), T(table), 3)
+    (entry,) = tape.entries
+    gx, gt = entry.vjp(g)
+    want_gt = np.zeros_like(table)
+    np.add.at(want_gt, np.arange(3, 7), g.reshape(-1, 4, 5).sum(axis=0) if lead else g)
+    assert out.data.tobytes() == (x + table[3:7]).tobytes()
+    assert gx is g and gt.tobytes() == want_gt.tobytes()
+    with pytest.raises(UsageError, match="outside the table"):
+        ops.add_rows(T(x), T(table), 6)
+
+
 def test_gather_rows_takes_any_index_shape_on_any_leading_axes():
     a = np.arange(24.0).reshape(2, 4, 3)
     idx = np.array([[3, 0], [1, 1]])
@@ -696,29 +732,60 @@ def test_heads_in_is_bitwise_linear_reshape_transpose(lead, n_pairs):
     assert got_gx.tobytes() == want_gx.tobytes()
 
 
+def _attention_chain(x, q, k, v, wo, bo, gain, bias, mask_bias, scale, g):
+    """The dense attention sublayer as its unfused chain in plain numpy:
+    scaled scores plus the mask penalty, max-shifted softmax, context, head
+    merge (transpose, reshape), projection, residual layer norm; then their
+    vjps in reverse tape order. Returns the output and the gradients of x,
+    q, k, v, wo, bo, gain and bias."""
+    lead, (h, n, _), e = q.shape[:-3], q.shape[-3:], x.shape[-1]
+    qs, kt = q * scale, np.ascontiguousarray(k.swapaxes(-1, -2))
+    p = qs @ kt + mask_bias
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = p @ v
+    merged = np.ascontiguousarray(ctx.transpose(_head_axes(lead))).reshape(lead + (n, -1))
+    flat = merged.reshape(-1, merged.shape[-1])
+    z = (flat @ wo + bo).reshape(lead + (n, e))
+    xc = z - z.sum(axis=-1, keepdims=True) / e
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / e + 1e-5)
+    xhat = xc * inv
+    out = x + (xhat * gain + bias)
+    gg = g * gain
+    gz = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    gf = gz.reshape(-1, e)
+    g_ctx = (gf @ wo.T).reshape(lead + (n, h, -1)).transpose(_head_axes(lead))
+    gp = g_ctx @ v.swapaxes(-1, -2)
+    gv = p.swapaxes(-1, -2) @ g_ctx
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gq = (gs @ kt.swapaxes(-1, -2)) * scale
+    gk = (qs.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+    return out, (g, gq, gk, gv, flat.T @ gf, gf.sum(axis=0),
+                 (g * xhat).reshape(-1, e).sum(axis=0), g.reshape(-1, e).sum(axis=0))
+
+
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
                          ids=["one-sequence", "batched", "two-lead-axes"])
 def test_heads_out_is_bitwise_transpose_reshape_linear(lead):
+    # the whole dense sublayer, head merge and projection included, against
+    # its unfused chain: outputs and every gradient, bit for bit
     rng = RngStream(40 + len(lead))
-    h, n, hd, e = 2, 5, 3, 4
-    c = rng.normal(lead + (h, n, hd))
-    w, b = rng.normal((h * hd, e)), rng.normal((e,))
+    h, n, m, hd, e = 2, 5, 4, 3, 6
+    x, q = rng.normal(lead + (n, e)), rng.normal(lead + (h, n, hd))
+    k, v = rng.normal(lead + (h, m, hd)), rng.normal(lead + (h, m, hd))
+    wo, bo, gain, bias = (rng.normal(s) for s in ((h * hd, e), (e,), (e,), (e,)))
+    mask_bias = ops.NEG_MASK * np.tril(np.ones((n, m)), -3)
     g = _signed_zero_rows(rng.normal(lead + (n, e)), 2)
     tape = Tape()
     with recording(tape):
-        out = ops.heads_out(T(c), T(w), T(b))
+        out = ops.attention_block(*map(T, (x, q, k, v, wo, bo, gain, bias)), mask_bias,
+                                  scale=0.5)
     (entry,) = tape.entries
-    gc_, gw, gb = entry.vjp(g)
-    merged = np.ascontiguousarray(c.transpose(_head_axes(lead))).reshape(lead + (n, h * hd))
-    flat = merged if merged.ndim == 2 else merged.reshape(-1, h * hd)
-    y = flat @ w
-    y += b
-    gf = g.reshape(-1, e)
-    want_gc = (gf @ w.T).reshape(merged.shape).reshape(lead + (n, h, hd))
-    want_gc = want_gc.transpose(_head_axes(lead))
-    assert out.data.tobytes() == y.reshape(lead + (n, e)).tobytes()
-    assert gc_.shape == want_gc.shape and gc_.tobytes() == want_gc.tobytes()
-    assert gw.tobytes() == (flat.T @ gf).tobytes() and gb.tobytes() == gf.sum(axis=0).tobytes()
+    want, want_grads = _attention_chain(x, q, k, v, wo, bo, gain, bias, mask_bias, 0.5, g)
+    assert out.data.tobytes() == want.tobytes()
+    for got, w in zip(entry.vjp(g), want_grads):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
 def test_heads_in_and_heads_out_refuse_mismatched_shapes():
@@ -729,5 +796,13 @@ def test_heads_in_and_heads_out_refuse_mismatched_shapes():
         ops.heads_in(x, [(w, b), (T(np.zeros((6, 4))), T(np.zeros(4)))], 2)
     with pytest.raises(ShapeError):
         ops.heads_in(x, [], 2)
-    with pytest.raises(ShapeError):
-        ops.heads_out(T(np.zeros((2, 4, 3))), T(np.zeros((5, 6))), T(np.zeros(6)))
+
+    def block(x=(4, 6), q=(2, 4, 3), k=(2, 5, 3), v=(2, 5, 3), wo=(6, 6), window=None):
+        ops.attention_block(*(T(np.zeros(s)) for s in (x, q, k, v, wo, (6,), (6,), (6,))),
+                            window=window)
+
+    block()
+    for bad in ({"wo": (5, 6)}, {"x": (5, 6)}, {"q": (4, 3)}, {"k": (2, 5, 2)},
+                {"v": (2, 4, 3)}, {"k": (3, 5, 3), "v": (3, 5, 3)}, {"window": 2}):
+        with pytest.raises(ShapeError):
+            block(**bad)

@@ -226,9 +226,12 @@ def test_view_bytes_stay_counted_until_input_and_view_are_gone(op):
         (lambda: ops.scale(Tensor([1e308]), 10.0), "scale: non-finite result from inputs [(1,)]"),
         (lambda: ops.add(Tensor([1e308]), Tensor([1e308])),
          "add: non-finite result from inputs [(1,), (1,)]"),
-        (lambda: ops.band_attention(Tensor(np.full((3, 1), 1e200)), Tensor(np.full((3, 1), 1e200)),
-                                    Tensor(np.ones((3, 1))), 2),
-         "band_attention: non-finite result from inputs [(3, 1), (3, 1), (3, 1)]"),
+        (lambda: ops.attention_block(
+            *(Tensor(a) for a in (np.zeros((3, 2)), np.full((1, 3, 1), 1e200),
+                                  np.full((1, 3, 1), 1e200), np.ones((1, 3, 1)), np.ones((1, 2)),
+                                  np.zeros(2), np.ones(2), np.zeros(2))), window=2),
+         "attention_block (softmax): non-finite result from inputs [(3, 2), (1, 3, 1), "
+         "(1, 3, 1), (1, 3, 1), (1, 2), (2,), (2,), (2,)]"),
     ],
     ids=["scale", "add", "band_attention"],
 )
@@ -335,22 +338,36 @@ def _normal_params(*shapes):
     return [Parameter(f"p{i}", RngStream(i).normal(shape)) for i, shape in enumerate(shapes)]
 
 
+def _attention_shapes(h, n, m, d, e, lead=(), kv_lead=()):
+    """attention_block's eight input shapes: residual, queries, keys,
+    values, projection weight and bias, layer-norm gain and bias."""
+    return [lead + (n, e), lead + (h, n, d), kv_lead + (h, m, d), kv_lead + (h, m, d),
+            (h * d, e), (e,), (e,), (e,)]
+
+
 def test_band_attention_saved_arrays_are_counted_until_backward_pops_its_entry():
     # 2 heads, n=7, w=4: blocks of 2, so 4 query blocks and one padded query row;
-    # the entry keeps only the probabilities, the vjp pads q, k and v again
+    # the entry keeps the probabilities and the layer norm's xhat [7, 5] and
+    # 1/std [7, 1]; the vjp pads q, k and v again and rebuilds the context
     h, n, d, block, nb = 2, 7, 3, 2, 4
-    probs = h * nb * block * 3 * block * 8
-    _assert_saved_until_backward(lambda q, k, v: ops.band_attention(q, k, v, 2 * block, scale=0.5),
-                                 _normal_params(*[(h, n, d)] * 3), probs)
+    saved = (h * nb * block * 3 * block + n * 5 + n) * 8
+    _assert_saved_until_backward(
+        lambda *p: ops.attention_block(*p, window=2 * block, scale=0.5),
+        _normal_params(*_attention_shapes(h, n, n, d, 5)), saved)
 
 
 @pytest.mark.parametrize("op, shapes, saved", [
     # 5 rows, d 4, hidden 16: the tanh term [5, 16], the layer norm's xhat [5, 4] and 1/std [5, 1]
     (ops.ffn_block, [(5, 4), (4, 16), (16,), (16, 4), (4,), (4,), (4,)], (5 * 16 + 5 * 4 + 5) * 8),
-    # nothing: the vjp rebuilds the key transpose and the scaled queries
-    (lambda q, k: ops.attention_probs(q, k, scale=0.5), [(2, 3, 4), (2, 5, 4)], 0),
-    # nothing: the vjp merges the heads again
-    (ops.heads_out, [(2, 3, 4), (8, 6), (6,)], 0),
+    # the dense probabilities [2, 3, 5], xhat [3, 6] and 1/std [3, 1]: the vjp
+    # rebuilds the key transpose, the scaled queries and the context
+    (lambda *p: ops.attention_block(*p, scale=0.5), _attention_shapes(2, 3, 5, 4, 6),
+     (2 * 3 * 5 + 3 * 6 + 3) * 8),
+    # keys and values of batch one for two rows: the probabilities [2, 2, 3, 5],
+    # xhat [2, 3, 6] and 1/std [2, 3, 1], and nothing of the merged heads or
+    # the projection, which the vjp rebuilds from them
+    (ops.attention_block, _attention_shapes(2, 3, 5, 4, 6, (2,), (1,)),
+     (2 * 2 * 3 * 5 + 2 * 3 * 6 + 2 * 3) * 8),
 ], ids=["ffn_block", "attention_probs", "heads_out"])
 def test_an_entry_keeps_only_what_its_vjp_cannot_rebuild(op, shapes, saved):
     _assert_saved_until_backward(op, _normal_params(*shapes), saved)
@@ -402,7 +419,7 @@ def test_live_bytes_return_to_the_pre_forward_level_after_a_train_step():
     base = tdt.live_bytes()
     tape = Tape()
     loss = batch_loss(m, batch, tape)
-    assert len(tape) > 50
+    assert len(tape) == 36
     backward(loss, tape)
     assert tape.entries == []
     del loss
@@ -410,10 +427,11 @@ def test_live_bytes_return_to_the_pre_forward_level_after_a_train_step():
     assert tdt.live_bytes() == base
 
 
-def test_a_desk_forward_leaves_at_most_16_mb_live():
+def test_a_desk_forward_leaves_at_most_13_5_mb_live():
     # 8 key-value instances at N=64: the traced train_desk step's batch. Each
     # op's entry keeps only what its vjp cannot rebuild (26.61 MB when the
-    # FFN kept its hidden layer and the scorers their padded and scaled copies).
+    # FFN kept its hidden layer and the scorers their padded and scaled copies,
+    # 15.17 MB when the attention context and branch stayed on the tape).
     cfg = desk_config()
     m = Model(cfg, seed=1)
     batch = [gen_keyvalue_task(RngStream(1).split(str(j)), 64, cfg.window,
@@ -422,8 +440,8 @@ def test_a_desk_forward_leaves_at_most_16_mb_live():
     base = tdt.live_bytes()
     tape = Tape()
     batch_loss(m, batch, tape)
-    assert len(tape) == 63
-    assert tdt.live_bytes() - base <= 16 * 10**6
+    assert len(tape) == 36
+    assert tdt.live_bytes() - base <= 13.5 * 10**6
 
 
 # -----------------------------------------------------------------------------
