@@ -4,13 +4,13 @@ decoder self and cross); only the mask and the context differ.
 
 ``ops.heads_in`` projects straight into heads, one op per source (self
 attention one, cross attention two); a layer's decode cache (``_LayerKV``,
-the one owner of the cache layout) extends the self keys and values or
-reuses the context's. ``ops.attention_block`` then turns the heads into the
-sublayer's output x + LN(branch) as one op. A band that leaves some pair
-out is scored blocked, never N x N, so live memory grows with N * w. Masked
-slots get a -1e30 additive penalty whose exponent underflows to exactly
-zero, so tokens outside the mask cannot influence a row even at the bit
-level.
+the one owner of the cache layout) rebinds its self keys and values to
+their concat with the new positions', or reuses the context's.
+``ops.attention_block`` then turns the heads into the sublayer's output
+x + LN(branch) as one op. A band that leaves some pair out is scored
+blocked, never N x N, so live memory grows with N * w. Masked slots get a
+-1e30 additive penalty whose exponent underflows to exactly zero, so
+tokens outside the mask cannot influence a row even at the bit level.
 
 The :class:`OpCounter` tallies query-key dot products per forward pass; the
 increment equals the number of admitted query-key pairs summed over heads,
@@ -20,12 +20,12 @@ which :func:`count_budget` predicts in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, _screened, _view
+from .tensor import ConfigError, Parameter, ShapeError, Tensor, UsageError, _screened
 
 
 def _check_window(window: int | None) -> None:
@@ -175,61 +175,25 @@ def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02
 # -----------------------------------------------------------------------------
 
 
-class _Rows:
-    """Cached rows on the second-to-last axis that grow in place: a buffer
-    whose capacity doubles when full, and ``view``, the tensor of its filled
-    rows. Rows past the view are scratch, written by the next append."""
-
-    __slots__ = ("buf", "view")
-
-    def __init__(self):
-        self.buf = self.view = None
-
-    def append(self, x) -> Tensor:
-        """The cached rows followed by x's, as one view of the buffer."""
-        n = 0 if self.view is None else self.view.shape[-2]
-        if self.buf is None or self.buf.shape[-2] < n + x.shape[-2]:
-            cap = max(2 * n, n + x.shape[-2])  # no row is read before it is written
-            self.buf = _screened(np.empty(x.shape[:-2] + (cap, x.shape[-1])))
-        self.view = ops.append_rows(self.buf, self.view, x)
-        return self.view
-
-    def select(self, rows: np.ndarray) -> None:
-        if self.buf is not None:
-            self.buf = _screened(self.buf.data[rows])
-            self.view = _view(self.buf.data[..., : self.view.shape[-2], :], self.buf)
-
-    def truncate(self, n: int) -> None:
-        """Keep the first n rows, in a copy of the buffer: the views handed
-        out keep their rows."""
-        if self.view is not None and self.view.shape[-2] > n:
-            self.buf = _screened(self.buf.data.copy()) if n else None
-            self.view = _view(self.buf.data[..., :n, :], self.buf) if n else None
-
-
 @dataclass
 class _LayerKV:
     """One layer's cache for :func:`multi_head_attention`: the self keys
     and values of the positions seen so far, each [..., heads, positions,
-    head_dim], and the projected context's keys and values."""
+    head_dim] (None before the first call), and the projected context's
+    keys and values. Each is a plain tensor, never written after it is made:
+    a step binds ``k`` and ``v`` to new tensors, so a reference taken
+    earlier still holds the rows it held."""
 
-    k: _Rows = field(default_factory=_Rows)
-    v: _Rows = field(default_factory=_Rows)
+    k: Tensor | None = None
+    v: Tensor | None = None
     cross: tuple | None = None  # the context's keys and values
 
     def select(self, rows: np.ndarray) -> None:
         """Keep batch rows ``rows``; context keys and values of batch one serve them all."""
-        self.k.select(rows)
-        self.v.select(rows)
+        if self.k is not None:
+            self.k, self.v = _screened(self.k.data[rows]), _screened(self.v.data[rows])
         if self.cross is not None and self.cross[0].shape[0] > 1:
             self.cross = tuple(_screened(t.data[rows]) for t in self.cross)
-
-    def truncate(self, n: int) -> None:
-        """Keep the first n positions; with none, no context keys either."""
-        self.k.truncate(n)
-        self.v.truncate(n)
-        if not n:
-            self.cross = None
 
 
 # -----------------------------------------------------------------------------
@@ -248,10 +212,11 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
     a :class:`MaskSpec`, or None (every pair admitted); a band that leaves
     some pair out (w < 2(n-1)) is scored blocked, in O(n * w) memory. A
-    layer ``cache`` extends the cached self keys and values, or projects the
-    context's on its first call and reuses them; a later context must have
-    the length and width of the first (ShapeError otherwise). ``counter``
-    gains the admitted pairs summed over heads and leading axes.
+    layer ``cache`` appends the new self keys and values to the cached ones
+    (``ops.concat``), or projects the context's on its first call and
+    reuses them; a later context must have the length and width of the
+    first (ShapeError otherwise). ``counter`` gains the admitted pairs
+    summed over heads and leading axes.
     """
     d = x.shape[-1]
     if n_heads < 1 or d % n_heads:
@@ -260,7 +225,9 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
     if context is None:
         q, k, v = ops.heads_in(x, pairs, n_heads)
         if cache is not None:
-            k, v = cache.k.append(k), cache.v.append(v)
+            if cache.k is not None:
+                k, v = ops.concat([cache.k, k], axis=-2), ops.concat([cache.v, v], axis=-2)
+            cache.k, cache.v = k, v
     else:
         (q,) = ops.heads_in(x, pairs[:1], n_heads)
         if cache is None:

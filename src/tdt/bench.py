@@ -2,12 +2,12 @@
 
 Each benchmark cell runs one untimed warm-up encoder forward, then one per
 trial, and reports three things: the exact number of query-key dot products
-(deterministic, always equal to the closed-form budget), the median wall
-time of the trials, and ``peak_bytes``: the highest tensor-allocation
-tracker peak of a trial above the bytes live when that trial started (the
-model's parameters and tables among them), so it counts what one encode
-allocates. Cells that exhaust memory are recorded as failed and the sweep
-continues.
+(deterministic; a count other than ``n_heads`` times the closed-form
+``encode_score_budget`` raises TdtError), the median wall time of the
+trials, and ``peak_bytes``: the highest tensor-allocation tracker peak of a
+trial above the bytes live when that trial started (the model's parameters
+and tables among them), so it counts what one encode allocates. Cells
+that exhaust memory are recorded as failed and the sweep continues.
 
 Variants mirror the ablation rows: "full" is unwindowed self-attention with
 no segment level, "local-only" drops the top-down update, "topdown-cross"
@@ -28,8 +28,8 @@ from .attention import OpCounter
 from .model import Model, ModelConfig, encode_score_budget
 from .rng import RngStream
 from .tasks import gen_keyvalue_task
-from .tensor import ConfigError
-from .training import DEFAULT_LR, eval_accuracy, train
+from .tensor import ConfigError, TdtError
+from .training import eval_accuracy, train
 
 VARIANTS = ("full", "local-only", "topdown-cross", "topdown-concat")
 
@@ -110,21 +110,23 @@ def bench_cell(
             times.append((time.perf_counter() - t0) * 1000.0)
             evals = counter.score_evals
             peak = max(peak, tensor_mod.peak_bytes() - live)
-        return BenchRecord(
-            variant=variant,
-            n_tokens=n_tokens,
-            window=cfg.window,
-            n_segments=m,
-            score_evals=evals,
-            wall_ms_median=float(np.median(times)),
-            peak_bytes=peak,
-            seed=seed,
-        )
     except MemoryError:
         return BenchRecord(
             variant=variant, n_tokens=n_tokens, window=window, n_segments=m,
             score_evals=0, wall_ms_median=0.0, peak_bytes=0, seed=seed, failed=True,
         )
+    if evals != cfg.n_heads * encode_score_budget(cfg, n_tokens):
+        raise TdtError(f"bench cell {variant}/N={n_tokens}: counter {evals} disagrees with budget")
+    return BenchRecord(
+        variant=variant,
+        n_tokens=n_tokens,
+        window=cfg.window,
+        n_segments=m,
+        score_evals=evals,
+        wall_ms_median=float(np.median(times)),
+        peak_bytes=peak,
+        seed=seed,
+    )
 
 
 def bench_sweep(
@@ -146,12 +148,6 @@ def bench_sweep(
         for n in n_list:
             records.append(bench_cell(variant, n, window, base, trials, seed))
     return records
-
-
-def expected_score_evals(record: BenchRecord, base: ModelConfig) -> int:
-    """Closed-form budget for a record's cell, including the head multiplier."""
-    cfg = variant_config(record.variant, record.window, base)
-    return cfg.n_heads * encode_score_budget(cfg, record.n_tokens)
 
 
 def records_to_csv(records) -> str:
@@ -203,8 +199,6 @@ def ablate(
     n_tokens: int = 64,
     n_eval: int = 64,
     base: ModelConfig | None = None,
-    lr: float = DEFAULT_LR,
-    batch_size: int = 8,
 ) -> dict:
     """Train {cross, concat, none} at the base window plus cross at each
     other sweep window (once each) on the key-value task; report mean +/- sd
@@ -236,7 +230,7 @@ def ablate(
         cell = AblationCell(variant=variant, window=window)
         for seed in seeds:
             model = Model(cfg, seed=seed)
-            train(model, task_fn, steps=steps, seed=seed, lr=lr, batch_size=batch_size)
+            train(model, task_fn, steps=steps, seed=seed)
             val = [task_fn(RngStream(seed).split(f"ablate-eval/{j}")) for j in range(n_eval)]
             cell.accuracies.append(eval_accuracy(model, val)["token_acc"])
         cells.append(cell)

@@ -18,7 +18,6 @@ from .bench import (
     VARIANTS,
     ablate,
     bench_sweep,
-    expected_score_evals,
     records_to_csv,
     records_to_json,
 )
@@ -218,12 +217,6 @@ def _cmd_bench(args) -> int:
         args.N_list, args.w, variants=args.variants, trials=args.trials,
         seed=seed, base=cfg,
     )
-    for rec in records:
-        if not rec.failed and rec.score_evals != expected_score_evals(rec, cfg):
-            raise TdtError(
-                f"bench cell {rec.variant}/N={rec.n_tokens}: counter "
-                f"{rec.score_evals} disagrees with budget"
-            )
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     _emit(args, text)
     return 0

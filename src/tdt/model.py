@@ -215,7 +215,9 @@ class DecodeCache:
     (``layers``: self-attention keys and values, and the encoder output's
     cross-attention keys and values, with its batch: one serves all), and the
     output projection its first call made (the tied readout is a transpose
-    of the token table, which a step need not copy again).
+    of the token table, which a step need not copy again). A layer holds
+    exactly the decoded positions' keys and values, in tensors that are
+    never written, so a decode that raises restores the layers it found.
     """
 
     def __init__(self, n_layers: int):
@@ -235,12 +237,6 @@ class DecodeCache:
         self.batch_shape = rows.shape
         for kv in self.layers:
             kv.select(rows)
-
-    def _undo_step(self) -> None:
-        """Drop what a decode call that raised part-way appended: each layer
-        keeps its first ``length`` rows, and a first call no cross keys."""
-        for kv in self.layers:
-            kv.truncate(self.length)
 
 
 def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
@@ -450,7 +446,16 @@ class Model:
             pass
         return x
 
+    def _refuse_unread_pool_inputs(self, weights, labels) -> None:
+        """ConfigError for a pooling input that ``pooling_mode`` does not
+        read: ``weights`` outside ada, ``labels`` outside oracle_ada."""
+        mode = self.config.pooling_mode
+        for name, value, reader in (("weights", weights, "ada"), ("labels", labels, "oracle_ada")):
+            if value is not None and mode != reader:
+                raise ConfigError(f"pooling_mode={mode} does not read {name}")
+
     def _resolve_pool_weights(self, weights, labels) -> np.ndarray | None:
+        self._refuse_unread_pool_inputs(weights, labels)
         mode = self.config.pooling_mode
         if mode == "avg":
             return None
@@ -493,9 +498,12 @@ class Model:
     def encode(self, token_ids, counter: OpCounter | None = None,
                weights=None, labels=None) -> Tensor:
         """Full encoder pass; ``topdown_mode="none"`` stops after bottom-up.
-        A process's first encode applies the heap policy of
-        ``tensor._keep_heap``. The bottom-up output is handed to the
-        top-down stack, so this frame keeps no reference to it."""
+        A pooling input that ``pooling_mode`` does not read is refused
+        (ConfigError) whatever the top-down mode. A process's first encode
+        applies the heap policy of ``tensor._keep_heap``. The bottom-up
+        output is handed to the top-down stack, so this frame keeps no
+        reference to it."""
+        self._refuse_unread_pool_inputs(weights, labels)
         _keep_heap()
         xs = [self.encode_bottom_up(self.embed(token_ids), counter)]
         if self.config.topdown_mode == "none":
@@ -528,12 +536,13 @@ class Model:
         if past and batch != cache.batch_shape:
             raise ShapeError(f"prefix batch {batch} != cached batch {cache.batch_shape}")
         mask = None if t == 1 else build_mask(MaskSpec.causal(), t, past + t)
+        layers = None if cache is None else [replace(kv) for kv in cache.layers]
         try:
             for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
                 pass
         except BaseException:
             if cache is not None:
-                cache._undo_step()
+                cache.layers = layers  # the references this call found
             raise
         if cache is not None:
             cache.length += t

@@ -98,30 +98,11 @@ def transpose(x, axes) -> Tensor:
 def concat(parts, axis: int) -> Tensor:
     arrs = [_data(p) for p in parts]
     out = _screened(np.concatenate(arrs, axis=axis))
-    sizes = [a.shape[axis] for a in arrs]
-    bounds = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, bounds, axis=axis))
+        return tuple(np.split(g, np.cumsum([a.shape[axis] for a in arrs[:-1]]), axis=axis))
 
     return _record(out, tuple(parts), vjp)
-
-
-def append_rows(buf: Tensor, past, x) -> Tensor:
-    """``concat([past, x], axis=-2)`` as a view of the first rows of a
-    cache's buffer ``buf``: x's rows are written after past's n rows (past
-    None: n = 0), which are copied in first unless past is a view of buf.
-    The cache appends once per length, so the written rows lie past every
-    view handed out before. The vjp is concat's split."""
-    b, a = buf.data, _data(x)
-    n = 0 if past is None else past.shape[-2]
-    if n and past.data.base is not b:
-        b[..., :n, :] = past.data
-    b[..., n : n + a.shape[-2], :] = a
-    out = _view(b[..., : n + a.shape[-2], :], buf)
-    if past is None:
-        return _record(out, (x,), lambda g: (g,))
-    return _record(out, (past, x), lambda g: (g[..., :n, :], g[..., n:, :]))
 
 
 # -----------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Values are immutable once produced: every operation returns a fresh array
 (or a view of its input) and writes only into scratch buffers of its own,
 which a fused op may reuse in place before one of them becomes its output.
-A decode cache's buffer is the one tensor written after it was made:
-``ops.append_rows`` writes only rows past every view handed out so far.
-Parameters are the only mutable objects and are touched exclusively by the
+No tensor is written after it is made. Parameters are the only mutable objects and are touched exclusively by the
 optimizer and ``zero_grads``.
 
 A :class:`Tape` records one entry per differentiable op: its output, its

@@ -200,9 +200,10 @@ def eval_accuracy(
     Each instance generates up to one token more than its target, and a
     trailing eos is stripped before comparison. The accounting is a plain
     sum of per-instance counts, so it is invariant to evaluation order.
-    Adaptive pooling ("ada") requires a tagger whose logits become the
-    pooling weights, and no other mode takes one; oracle mode reads each
-    instance's labels.
+    Adaptive pooling ("ada") pools with a tagger's weights, and a tagger
+    for another mode is refused before the first generation; oracle mode
+    reads each instance's labels. A missing pooling input is the model's
+    ConfigError.
     """
     instances = list(instances)
     if not instances:
@@ -214,18 +215,10 @@ def eval_accuracy(
     tok_total = 0
     seq_hits = 0
     for inst in instances:
-        kwargs = {}
-        if mode == "ada":
-            if tagger is None:
-                raise ConfigError("pooling_mode=ada evaluation requires a tagger")
-            kwargs["weights"] = tagger.weights(inst.source)
-        elif mode == "oracle_ada":
-            if inst.labels is None:
-                raise ConfigError("pooling_mode=oracle_ada requires instance labels")
-            kwargs["labels"] = inst.labels
         gen = model.generate(
-            inst.source, max_len=len(inst.target) + 1, strategy=strategy,
-            beam_size=beam_size, **kwargs
+            inst.source, max_len=len(inst.target) + 1, strategy=strategy, beam_size=beam_size,
+            weights=None if tagger is None else tagger.weights(inst.source),
+            labels=inst.labels if mode == "oracle_ada" else None,
         )
         if gen and gen[-1] == EOS_ID:
             gen = gen[:-1]

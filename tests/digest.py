@@ -1,8 +1,9 @@
 """Bit-identity digest of the model's observable outputs.
 
 Prints one sha256 over: encoder outputs for every top-down mode with tied
-and untied output weights (unbatched and batched), decode logits, greedy and
-beam-3 generations, the batch loss and every gradient, ``save_model`` bytes,
+and untied output weights (unbatched and batched), decode logits, the logits
+of a cached greedy decode step by step and of a cached step after
+``DecodeCache.select``, greedy and beam-3 generations, the batch loss and every gradient, ``save_model`` bytes,
 one 2048-token encode of the ``encode_long`` shape, a 15-step training run,
 and the tagger's weights, training losses and checkpoint bytes. Two trees
 that print the same digest compute the same bits. Run against a tree with
@@ -22,9 +23,11 @@ import tempfile
 import numpy as np
 
 from tdt import (
+    BOS_ID,
     Model,
     RngStream,
     Tape,
+    Tensor,
     backward,
     desk_config,
     gen_copy_task,
@@ -35,6 +38,7 @@ from tdt import (
     zero_grads,
 )
 from tdt.checkpoint import write_checkpoint
+from tdt.model import DecodeCache
 from tdt.tasks import TaskInstance
 from tdt.training import batch_loss
 
@@ -61,6 +65,23 @@ def feed_params(label: str, params: dict) -> None:
         feed(f"{label}/{name}", params[name].value.data)
 
 
+def cached_logits(tag: str, m: Model, enc, prefix) -> None:
+    """Logits of cached decode steps: a greedy decode of 8 tokens on the
+    first row of ``enc``, then ``prefix``'s first 3 positions for both rows
+    followed by one step after selecting rows [1, 0, 1]."""
+    cache = DecodeCache(m.config.n_decoder_layers)
+    first, tok = Tensor(enc.data[:1]), BOS_ID
+    for t in range(8):
+        logits = m.decode([[tok]], first, cache=cache).data
+        feed(f"{tag}/cached_greedy/{t}", logits)
+        tok = int(logits[0, -1].argmax())
+    cache = DecodeCache(m.config.n_decoder_layers)
+    feed(f"{tag}/cached_prefix", m.decode(prefix[:, :3], enc, cache=cache).data)
+    cache.select([1, 0, 1])
+    feed(f"{tag}/cached_select", m.decode(prefix[[1, 0, 1], 3:], Tensor(enc.data[[1, 0, 1]]),
+                                          cache=cache).data)
+
+
 def model_outputs() -> None:
     ids = RngStream(11).randint(3, 64, 2 * 24).reshape(2, 24)
     src = ids[0].tolist()
@@ -75,6 +96,7 @@ def model_outputs() -> None:
             enc = m.encode(ids)
             feed(f"{tag}/encode2", enc.data)
             feed(f"{tag}/decode", m.decode(prefix, enc).data)
+            cached_logits(tag, m, enc, prefix)
             feed(f"{tag}/greedy", m.generate(src, max_len=8))
             feed(f"{tag}/beam3", m.generate(src, max_len=8, strategy="beam", beam_size=3))
             insts = [TaskInstance(list(r), list(r[:6])) for r in ids]

@@ -7,14 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from tdt import ConfigError, Model, ModelConfig
+from tdt import ConfigError, Model, ModelConfig, encode_score_budget
 from tdt import bench
 from tdt.bench import (
     VARIANTS,
     BenchRecord,
     bench_cell,
     bench_sweep,
-    expected_score_evals,
     records_to_csv,
     records_to_json,
     variant_config,
@@ -25,6 +24,12 @@ def _base(**kw):
     d = dict(kernel_size=32, stride=24, max_positions=256, vocab_size=64)
     d.update(kw)
     return ModelConfig(**d)
+
+
+def _budget(rec, base):
+    """The cell's closed-form count, summed over heads."""
+    cfg = variant_config(rec.variant, rec.window, base)
+    return cfg.n_heads * encode_score_budget(cfg, rec.n_tokens)
 
 
 def test_variant_config_mapping():
@@ -44,7 +49,7 @@ def test_sweep_counts_match_budget_exactly():
     assert len(records) == len(VARIANTS) * 2
     for rec in records:
         assert not rec.failed
-        assert rec.score_evals == expected_score_evals(rec, base)
+        assert rec.score_evals == _budget(rec, base)
         assert rec.wall_ms_median > 0
         assert rec.peak_bytes > 0
 
@@ -62,7 +67,7 @@ def test_bench_cell_runs_one_untimed_warm_up_encode(monkeypatch):
     rec = bench_cell("topdown-cross", 64, 16, base, trials=3, seed=1)
     assert len(counters) == 3 + 1
     assert counters[0] is None  # the warm-up is neither timed nor counted
-    assert rec.score_evals == expected_score_evals(rec, base)
+    assert rec.score_evals == _budget(rec, base)
 
 
 def test_full_variant_score_quadruples_when_n_doubles():

@@ -305,6 +305,15 @@ def test_bench_csv_output(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_exits_3_when_a_count_disagrees_with_the_budget(monkeypatch, capsys):
+    from tdt import bench
+
+    monkeypatch.setattr(bench, "encode_score_budget", lambda cfg, n: 0)
+    code, out, err = run(capsys, "bench", "--N-list", "16", "--w", "8", "--variants", "full")
+    assert (code, out) == (3, "")
+    assert "full/N=16: counter" in err and "disagrees with budget" in err
+
+
 def test_bench_on_an_empty_grid_exits_2(capsys):
     code, out, err = run(capsys, "bench", "--N-list", "", "--w", "8")
     assert (code, out) == (2, "")

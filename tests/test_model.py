@@ -173,6 +173,23 @@ def test_missing_pooling_inputs_raise_config_error():
             m.encode(_ids(RngStream(4), 20, cfg))
 
 
+@pytest.mark.parametrize("topdown", ["cross", "concat", "none"])
+@pytest.mark.parametrize("mode, unread", [("avg", "weights"), ("oracle_ada", "weights"),
+                                          ("ada", "labels")])
+def test_a_pooling_input_the_mode_does_not_read_raises_config_error(mode, unread, topdown):
+    cfg = _cfg(pooling_mode=mode, topdown_mode=topdown)
+    m = Model(cfg, seed=8)
+    ids = _ids(RngStream(4), 20, cfg)
+    given = {"weights": np.linspace(-1.0, 1.0, 20), "labels": np.zeros(20, dtype=int)}
+    read = {"avg": {}, "ada": {"weights": given["weights"]},
+            "oracle_ada": {"labels": given["labels"]}}[mode]
+    m.encode(ids, **read)  # what the mode reads is accepted
+    with pytest.raises(ConfigError, match=f"does not read {unread}"):
+        m.encode(ids, **read, **{unread: given[unread]})
+    with pytest.raises(ConfigError, match=f"does not read {unread}"):
+        m.generate(ids, 4, **read, **{unread: given[unread]})
+
+
 # -----------------------------------------------------------------------------
 # top-down stage
 # -----------------------------------------------------------------------------
