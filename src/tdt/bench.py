@@ -1,4 +1,4 @@
-"""Complexity and memory benchmarks, and the ablation driver.
+"""Complexity and memory benchmarks, and the key-value probe ablation.
 
 Each benchmark cell runs one untimed warm-up encoder forward, then one per
 trial, and reports three things: the exact number of query-key dot products
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from . import tensor as tensor_mod
 from .attention import OpCounter
 from .model import Model, ModelConfig, encode_score_budget
 from .rng import RngStream
-from .tasks import gen_keyvalue_task
+from .tasks import N_VALUES, VALUE_BASE, TaskInstance, gen_keyvalue_task
 from .tensor import ConfigError, TdtError
-from .training import eval_accuracy, train
+from .training import Tagger, head_accuracy, train_head
 
 VARIANTS = ("full", "local-only", "topdown-cross", "topdown-concat")
 
@@ -163,48 +163,31 @@ def records_to_json(records) -> str:
 
 
 # -----------------------------------------------------------------------------
-# Ablation driver
+# Ablation: a key-value probe read at the query position
 # -----------------------------------------------------------------------------
 
 
-@dataclass
-class AblationCell:
-    variant: str
-    window: int
-    accuracies: list[float] = field(default_factory=list)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.accuracies))
-
-    @property
-    def sd(self) -> float:
-        return float(np.std(self.accuracies))
-
-    def to_row(self) -> dict:
-        return {
-            "variant": self.variant,
-            "window": self.window,
-            "mean_acc": self.mean,
-            "sd_acc": self.sd,
-            "per_seed": self.accuracies,
-        }
+def probe_item(inst: TaskInstance) -> tuple:
+    """A key-value instance as a head item ``(ids, targets, labels)``: the
+    one target is the queried value's index, at the query position (the
+    last), and every other position's is -1."""
+    targets = [-1] * len(inst.source)
+    targets[-1] = inst.target[0] - VALUE_BASE
+    return inst.source, targets, inst.labels
 
 
-def ablate(
-    seeds,
-    windows=(4, 8, 16),
-    base_window: int = 8,
-    steps: int = 600,
-    n_tokens: int = 64,
-    n_eval: int = 64,
-    base: ModelConfig | None = None,
-) -> dict:
-    """Train {cross, concat, none} at the base window plus cross at each
-    other sweep window (once each) on the key-value task; report mean +/- sd
-    accuracy per cell.
+def ablate(seeds, windows=(4, 8, 16), base_window: int = 8, steps: int = 600,
+           n_tokens: int = 64, n_eval: int = 64, base: ModelConfig | None = None) -> dict:
+    """Train a ``N_VALUES``-way encoder probe for {cross, concat, none} at
+    the base window plus cross at each other sweep window (once each) on
+    the key-value task; report its accuracy at the query position per
+    (variant, pooling, window), seed by seed, beside the chance level.
 
-    Every cell's config is built, and so checked, before the first training
+    The probe reads the encoder alone (the base's decoder fields are
+    ignored), so a token beyond the bottom-up receptive field reaches the
+    query only through the top-down path. ``none`` pools with ``avg``, the
+    others with the base's mode; ``ada`` is refused. Every cell's config
+    and evaluation set is built, and so checked, before the first training
     run. Identical seeds reproduce the table bit-identically.
     """
     seeds = list(seeds)
@@ -221,22 +204,26 @@ def ablate(
         )
         for variant, window in grid
     ]
+    if base.pooling_mode == "ada":
+        raise ConfigError("ablate cannot pool with ada: the probe has no tagger weights")
 
     def task_fn(rng):
         return gen_keyvalue_task(rng, n_tokens, base_window, base.n_bottom_up, base.vocab_size)
 
-    cells: list[AblationCell] = []
-    for (variant, window), cfg in zip(grid, configs):
-        cell = AblationCell(variant=variant, window=window)
-        for seed in seeds:
-            model = Model(cfg, seed=seed)
-            train(model, task_fn, steps=steps, seed=seed)
-            val = [task_fn(RngStream(seed).split(f"ablate-eval/{j}")) for j in range(n_eval)]
-            cell.accuracies.append(eval_accuracy(model, val)["token_acc"])
-        cells.append(cell)
-    return {
-        "rows": [c.to_row() for c in cells],
-        "base_window": base_window,
-        "steps": steps,
-        "seeds": seeds,
+    evals = {
+        seed: [probe_item(task_fn(RngStream(seed).split(f"ablate-eval/{j}")))
+               for j in range(n_eval)]
+        for seed in seeds
     }
+    rows = []
+    for (variant, window), cfg in zip(grid, configs):
+        accs = []
+        for seed in seeds:
+            head = Tagger(cfg, seed=seed, width=N_VALUES)
+            train_head(head, lambda rng: probe_item(task_fn(rng)), steps, seed)
+            accs.append(head_accuracy(head, evals[seed]))
+        rows.append({"variant": variant, "pooling": cfg.pooling_mode, "window": window,
+                     "mean_acc": float(np.mean(accs)), "sd_acc": float(np.std(accs)),
+                     "per_seed": accs})
+    return {"rows": rows, "chance": 1.0 / N_VALUES, "base_window": base_window,
+            "steps": steps, "seeds": seeds}

@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
     fn = _task_fn(args.task, cfg, args.n_tokens)
     rng = RngStream(seed)
     instances = [fn(rng.split(f"eval/{j}")) for j in range(args.n_instances)]
-    tagger = _load_tagger(args.tagger) if args.tagger else None
+    tagger = load_checkpoint(args.tagger, "tagger", Tagger) if args.tagger else None
     metrics = eval_accuracy(
         model, instances, strategy=args.strategy, beam_size=args.beam, tagger=tagger
     )
@@ -144,14 +144,6 @@ def _cmd_generate(args) -> int:
     )
     print(" ".join(str(t) for t in out))
     return 0
-
-
-def _save_tagger(tagger: Tagger, path: str) -> None:
-    write_checkpoint(path, "tagger", tagger.config.to_dict(), tagger.params)
-
-
-def _load_tagger(path: str) -> Tagger:
-    return load_checkpoint(path, "tagger", Tagger)
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
@@ -185,7 +177,7 @@ def _cmd_tag(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return 0
     # mode == "run": emit tagger weights for id sequences
-    tagger = _load_tagger(args.ckpt)
+    tagger = load_checkpoint(args.ckpt, "tagger", Tagger)
     vocab = _load_vocab(args.vocab) if args.vocab else None
     lines = []
     for toks in _read_token_lines(args.doc):
@@ -249,7 +241,7 @@ def _cmd_train_tagger(args) -> int:
 
     tagger, report = train_tagger(cfg, doc_fn, steps=args.steps, seed=seed)
     out = args.out or "tagger.tdtx"
-    _save_tagger(tagger, out)
+    write_checkpoint(out, "tagger", tagger.config.to_dict(), tagger.params)
     print(json.dumps({"tagger": out, "aborted": report.aborted,
                       "steps_completed": len(report.losses)}))
     return 0

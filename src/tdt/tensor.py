@@ -3,8 +3,8 @@
 Values are immutable once produced: every operation returns a fresh array
 (or a view of its input) and writes only into scratch buffers of its own,
 which a fused op may reuse in place before one of them becomes its output.
-No tensor is written after it is made. Parameters are the only mutable objects and are touched exclusively by the
-optimizer and ``zero_grads``.
+No tensor is written after it is made. Parameters are the only mutable
+objects and are touched exclusively by the optimizer and ``zero_grads``.
 
 A :class:`Tape` records one entry per differentiable op: its output, its
 inputs and its vjp closure, with the arrays that closure saved. ``backward``

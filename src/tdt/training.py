@@ -1,14 +1,16 @@
-"""Training loops, tagger training, and exact-match evaluation.
+"""Training loops, encoder heads, and evaluation.
 
-``train`` and ``train_tagger`` share one optimizer loop (``_steps``). Everything
-is bit-reproducible for a given (seed, config): batches come from
-counter-based streams keyed by step and batch index, each batch is split into
-groups of same-shape items that run as one stacked forward (never padded),
-gradients accumulate across the groups in a fixed order, and Adam (fixed β1,
-β2 and ε; only the learning rate is a knob) takes one step per batch.
-``train`` validates on a fixed seed-derived instance set and restores the
-best-validation parameter snapshot when it finishes; a non-finite loss or
-gradient aborts the run and restores the last good snapshot.
+``train`` fits a seq2seq model and ``train_head`` an encoder with a linear
+head (the importance tagger, the key-value probe); both run one optimizer
+loop (``_steps``). Everything is bit-reproducible for a given (seed,
+config): batches come from counter-based streams keyed by step and batch
+index, each batch is split into groups of same-shape items that run as one
+stacked forward (never padded), gradients accumulate across the groups in a
+fixed order, and Adam (fixed β1, β2 and ε; only the learning rate is a knob)
+takes one step per batch. ``train`` validates on a fixed seed-derived
+instance set and restores the best-validation parameter snapshot when it
+finishes; a non-finite loss or gradient aborts the run and restores the
+last good snapshot.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .tensor import (
     recording,
 )
 
-# Default Adam learning rate of train, train_tagger, bench.ablate and `tdt train`.
+# Default Adam learning rate of train, of the head trainer train_head and of `tdt train`.
 DEFAULT_LR = 1e-3
 
 
@@ -75,17 +77,19 @@ def batch_loss(model: Model, instances, tape: Tape | None = None, loss_scale: fl
         return loss if loss_scale == 1.0 else ops.scale(loss, loss_scale)
 
 
-def _check_loop(lr, batch_size) -> None:
+def _check_loop(lr, batch_size, steps) -> None:
     """ConfigError for what no training run accepts, checked before any
-    step (also before a run of zero steps): a batch size below 1, or a
-    learning rate that is not a positive finite number."""
+    step (also before a run of zero steps): a negative step count, a batch
+    size below 1, or a learning rate that is not a positive finite number."""
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     check_lr(lr)
 
 
 def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
-    """The optimizer loop of ``train`` and ``train_tagger``: yields
+    """The optimizer loop of ``train`` and ``train_head``: yields
     ``(step, summed loss)`` after each of ``steps`` Adam steps.
 
     Step ``s`` draws ``item_fn(root.split(f"train/{s}/{j}"))`` for ``j`` below
@@ -95,7 +99,7 @@ def _steps(params, lr, steps, root, batch_size, item_fn, key, group_loss):
     sum to the batch mean. A ``NumericsError`` propagates to the caller, and
     the inputs :func:`_check_loop` refuses raise ``ConfigError``.
     """
-    _check_loop(lr, batch_size)
+    _check_loop(lr, batch_size, steps)
     opt = Adam(params, lr)
     for step in range(1, steps + 1):
         # Every op screens its result and raises NumericsError, so numpy's
@@ -150,9 +154,7 @@ def train(
     fine-tuning-scale rate a third as large allows about 0.02, too little
     to train from scratch.
     """
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
-    _check_loop(lr, batch_size)
+    _check_loop(lr, batch_size, steps)
     if model.config.pooling_mode == "ada":
         raise ConfigError(
             "pooling_mode=ada pools with tagger weights, which training does not "
@@ -233,81 +235,96 @@ def eval_accuracy(
 
 
 # -----------------------------------------------------------------------------
-# Importance tagger
+# Encoder heads: the importance tagger and the key-value probe
 # -----------------------------------------------------------------------------
 
 
 class Tagger:
-    """Encoder plus a per-token scoring head.
+    """An encoder-only :class:`Model` plus a linear head of ``width`` outputs
+    at every token; ``params`` is exactly what :meth:`logits` reads. Under
+    ``oracle_ada`` the encoder pools with the labels given to :meth:`logits`.
+    The importance tagger is the width-1 case, whose raw ``z`` are its pooling
+    weights (the per-window softmax does its own normalization)."""
 
-    The raw head logits are used directly as pooling weights at evaluation
-    time (the per-window softmax does its own normalization). The encoder
-    is built with average pooling and no decoder layers, so ``params``, the
-    encoder's parameters plus the head, is exactly what :meth:`logits` reads.
-    """
-
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        config = replace(config, pooling_mode="avg", n_decoder_layers=0)
-        self.config = config
+    def __init__(self, config: ModelConfig, seed: int = 0, width: int = 1):
+        self.config = config = replace(config, n_decoder_layers=0)
         self.encoder = Model(config, seed=seed)
         rng = RngStream(seed).split("tagger")
-        d = config.d_model
-        self.head_w = Parameter("tagger.head.w", rng.split("w").normal((d, 1), std=0.02))
-        self.head_b = Parameter("tagger.head.b", np.zeros(1))
+        w = rng.split("w").normal((config.d_model, width), std=0.02)
+        self.head_w = Parameter("tagger.head.w", w)
+        self.head_b = Parameter("tagger.head.b", np.zeros(width))
         self.params = {**self.encoder.params, "tagger.head.w": self.head_w,
                        "tagger.head.b": self.head_b}
 
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
-    def logits(self, token_ids):
-        ids = np.asarray(token_ids, dtype=np.int64)
-        enc = self.encoder.encode(ids)
-        return ops.reshape(ops.linear(enc, self.head_w, self.head_b), ids.shape)
+    def logits(self, token_ids, labels=None) -> Tensor:
+        """Class logits [..., N, C] at every token: the ``width`` outputs, or
+        for width 1 the two classes [0, z]."""
+        oracle = self.config.pooling_mode == "oracle_ada"
+        enc = self.encoder.encode(token_ids, labels=labels if oracle else None)
+        z = ops.linear(enc, self.head_w, self.head_b)
+        return z if z.shape[-1] > 1 else ops.concat([Tensor(np.zeros(z.shape)), z], axis=-1)
 
     def weights(self, token_ids) -> np.ndarray:
-        return self.logits(token_ids).data.copy()
+        """The width-1 head's ``z`` per token: the pooling weights ``ada`` reads."""
+        return self.logits(token_ids).data[..., 1].copy()
 
 
-def train_tagger(
-    config: ModelConfig,
-    doc_fn,
-    steps: int,
-    seed: int,
-    lr: float = DEFAULT_LR,
-    batch_size: int = 8,
-) -> tuple[Tagger, TrainReport]:
-    """Fit a tagger on ``doc_fn(rng) -> (token_ids, labels)`` pairs with
-    per-token binary cross-entropy: the two-class cross-entropy of logits
-    [0, z], which is softplus(z) - z * y.
+def _columns(items) -> list:
+    """Same-length ``(token_ids, targets, labels)`` items as three arrays."""
+    return [None if col[0] is None else np.array(col, dtype=np.int64) for col in zip(*items)]
 
-    A non-finite value aborts the run and restores the parameters the last
+
+def train_head(head: Tagger, item_fn, steps: int, seed: int, lr: float = DEFAULT_LR,
+               batch_size: int = 8) -> TrainReport:
+    """Fit ``head`` on ``item_fn(rng) -> (token_ids, targets, labels)`` items
+    with one cross-entropy over its logits at every token whose target is
+    not -1; ``labels`` are what ``oracle_ada`` pools with, or None. A
+    non-finite value aborts the run and restores the parameters the last
     completed step's forward ran on, whose loss is the last one reported.
-    A label other than 0 or 1 raises ``UsageError``.
     """
-    tagger = Tagger(config, seed=seed)
-    report = TrainReport(seed=seed, config_hash=tagger.config.config_hash(), steps=steps)
+    report = TrainReport(seed=seed, config_hash=head.config.config_hash(), steps=steps)
 
     def group_loss(group, scale):
-        ids = np.array([ids for ids, _ in group], dtype=np.int64)
-        labels = np.array([labels for _, labels in group], dtype=np.int64)
-        if not np.isin(labels, (0, 1)).all():  # else cross_entropy would skip a -1 as padding
-            bad = sorted(set(labels.ravel().tolist()) - {0, 1})
-            raise UsageError(f"tagger labels must be 0 or 1, got {bad}")
-        z = ops.reshape(tagger.logits(ids), ids.shape + (1,))
-        two_class = ops.concat([Tensor(np.zeros(z.shape)), z], axis=-1)
-        return ops.scale(ops.cross_entropy(two_class, labels, pad_id=-1), scale)
+        ids, targets, labels = _columns(group)
+        return ops.scale(ops.cross_entropy(head.logits(ids, labels), targets, pad_id=-1), scale)
 
     # the parameters of the last completed step's forward, and the current ones
-    snaps = [_snapshot(tagger)] * 2
+    snaps = [_snapshot(head)] * 2
     try:
+        # the stream's name predates the probe; it keeps tagger runs as they were
         for _, loss in _steps(
-            tagger.parameters(), lr, steps, RngStream(seed).split("tagger-train"),
-            batch_size, doc_fn, key=lambda doc: len(doc[0]), group_loss=group_loss,
+            list(head.params.values()), lr, steps, RngStream(seed).split("tagger-train"),
+            batch_size, item_fn, key=lambda item: len(item[0]), group_loss=group_loss,
         ):
             report.losses.append(loss)
-            snaps = [snaps[1], _snapshot(tagger)]
+            snaps = [snaps[1], _snapshot(head)]
     except NumericsError:
         report.aborted = True
-        _restore(tagger, snaps[0])
-    return tagger, report
+        _restore(head, snaps[0])
+    return report
+
+
+def head_accuracy(head: Tagger, items) -> float:
+    """Top-1 accuracy over the target positions of same-length items."""
+    ids, targets, labels = _columns(items)
+    hits = head.logits(ids, labels).data.argmax(axis=-1) == targets
+    return float(hits[targets != -1].mean())
+
+
+def train_tagger(config: ModelConfig, doc_fn, steps: int, seed: int, lr: float = DEFAULT_LR,
+                 batch_size: int = 8) -> tuple[Tagger, TrainReport]:
+    """Fit an average-pooling tagger with :func:`train_head` on
+    ``doc_fn(rng) -> (token_ids, labels)`` pairs: the two-class
+    cross-entropy of logits [0, z], which is softplus(z) - z * y. A label
+    other than 0 or 1 raises ``UsageError``.
+    """
+    tagger = Tagger(replace(config, pooling_mode="avg"), seed=seed)
+
+    def item_fn(rng):
+        ids, labels = doc_fn(rng)
+        if not np.isin(labels, (0, 1)).all():  # else cross_entropy would skip a -1
+            bad = sorted(set(np.ravel(labels).tolist()) - {0, 1})
+            raise UsageError(f"tagger labels must be 0 or 1, got {bad}")
+        return ids, labels, None
+
+    return tagger, train_head(tagger, item_fn, steps, seed, lr, batch_size)

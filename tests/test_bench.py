@@ -1,4 +1,4 @@
-"""Benchmark records vs closed-form budgets, and output formats."""
+"""Benchmark records vs closed-form budgets, output formats, and the probe ablation."""
 
 import csv
 import io
@@ -7,7 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from tdt import ConfigError, Model, ModelConfig, encode_score_budget
+from tdt import (
+    ConfigError,
+    Model,
+    ModelConfig,
+    RngStream,
+    desk_config,
+    encode_score_budget,
+    gen_keyvalue_task,
+)
 from tdt import bench
 from tdt.bench import (
     VARIANTS,
@@ -18,6 +26,9 @@ from tdt.bench import (
     records_to_json,
     variant_config,
 )
+from tdt.cli import run_cli
+from tdt.tasks import N_VALUES
+from tdt.training import Tagger
 
 
 def _base(**kw):
@@ -129,21 +140,70 @@ def test_bench_peak_bytes_cross_well_below_full():
     )
 
 
-def test_ablate_checks_every_window_before_the_first_training(monkeypatch):
-    def train(*args, **kwargs):
+ABLATE_KEYS = ["base_window", "chance", "rows", "seeds", "steps"]
+ROW_KEYS = ["mean_acc", "per_seed", "pooling", "sd_acc", "variant", "window"]
+
+
+def _refuse_training(monkeypatch):
+    def train_head(*args, **kwargs):
         raise AssertionError("ablate trained before checking its grid")
 
-    monkeypatch.setattr(bench, "train", train)
+    monkeypatch.setattr(bench, "train_head", train_head)
+
+
+def test_ablate_checks_every_window_before_the_first_training(monkeypatch):
+    _refuse_training(monkeypatch)
     with pytest.raises(ConfigError, match="window"):
         bench.ablate([0, 1, 2], windows=(8, 3), base_window=8, steps=1)
 
 
+def test_ablate_refuses_ada_pooling_before_the_first_training(monkeypatch, tmp_path, capsys):
+    # the probe has no tagger to weight ada pooling with
+    _refuse_training(monkeypatch)
+    with pytest.raises(ConfigError, match="ada"):
+        bench.ablate([0, 1, 2], windows=(8,), steps=1, base=desk_config(pooling_mode="ada"))
+    cfg = tmp_path / "ada.json"
+    cfg.write_text(json.dumps({"pooling_mode": "ada"}))
+    assert run_cli(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ablate cannot pool with ada")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablate_reports_one_row_per_cell_and_no_ordering_flags(monkeypatch):
-    monkeypatch.setattr(bench, "train", lambda *args, **kwargs: None)
-    monkeypatch.setattr(bench, "eval_accuracy", lambda model, val: {"token_acc": 0.5})
+    monkeypatch.setattr(bench, "train_head", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench, "head_accuracy", lambda head, items: 0.5)
     # a repeated sweep window is one cell, trained once per seed
-    table = bench.ablate([0, 1, 2], windows=(4, 8, 4), base_window=8, steps=1, n_eval=1)
-    assert sorted(table) == ["base_window", "rows", "seeds", "steps"]
-    assert [(r["variant"], r["window"]) for r in table["rows"]] == [
-        ("cross", 8), ("concat", 8), ("none", 8), ("cross", 4)]
+    table = bench.ablate([0, 1, 2], windows=(4, 8, 4), base_window=8, steps=1, n_eval=1,
+                         base=desk_config(pooling_mode="oracle_ada"))
+    assert sorted(table) == ABLATE_KEYS
+    assert [(r["variant"], r["pooling"], r["window"]) for r in table["rows"]] == [
+        ("cross", "oracle_ada", 8), ("concat", "oracle_ada", 8), ("none", "avg", 8),
+        ("cross", "oracle_ada", 4)]
     assert all(r["per_seed"] == [0.5, 0.5, 0.5] for r in table["rows"])
+
+
+def test_ablate_json_keys_and_chance_level(tmp_path):
+    # two runs with the same seeds write the same bytes
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run_cli(["ablate", "--seeds", "3", "--windows", "8", "--steps", "1",
+                        "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    table = json.loads(outs[0].read_text())
+    assert sorted(table) == ABLATE_KEYS
+    assert table["chance"] == 1 / N_VALUES
+    assert [sorted(row) for row in table["rows"]] == [ROW_KEYS] * 3
+    assert all(len(row["per_seed"]) == 3 for row in table["rows"])
+
+
+@pytest.mark.parametrize("mode, blind", [("none", True), ("cross", False)])
+def test_the_query_sees_the_value_block_only_through_the_top_down_path(mode, blind):
+    # N=64 on the desk preset: the block ends 48 positions before the query,
+    # beyond the 8 the bottom-up layers see, so only the segment level reaches it
+    cfg = desk_config(topdown_mode=mode)
+    inst = gen_keyvalue_task(RngStream(5), 64, cfg.window, cfg.n_bottom_up, cfg.vocab_size)
+    permuted = inst.source[N_VALUES - 1::-1] + inst.source[N_VALUES:]
+    probe = Tagger(cfg, seed=0, width=N_VALUES)  # untrained
+    query = [probe.logits(ids).data[-1] for ids in (inst.source, permuted)]
+    assert query[0].shape == (N_VALUES,)
+    assert np.array_equal(*query) == blind

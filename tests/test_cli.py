@@ -267,6 +267,21 @@ def test_training_of_zero_steps_still_refuses_bad_inputs(tmp_path, capsys, flags
     assert not (tmp_path / "run").exists()
 
 
+def test_a_negative_step_count_is_refused_before_any_training(tmp_path, capsys):
+    from tdt import ConfigError, gen_copy_task, train, train_tagger
+
+    cfg = desk_config()
+    with pytest.raises(ConfigError, match="steps"):
+        train(Model(cfg, seed=0), lambda rng: gen_copy_task(rng, (4, 4), cfg.vocab_size),
+              steps=-1, seed=0)
+    with pytest.raises(ConfigError, match="steps"):
+        train_tagger(cfg, lambda rng: ([3, 4, 5, 6], [0, 1, 0, 1]), steps=-1, seed=0)
+    for command in ("train-tagger", "ablate"):
+        code, out, err = run(capsys, command, "--steps", "-1", "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", "error: steps must be >= 0\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_copy_task_at_max_positions_leaves_room_for_bos(tmp_path, capsys):
     # max_positions 16 and --n-tokens 16: a 16-token target made a 17-token
     # decoder input (BOS + target) before the copy length was capped at 15

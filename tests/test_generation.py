@@ -104,7 +104,7 @@ def test_cached_steps_after_select_match_full_decode():
     cache.select([2, 0, 2, 1])  # a repeated row, and one more row than before
     kept = [rows[2], rows[0], rows[2], rows[1]]
     batch_enc = Tensor(np.stack([enc.data] * 4))
-    for t in range(2, 10):  # through the regrowths at 4 and 8 positions
+    for t in range(2, 10):  # eight one-position steps on the selected rows
         step = m.decode([r[t:t + 1] for r in kept], batch_enc, cache=cache).data[:, -1]
         for got, r in zip(step, kept):
             assert np.max(np.abs(got - m.decode(r[: t + 1], enc).data[-1])) <= 1e-12

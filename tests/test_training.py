@@ -17,6 +17,7 @@ from tdt import (
     recording,
     zero_grads,
 )
+from tdt.checkpoint import load_checkpoint, write_checkpoint
 from tdt.model import EOS_ID
 from tdt.tasks import TaskInstance
 from tdt.training import (
@@ -206,9 +207,14 @@ def test_tagger_weights_shape_and_determinism():
     np.testing.assert_array_equal(w1, w2)
 
 
-def test_tagger_forces_average_pooling_for_its_own_encoder():
-    t = Tagger(desk_config(pooling_mode="oracle_ada"), seed=0)
+def test_tagger_forces_average_pooling_for_its_own_encoder(tmp_path):
+    doc = ([3, 4, 5, 6], [0, 1, 0, 1])
+    t, _ = train_tagger(desk_config(pooling_mode="oracle_ada"), lambda rng: doc, steps=1, seed=0)
     assert t.config.pooling_mode == "avg"
+    write_checkpoint(tmp_path / "t.tdtx", "tagger", t.config.to_dict(), t.params)
+    loaded = load_checkpoint(tmp_path / "t.tdtx", "tagger", Tagger)
+    assert loaded.config.pooling_mode == "avg"
+    np.testing.assert_array_equal(loaded.weights(doc[0]), t.weights(doc[0]))
 
 
 def test_tagger_builds_no_decoder_layers():
