@@ -217,7 +217,8 @@ class DecodeCache:
     output projection its first call made (the tied readout is a transpose
     of the token table, which a step need not copy again). A layer holds
     exactly the decoded positions' keys and values, in tensors that are
-    never written, so a decode that raises restores the layers it found.
+    never written. A decode commits all four fields in one statement after
+    its logits, so one that raises leaves the cache as it found it.
     """
 
     def __init__(self, n_layers: int):
@@ -411,19 +412,18 @@ class Model:
             raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
         return ops.add_rows(ops.gather_rows(self.tok_emb, ids), pos_table, start)
 
-    def _blocks(self, x, layers, mask, counter, context=None, assign=None,
-                cache: DecodeCache | None = None):
+    def _blocks(self, x, layers, mask, counter, context=None, assign=None, kvs=None):
         """Run each layer as one block: self-attention under ``mask``, then
         the context update the layer has parameters for (cross-attention to
         ``context``, or the concat projection of each token's ``assign``-ed
-        context row), then the FFN, and yield the layer's output. With
-        ``cache``, layer i reads and extends ``cache.layers[i]``. Each step
+        context row), then the FFN, and yield the layer's output. With the
+        layer caches ``kvs``, layer i reads and extends ``kvs[i]``. Each step
         rebinds ``x``, and each caller rebinds its own input to each output
         (``for x in self._blocks(x, ...)``), so the stack's input is freed
         after the first layer instead of staying alive in the caller."""
         mha, h = multi_head_attention, self.config.n_heads
         for i, layer in enumerate(layers):
-            kv = None if cache is None else cache.layers[i]
+            kv = None if kvs is None else kvs[i]
             x = mha(x, None, layer.self_attn, layer.ln_self, h, mask, counter, kv)
             if layer.cross is not None:
                 x = mha(x, context, layer.cross, layer.ln_cross, h, None, counter, kv)
@@ -525,8 +525,9 @@ class Model:
         projected from ``enc_out`` on the first call and reused after (a
         later ``enc_out`` of another length or width raises ShapeError),
         and so is the output projection. A one-position step attends every
-        cached position, so it builds no causal mask. A call that raises
-        leaves the cache as it found it.
+        cached position, so it builds no causal mask. The blocks extend
+        copies of the layer caches, and the cache commits them only after
+        the logits are made, so a call that raises leaves it untouched.
         """
         if self.pos_dec is None:
             raise UsageError("n_decoder_layers=0: the model has no decoder")
@@ -536,23 +537,16 @@ class Model:
         if past and batch != cache.batch_shape:
             raise ShapeError(f"prefix batch {batch} != cached batch {cache.batch_shape}")
         mask = None if t == 1 else build_mask(MaskSpec.causal(), t, past + t)
-        layers = None if cache is None else [replace(kv) for kv in cache.layers]
-        try:
-            for y in self._blocks(y, self.decoder, mask, counter, enc_out, cache=cache):
-                pass
-        except BaseException:
-            if cache is not None:
-                cache.layers = layers  # the references this call found
-            raise
-        if cache is not None:
-            cache.length += t
-            cache.batch_shape = batch
+        kvs = None if cache is None else [replace(kv) for kv in cache.layers]
+        for y in self._blocks(y, self.decoder, mask, counter, enc_out, kvs=kvs):
+            pass
         w = None if cache is None else cache.readout
         if w is None:
             w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
-            if cache is not None:
-                cache.readout = w
-        return ops.linear(y, w)
+        logits = ops.linear(y, w)
+        if cache is not None:
+            cache.layers, cache.length, cache.batch_shape, cache.readout = kvs, past + t, batch, w
+        return logits
 
     def generate(self, source_ids, max_len: int, strategy: str = "greedy",
                  beam_size: int = 1, eos_id: int = EOS_ID,
@@ -562,7 +556,8 @@ class Model:
         terminating eos, when produced, is included in the returned sequence.
 
         Greedy breaks ties toward the lowest token id; beam search is
-        length-normalized and fully deterministic. Decoding is incremental:
+        length-normalized and fully deterministic; ``beam_size`` above 1
+        needs ``strategy="beam"``. Decoding is incremental:
         each step runs the decoder on the newest token only, through
         :meth:`decode` with a :class:`DecodeCache`, and all open beams step
         together as one batch. Nothing is recorded on an active tape.
@@ -576,15 +571,17 @@ class Model:
             raise UsageError("max_len must be >= 1")
         if beam_size < 1:
             raise UsageError("beam_size must be >= 1")
+        if strategy not in ("greedy", "beam"):
+            raise UsageError(f"unknown generation strategy {strategy!r}")
+        if strategy == "greedy" and beam_size != 1:
+            raise UsageError(f"beam_size={beam_size} needs strategy 'beam', not 'greedy'")
         if np.ndim(source_ids) != 1:
             raise UsageError("generate expects one source sequence [N]")
         with recording(None):
             enc = self.encode(source_ids, counter, weights=weights, labels=labels)
             enc = ops.reshape(enc, (1,) + enc.shape)  # the batch of the first step
-            if strategy == "greedy" or (strategy == "beam" and beam_size == 1):
+            if beam_size == 1:
                 return self._greedy(enc, max_len, eos_id, counter)
-            if strategy != "beam":
-                raise UsageError(f"unknown generation strategy {strategy!r}")
             return self._beam(enc, max_len, beam_size, eos_id, counter)
 
     def _greedy(self, enc, max_len: int, eos_id: int, counter) -> list[int]:

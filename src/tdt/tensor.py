@@ -11,10 +11,10 @@ inputs and its vjp closure, with the arrays that closure saved. ``backward``
 consumes the tape, popping each entry once its vjp has run, so what only
 that entry kept is freed as the pass goes and a tape is spent afterwards.
 
-Live tensor bytes are tracked per thread so benchmarks can report peak
-allocation without relying on OS RSS. Each tensor keeps two slots, the
-creating thread's counters and its own ``nbytes``: construction adds the bytes
-there and ``Tensor.__del__`` subtracts them, so a tensor is counted exactly
+The engine serves one thread of control per process: one active tape and
+one record of live tensor bytes, so benchmarks can report peak allocation
+without relying on OS RSS. Construction adds a tensor's ``nbytes`` to that
+record and ``Tensor.__del__`` subtracts them, so a tensor is counted exactly
 while it is alive. A view of another tensor's memory (a reshape, or a
 transpose or slice that needed no copy) adds no bytes and keeps that tensor
 alive instead, so shared bytes are counted once, until both are gone. A tape
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class CheckpointError(TdtError):
 
 
 # -----------------------------------------------------------------------------
-# Allocation accounting (per thread of control)
+# Allocation accounting (one record per process)
 # -----------------------------------------------------------------------------
 
 
@@ -68,41 +68,31 @@ class _AllocState:
         self.peak = 0
 
 
-_alloc_local = threading.local()
+_ALLOC = _AllocState()
 
 
-def _alloc_state() -> _AllocState:
-    st = getattr(_alloc_local, "state", None)
-    if st is None:
-        st = _AllocState()
-        _alloc_local.state = st
-    return st
-
-
-def _count(nbytes: int) -> _AllocState:
-    """Add ``nbytes`` to this thread's live total; return its counters."""
-    st = _alloc_state()
-    st.live += nbytes
-    if st.live > st.peak:
-        st.peak = st.live
-    return st
+def _count(nbytes: int) -> None:
+    """Add ``nbytes`` to the live total and raise the peak to meet it."""
+    _ALLOC.live += nbytes
+    if _ALLOC.live > _ALLOC.peak:
+        _ALLOC.peak = _ALLOC.live
 
 
 def live_bytes() -> int:
-    """Bytes currently held by tensors created on this thread."""
-    return _alloc_state().live
+    """Bytes currently held by live tensors and tape entries: one record for
+    the process, which runs one thread of control."""
+    return _ALLOC.live
 
 
 def peak_bytes() -> int:
     """High-water mark of live tensor bytes since the last reset."""
-    return _alloc_state().peak
+    return _ALLOC.peak
 
 
 def reset_peak() -> int:
     """Reset the high-water mark to the current live total and return it."""
-    st = _alloc_state()
-    st.peak = st.live
-    return st.peak
+    _ALLOC.peak = _ALLOC.live
+    return _ALLOC.peak
 
 
 # -----------------------------------------------------------------------------
@@ -119,7 +109,8 @@ class Tensor:
     were screened when they were made, so they wrap their result unscreened.
     """
 
-    __slots__ = ("data", "nbytes", "_alloc", "_base")
+    __slots__ = ("data", "nbytes", "_base")
+    _alloc = _ALLOC  # reached through the class, so __del__ finds it at shutdown
 
     def __init__(self, data):
         self.nbytes = 0  # keeps __del__ exact if the conversion or screen raises
@@ -131,7 +122,7 @@ class Tensor:
     def _track(self, arr: np.ndarray) -> None:
         self.data = arr
         self.nbytes = arr.nbytes
-        self._alloc = _count(arr.nbytes)
+        _count(arr.nbytes)
 
     def __del__(self):
         if self.nbytes:
@@ -253,7 +244,8 @@ class TapeEntry:
     desk train step).
     """
 
-    __slots__ = ("out", "inputs", "vjp", "nbytes", "_alloc")
+    __slots__ = ("out", "inputs", "vjp", "nbytes")
+    _alloc = _ALLOC  # as Tensor's
 
     def __init__(self, out: Tensor | tuple, inputs: tuple, vjp, saved: tuple = ()):
         self.out = out
@@ -261,7 +253,7 @@ class TapeEntry:
         self.vjp = vjp
         self.nbytes = sum(a.nbytes for a in saved if a.base is None)
         if self.nbytes:
-            self._alloc = _count(self.nbytes)
+            _count(self.nbytes)
 
     def __del__(self):
         if self.nbytes:
@@ -298,29 +290,23 @@ class Tape:
         return len(self.entries) if self._recorded is None else self._recorded
 
 
-_tape_local = threading.local()
+_tape: Tape | None = None  # the active tape; None outside any recording
 
 
-def current_tape():
-    return getattr(_tape_local, "tape", None)
+def current_tape() -> Tape | None:
+    return _tape
 
 
-class recording:
-    """Context manager that directs operations onto ``tape``; ``None``
-    suspends recording."""
-
-    def __init__(self, tape: Tape | None):
-        self.tape = tape
-        self._prev = None
-
-    def __enter__(self) -> Tape:
-        self._prev = current_tape()
-        _tape_local.tape = self.tape
-        return self.tape
-
-    def __exit__(self, exc_type, exc, tb):
-        _tape_local.tape = self._prev
-        return False
+@contextmanager
+def recording(tape: Tape | None):
+    """Direct operations onto ``tape``; ``None`` suspends recording. The
+    previous tape is restored on the way out, also when the block raises."""
+    global _tape
+    prev, _tape = _tape, tape
+    try:
+        yield tape
+    finally:
+        _tape = prev
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)

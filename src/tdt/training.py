@@ -247,6 +247,8 @@ class Tagger:
     weights (the per-window softmax does its own normalization)."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, width: int = 1):
+        if width < 1:
+            raise ConfigError(f"a head needs width >= 1, got {width}")
         self.config = config = replace(config, n_decoder_layers=0)
         self.encoder = Model(config, seed=seed)
         rng = RngStream(seed).split("tagger")
@@ -305,10 +307,14 @@ def train_head(head: Tagger, item_fn, steps: int, seed: int, lr: float = DEFAULT
 
 
 def head_accuracy(head: Tagger, items) -> float:
-    """Top-1 accuracy over the target positions of same-length items."""
+    """Top-1 accuracy over the target positions of same-length items;
+    items that hold no target position raise ``UsageError``."""
     ids, targets, labels = _columns(items)
+    scored = targets != -1
+    if not scored.any():
+        raise UsageError("head_accuracy: the items hold no target position")
     hits = head.logits(ids, labels).data.argmax(axis=-1) == targets
-    return float(hits[targets != -1].mean())
+    return float(hits[scored].mean())
 
 
 def train_tagger(config: ModelConfig, doc_fn, steps: int, seed: int, lr: float = DEFAULT_LR,

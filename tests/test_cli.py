@@ -91,6 +91,18 @@ def test_generate_beam_matches_library(tmp_path, capsys):
     assert [int(v) for v in out.split()] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--source", "3,4,5", "--beam", "4"),
+    ("eval", "--task", "copy", "--n-instances", "2", "--n-tokens", "6", "--beam", "3"),
+], ids=["generate", "eval"])
+def test_a_beam_width_without_the_beam_strategy_exits_2(tmp_path, capsys, argv):
+    ckpt = tmp_path / "model.tdtx"
+    save_model(Model(desk_config(), seed=11), ckpt)
+    code, out, err = run(capsys, *argv[:1], "--ckpt", str(ckpt), *argv[1:])
+    assert code == 2 and out == ""
+    assert "strategy" in err
+
+
 def test_train_determinism_across_invocations(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out_dir in (a, b):

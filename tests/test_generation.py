@@ -172,8 +172,11 @@ def test_a_cached_decode_step_records_17_ops():
     assert cfg.n_decoder_layers == 2 and len(tape) == 2 + 2 * 7 + 1 == 17
 
 
-@pytest.mark.parametrize("past", [0, 2], ids=["first-call", "later-call"])
-def test_a_decode_that_raises_leaves_the_cache_as_it_was(past):
+@pytest.mark.parametrize(
+    "past, lever", [(0, "ffn"), (2, "ffn"), (0, "readout")],
+    ids=["first-call", "later-call", "readout"],
+)
+def test_a_decode_that_raises_leaves_the_cache_as_it_was(past, lever):
     from tdt import NumericsError
 
     cfg = _cfg()
@@ -184,13 +187,19 @@ def test_a_decode_that_raises_leaves_the_cache_as_it_was(past):
     cache = DecodeCache(cfg.n_decoder_layers)
     if past:
         m.decode([prefix[:past]], batch_enc, cache=cache)
-    w1 = m.params["decoder.1.ffn.w1"].value.data
-    kept = w1.copy()
-    w1[...] = 1e308  # the last layer's FFN overflows after layer 0 appended its rows
+    if lever == "ffn":  # the last layer's FFN overflows after layer 0 appended its rows
+        w = m.params["decoder.1.ffn.w1"].value.data
+    else:  # a token row no prefix id reads: only the tied readout overflows
+        w = m.tok_emb.value.data[cfg.vocab_size - 1]
+    kept = w.copy()
+    w[...] = 1e308
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         m.decode([prefix[past:]], batch_enc, cache=cache)
-    w1[...] = kept
+    w[...] = kept
     assert cache.length == past
+    if lever == "readout":
+        assert cache.batch_shape == () and cache.readout is None
+        assert all(kv.k is None and kv.v is None and kv.cross is None for kv in cache.layers)
     step = m.decode([prefix[past:]], batch_enc, cache=cache).data[0, -1]
     assert np.max(np.abs(step - m.decode(prefix, enc).data[-1])) <= 1e-12
 

@@ -522,6 +522,16 @@ def test_beam_one_equals_greedy():
     assert greedy == beam1
 
 
+@pytest.mark.parametrize("strategy, beam", [("greedy", 4), ("sample", 1)],
+                         ids=["greedy-with-beam", "unknown"])
+def test_generate_refuses_a_strategy_it_would_not_run_before_the_encode(strategy, beam):
+    m = Model(_cfg(), seed=21)
+    counter = OpCounter()
+    with pytest.raises(UsageError, match="strategy"):
+        m.generate([3, 4, 5, 6], max_len=2, strategy=strategy, beam_size=beam, counter=counter)
+    assert counter.score_evals == 0
+
+
 def test_beam_search_deterministic_and_bounded():
     cfg = _cfg()
     m = Model(cfg, seed=22)

@@ -27,7 +27,7 @@ from tdt import (
     zero_grads,
 )
 from tdt import ops
-from tdt.tensor import TapeEntry
+from tdt.tensor import TapeEntry, current_tape
 from tdt.training import batch_loss
 from helpers import sum_all
 
@@ -144,6 +144,23 @@ def test_no_recording_outside_context():
         pass
     ops.scale(Tensor(np.ones(2)), 3.0)
     assert len(tape) == 0
+
+
+def test_recording_nests_and_restores_the_outer_tape_also_on_raise():
+    outer, inner = Tape(), Tape()
+    seen = []
+    with recording(outer):
+        with recording(inner):
+            seen.append(current_tape())
+            with recording(None):
+                seen.append(current_tape())
+            seen.append(current_tape())
+        seen.append(current_tape())
+        with pytest.raises(UsageError), recording(inner):
+            raise UsageError("inside the inner recording")
+        seen.append(current_tape())
+    assert seen == [inner, None, inner, outer, outer]  # Tape compares by identity
+    assert current_tape() is None
 
 
 def test_assign_validates_shape_and_finiteness():

@@ -24,6 +24,7 @@ from tdt.training import (
     Tagger,
     batch_loss,
     eval_accuracy,
+    head_accuracy,
     train,
     train_tagger,
 )
@@ -222,6 +223,18 @@ def test_tagger_builds_no_decoder_layers():
     assert t.encoder.decoder == []
     assert "embed.pos_dec" not in t.encoder.params
     assert set(t.params) == set(t.encoder.params) | {"tagger.head.w", "tagger.head.b"}
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_a_head_of_no_outputs_is_refused(width):
+    with pytest.raises(ConfigError, match="width"):
+        Tagger(desk_config(), seed=0, width=width)
+
+
+def test_head_accuracy_refuses_items_with_no_target_position():
+    items = [([3, 4, 5, 6], [-1, -1, -1, -1], None)] * 2
+    with pytest.raises(UsageError, match="no target position"):
+        head_accuracy(Tagger(desk_config(), seed=0, width=4), items)
 
 
 def test_tagger_all_zero_labels_drives_loss_down():
