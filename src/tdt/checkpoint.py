@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"TDTX"
-    u32    format version (currently 2)
+    u32    format version (currently 3)
     u32    length of the UTF-8 JSON header
     bytes  JSON header: {"kind": ..., "config": {...}}
     u32    number of parameters
@@ -16,11 +16,9 @@ Layout (all integers little-endian):
 Compute always runs in f64; the f32 tag is a storage-only option. A save /
 load / save round trip is byte-identical. Version 2 dropped the ``dropout``
 config field and the parameters nothing reads (the segment and top-down
-tables of ``topdown_mode="none"``, a tagger's decoder), so version 1 files
-are rejected. A model with ``n_decoder_layers=0`` also has no decoder-side
-parameters (``embed.pos_dec``, ``out.weight``); an older version 2 model
-file that still holds them fails with a parameter table mismatch. Tagger
-files never held them. Every malformed file raises :class:`CheckpointError`.
+tables of ``topdown_mode="none"``, a tagger's decoder); version 3 dropped
+the ``ffn_mult`` and ``tie_output`` fields and the untied ``out.weight``.
+Older versions, and every malformed file, raise :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 from .tensor import CheckpointError, ConfigError, Parameter
 
 MAGIC = b"TDTX"
-VERSION = 2
+VERSION = 3
 _DTYPES = {"f64": 0, "f32": 1}
 _MAX_NDIM = 64  # numpy's limit on array dimensions
 

@@ -10,10 +10,10 @@ Encoding runs in three stages over token states of shape [N, d_model]:
    cross-attention (or a concatenation projection in the ablation variant),
    injecting document-global context back into every position.
 
-A standard causal decoder attends the final token states only. A model with
-``n_decoder_layers=0`` is an encoder: it builds no decoder-side parameters
-(decoder position table, untied output projection), and its ``decode`` and
-``generate`` raise :class:`UsageError`.
+A standard causal decoder attends the final token states only and reads
+out through the token table (tied output weights). A model with
+``n_decoder_layers=0`` is an encoder: it builds no decoder position table,
+and its ``decode`` and ``generate`` raise :class:`UsageError`.
 
 Every layer of all four stacks is one block: self-attention under the
 stack's mask, an update from the stack's context where the layer has one,
@@ -75,6 +75,7 @@ LN_EPS = ops.LN_EPS
 # token content rather than normalized init noise; the gains are trainable
 # and grow as branches become useful.
 BRANCH_GAIN_INIT = 0.1
+FFN_MULT = 4  # feed-forward hidden width per model dimension
 
 POOLING_MODES = ("avg", "ada", "oracle_ada")
 TOPDOWN_MODES = ("cross", "concat", "none")
@@ -83,7 +84,6 @@ TOPDOWN_MODES = ("cross", "concat", "none")
 _FIELD_CHECKS = {
     "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
 }
 
 
@@ -100,10 +100,8 @@ class ModelConfig:
     kernel_size: int = 8
     stride: int = 6
     max_positions: int = 128
-    ffn_mult: int = 4
     pooling_mode: str = "avg"
     topdown_mode: str = "cross"
-    tie_output: bool = True
 
     def __post_init__(self):
         if self.vocab_size < 4:
@@ -115,10 +113,8 @@ class ModelConfig:
         if min(self.n_bottom_up, self.n_segment_layers, self.n_top_down,
                self.n_decoder_layers) < 0:
             raise ConfigError("layer counts must be non-negative")
-        if self.max_positions < 1 or self.ffn_mult < 1:
-            raise ConfigError("max_positions and ffn_mult must be positive")
-        if self.d_model <= 0 or self.n_heads <= 0:
-            raise ConfigError("d_model and n_heads must be positive")
+        if min(self.max_positions, self.d_model, self.n_heads) < 1:
+            raise ConfigError("max_positions, d_model and n_heads must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         _check_window(self.window)
@@ -214,18 +210,18 @@ class DecodeCache:
     :func:`~tdt.attention.multi_head_attention` cache per decoder layer
     (``layers``: self-attention keys and values, and the encoder output's
     cross-attention keys and values, with its batch: one serves all), and the
-    output projection its first call made (the tied readout is a transpose
-    of the token table, which a step need not copy again). A layer holds
-    exactly the decoded positions' keys and values, in tensors that are
-    never written. A decode commits all four fields in one statement after
-    its logits, so one that raises leaves the cache as it found it.
+    readout its first call made (the transposed token table, which a step
+    need not copy again). A layer holds exactly the decoded positions' keys
+    and values, in tensors that are never written. A decode commits all four
+    fields in one statement after its logits, so one that raises leaves the
+    cache as it found it.
     """
 
     def __init__(self, n_layers: int):
         self.length = 0
         self.batch_shape: tuple = ()  # leading shape of the decoded ids
         self.layers = [_LayerKV() for _ in range(n_layers)]
-        self.readout = None  # the output projection, once a call made it
+        self.readout = None  # the transposed token table, once a call made it
 
     def select(self, rows) -> None:
         """Keep batch rows ``rows`` (in that order, repeats allowed), e.g.
@@ -287,22 +283,18 @@ class Model:
 
         # Stages that never run build no parameters: without top-down
         # inference the segment stage and the top-down layers, without
-        # decoder layers the decoder-side embeddings.
+        # decoder layers the decoder position table.
         hierarchical = c.topdown_mode != "none"
-        decoding = c.n_decoder_layers > 0
 
         self.tok_emb = self._emb(rng, "embed.token", (c.vocab_size, c.d_model))
         self.pos_enc = self._emb(rng, "embed.pos_enc", (c.max_positions, c.d_model))
         self.pos_dec = None
-        if decoding:
+        if c.n_decoder_layers > 0:
             self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
         self.pos_seg = None
         if hierarchical:
             m = c.segmentation.n_segments(c.max_positions)
             self.pos_seg = self._emb(rng, "embed.pos_seg", (m, c.d_model))
-        self.out_w = None
-        if decoding and not c.tie_output:
-            self.out_w = self._emb(rng, "out.weight", (c.d_model, c.vocab_size))
 
         self.bottom_up = [self._layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)]
         self.segment_layers = [
@@ -348,7 +340,7 @@ class Model:
 
     def _ffn(self, rng, prefix) -> _FfnParams:
         d = self.config.d_model
-        hidden = d * self.config.ffn_mult
+        hidden = d * FFN_MULT
         r = rng.split(prefix)
         return _FfnParams(
             w1=self._register(Parameter(f"{prefix}.w1", r.split("w1").normal((d, hidden), std=self.init_std))),
@@ -524,13 +516,17 @@ class Model:
         is extended with theirs. Its cross-attention keys and values are
         projected from ``enc_out`` on the first call and reused after (a
         later ``enc_out`` of another length or width raises ShapeError),
-        and so is the output projection. A one-position step attends every
+        and so is the readout. A one-position step attends every
         cached position, so it builds no causal mask. The blocks extend
         copies of the layer caches, and the cache commits them only after
-        the logits are made, so a call that raises leaves it untouched.
+        the logits are made, so a call that raises leaves it untouched. A
+        cache built for another number of decoder layers raises UsageError.
         """
         if self.pos_dec is None:
             raise UsageError("n_decoder_layers=0: the model has no decoder")
+        if cache is not None and len(cache.layers) != len(self.decoder):
+            raise UsageError(f"cache holds {len(cache.layers)} decoder layers, "
+                             f"the model has {len(self.decoder)}")
         past = 0 if cache is None else cache.length
         y = self._embed_ids(prefix_ids, self.pos_dec, past, "prefix")
         batch, t = y.shape[:-2], y.shape[-2]
@@ -542,7 +538,7 @@ class Model:
             pass
         w = None if cache is None else cache.readout
         if w is None:
-            w = self.out_w if self.out_w is not None else ops.transpose(self.tok_emb, (1, 0))
+            w = ops.transpose(self.tok_emb, (1, 0))
         logits = ops.linear(y, w)
         if cache is not None:
             cache.layers, cache.length, cache.batch_shape, cache.readout = kvs, past + t, batch, w
@@ -552,8 +548,8 @@ class Model:
                  beam_size: int = 1, eos_id: int = EOS_ID,
                  weights=None, labels=None,
                  counter: OpCounter | None = None) -> list[int]:
-        """Emit up to ``max_len`` tokens for one source sequence [N]; the
-        terminating eos, when produced, is included in the returned sequence.
+        """Emit up to ``max_len`` (at most ``max_positions``) tokens for one
+        source sequence [N]; a terminating eos is included in the output.
 
         Greedy breaks ties toward the lowest token id; beam search is
         length-normalized and fully deterministic; ``beam_size`` above 1
@@ -567,8 +563,9 @@ class Model:
         """
         if self.pos_dec is None:  # before the encode, which would be wasted
             raise UsageError("n_decoder_layers=0: the model has no decoder")
-        if max_len < 1:
-            raise UsageError("max_len must be >= 1")
+        if not 1 <= max_len <= self.config.max_positions:
+            raise UsageError(f"max_len must be >= 1 and <= max_positions "
+                             f"{self.config.max_positions}, got {max_len}")
         if beam_size < 1:
             raise UsageError("beam_size must be >= 1")
         if strategy not in ("greedy", "beam"):

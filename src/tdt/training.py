@@ -267,7 +267,10 @@ class Tagger:
         return z if z.shape[-1] > 1 else ops.concat([Tensor(np.zeros(z.shape)), z], axis=-1)
 
     def weights(self, token_ids) -> np.ndarray:
-        """The width-1 head's ``z`` per token: the pooling weights ``ada`` reads."""
+        """The width-1 head's ``z`` per token: the pooling weights ``ada`` reads.
+        A wider head has no such weights and raises ``UsageError``."""
+        if self.head_b.shape != (1,):
+            raise UsageError(f"weights needs a width-1 head, not width {self.head_b.shape[0]}")
         return self.logits(token_ids).data[..., 1].copy()
 
 

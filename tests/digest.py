@@ -1,11 +1,11 @@
 """Bit-identity digest of the model's observable outputs.
 
-Prints one sha256 over: encoder outputs for every top-down mode with tied
-and untied output weights (unbatched and batched), decode logits, the logits
-of a cached greedy decode step by step and of a cached step after
-``DecodeCache.select``, greedy and beam-3 generations, the batch loss and every gradient, ``save_model`` bytes,
-one 2048-token encode of the ``encode_long`` shape, a 15-step training run,
-and the tagger's weights, training losses and checkpoint bytes. Two trees
+Prints one sha256 over, for every top-down mode: encoder outputs (unbatched
+and batched), decode logits, the logits of a cached greedy decode step by
+step and of a cached step after ``DecodeCache.select``, greedy and beam-3
+generations, the batch loss and every gradient, and ``save_model`` bytes;
+then one 2048-token encode of the ``encode_long`` shape, a 15-step training
+run, and the tagger's weights, training losses and checkpoint bytes. Two trees
 that print the same digest compute the same bits. Run against a tree with
 
     PYTHONPATH=<tree>/src python tests/digest.py
@@ -88,26 +88,24 @@ def model_outputs() -> None:
     prefix = np.array([[1, 5, 9, 13], [1, 6, 10, 14]])
     labels = np.zeros((2, 24), dtype=np.int64)
     labels[:, [2, 17]] = 1
-    for mode in ("cross", "concat", "none"):
-        for tie in (True, False):
-            tag = f"{mode}/tie={tie}"
-            m = Model(desk_config(topdown_mode=mode, tie_output=tie), seed=3)
-            feed(f"{tag}/encode1", m.encode(ids[0]).data)
-            enc = m.encode(ids)
-            feed(f"{tag}/encode2", enc.data)
-            feed(f"{tag}/decode", m.decode(prefix, enc).data)
-            cached_logits(tag, m, enc, prefix)
-            feed(f"{tag}/greedy", m.generate(src, max_len=8))
-            feed(f"{tag}/beam3", m.generate(src, max_len=8, strategy="beam", beam_size=3))
-            insts = [TaskInstance(list(r), list(r[:6])) for r in ids]
-            tape = Tape()
-            loss = batch_loss(m, insts, tape)
-            backward(loss, tape)
-            feed(f"{tag}/loss", loss.data)
-            for name, p in m.params.items():
-                feed(f"{tag}/grad/{name}", p.grad)
-            zero_grads(m.parameters())
-            feed_file(f"{tag}/ckpt", lambda path: save_model(m, path))
+    for tag in ("cross", "concat", "none"):
+        m = Model(desk_config(topdown_mode=tag), seed=3)
+        feed(f"{tag}/encode1", m.encode(ids[0]).data)
+        enc = m.encode(ids)
+        feed(f"{tag}/encode2", enc.data)
+        feed(f"{tag}/decode", m.decode(prefix, enc).data)
+        cached_logits(tag, m, enc, prefix)
+        feed(f"{tag}/greedy", m.generate(src, max_len=8))
+        feed(f"{tag}/beam3", m.generate(src, max_len=8, strategy="beam", beam_size=3))
+        insts = [TaskInstance(list(r), list(r[:6])) for r in ids]
+        tape = Tape()
+        loss = batch_loss(m, insts, tape)
+        backward(loss, tape)
+        feed(f"{tag}/loss", loss.data)
+        for name, p in m.params.items():
+            feed(f"{tag}/grad/{name}", p.grad)
+        zero_grads(m.parameters())
+        feed_file(f"{tag}/ckpt", lambda path: save_model(m, path))
     m = Model(desk_config(pooling_mode="oracle_ada"), seed=4)
     feed("oracle_ada/encode", m.encode(ids, labels=labels).data)
     m = Model(desk_config(pooling_mode="ada"), seed=4)
@@ -138,13 +136,11 @@ def tagger_run() -> None:
         inst = gen_keyvalue_task(rng, 64, cfg.window, cfg.n_bottom_up, cfg.vocab_size)
         return inst.source, inst.labels
 
-    for tie in (True, False):
-        tagger, report = train_tagger(desk_config(tie_output=tie), doc_fn, steps=3, seed=6,
-                                      batch_size=2)
-        feed(f"tagger/tie={tie}/losses", report.losses)
-        feed_params(f"tagger/tie={tie}/params", tagger.params)
-        feed_file(f"tagger/tie={tie}/ckpt", lambda path: write_checkpoint(
-            path, "tagger", tagger.config.to_dict(), tagger.params))
+    tagger, report = train_tagger(cfg, doc_fn, steps=3, seed=6, batch_size=2)
+    feed("tagger/losses", report.losses)
+    feed_params("tagger/params", tagger.params)
+    feed_file("tagger/ckpt", lambda path: write_checkpoint(
+        path, "tagger", tagger.config.to_dict(), tagger.params))
 
 
 def compute() -> str:

@@ -31,7 +31,7 @@ def test_save_load_save_byte_identical(tmp_path):
 
 
 def test_decoderless_model_round_trips_without_decoder_side(tmp_path):
-    m = _model(seed=6, n_decoder_layers=0, tie_output=False)
+    m = _model(seed=6, n_decoder_layers=0)
     path = tmp_path / "m.tdtx"
     save_model(m, path)
     assert set(load_model(path).params) == set(m.params)
@@ -121,13 +121,14 @@ def test_loading_preserves_concat_variant_params(tmp_path):
     np.testing.assert_array_equal(m.encode(ids).data, loaded.encode(ids).data)
 
 
-def test_version_1_files_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_version_files_rejected(tmp_path, version):
     path = tmp_path / "m.tdtx"
     save_model(_model(seed=12), path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (1).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version 1"):
+    with pytest.raises(CheckpointError, match=f"version {version} "):
         load_model(path)
 
 

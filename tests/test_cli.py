@@ -421,7 +421,9 @@ def test_generate_on_corrupted_extent_exits_3(tmp_path, capsys):
     assert "truncated" in err
 
 
-@pytest.mark.parametrize("text", ['{"d_model": "x"}', '{"tie_output": 1}', "[1, 2]"])
+# the last two are retired fields, now unknown
+@pytest.mark.parametrize("text", ['{"d_model": "x"}', '{"d_model": true}', "[1, 2]",
+                                  '{"ffn_mult": 4}', '{"tie_output": true}'])
 def test_wrong_typed_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

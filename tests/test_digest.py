@@ -5,7 +5,7 @@ import pytest
 
 import digest
 
-RECORDED = "f060d92ad02a7d5d96486fb09a7530917a28f4475a3313ac901f5675c969bb65"
+RECORDED = "2636a97c93c4d3230714378fc9baff524720a4e6ca38775702e08925f4d2e135"
 # The build the value was recorded on: numpy, its BLAS, and the CPU features
 # by which a DYNAMIC_ARCH OpenBLAS picks its kernels at run time. Another
 # build may round a product differently and print another digest.

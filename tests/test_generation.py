@@ -41,10 +41,11 @@ def _src(seed, n, cfg):
 
 
 def _eos_heavy_model(seed):
-    """Doubling the eos output column makes eos a frequent beam candidate,
-    so finished hypotheses are carried next to open ones."""
-    m = Model(_cfg(tie_output=False), seed=seed)
-    m.out_w.value.data[:, EOS_ID] *= 2.0
+    """Scaling the eos token row, which is the tied readout's eos column,
+    makes eos a frequent beam candidate, so finished hypotheses are carried
+    next to open ones."""
+    m = Model(_cfg(), seed=seed)
+    m.tok_emb.value.data[EOS_ID] *= 6.0
     return m
 
 
@@ -204,17 +205,9 @@ def test_a_decode_that_raises_leaves_the_cache_as_it_was(past, lever):
     assert np.max(np.abs(step - m.decode(prefix, enc).data[-1])) <= 1e-12
 
 
-def test_cached_decode_under_a_tape_has_the_uncached_gradients():
-    _check_cached_decode_gradients(tie_output=False)
-
-
 def test_cached_tied_readout_under_a_tape_has_the_uncached_gradients():
     # every step reads the one transposed token table the cache keeps
-    _check_cached_decode_gradients(tie_output=True)
-
-
-def _check_cached_decode_gradients(tie_output):
-    cfg = _cfg(tie_output=tie_output)
+    cfg = _cfg()
     m = Model(cfg, seed=17)
     src = _src(18, 16, cfg)
     prefix = [BOS_ID] + list(_src(19, 6, cfg))
@@ -322,17 +315,20 @@ def test_beam_score_budget_counts_open_rows_per_step():
 
 @pytest.mark.parametrize("strategy,beam", [("greedy", 1), ("beam", 3)])
 def test_position_bound_raises_usage_error_at_the_oracle_step(strategy, beam):
+    # generate refuses, before the encode, the first max_len whose last step
+    # the oracle cannot decode
     cfg = _cfg(max_positions=12)
     m = Model(cfg, seed=7)
     src = _src(8, 10, cfg)
-    msg = "prefix length 13 exceeds max_positions 12"
-    with pytest.raises(UsageError, match=msg):
-        m.generate(src, 20, strategy, beam_size=beam, eos_id=NO_EOS)
-    with pytest.raises(UsageError, match=msg):
+    counter = OpCounter()
+    with pytest.raises(UsageError, match="max_len must be >= 1 and <= max_positions 12, got 13"):
+        m.generate(src, 13, strategy, beam_size=beam, eos_id=NO_EOS, counter=counter)
+    assert counter.score_evals == 0
+    with pytest.raises(UsageError, match="prefix length 13 exceeds max_positions 12"):
         if beam == 1:
-            reference_greedy(m, src, 20, NO_EOS)
+            reference_greedy(m, src, 13, NO_EOS)
         else:
-            reference_beam(m, src, 20, beam, NO_EOS)
+            reference_beam(m, src, 13, beam, NO_EOS)
     # the last position that fits still decodes
     assert len(m.generate(src, 12, strategy, beam_size=beam, eos_id=NO_EOS)) == 12
 
@@ -352,6 +348,17 @@ def test_generate_rejects_bad_beam_size_and_batched_source():
         m.generate(src, 4, "beam", beam_size=0)
     with pytest.raises(UsageError):
         m.generate(np.stack([src, src]), 4)
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_decode_refuses_a_cache_built_for_another_depth(n_layers):
+    cfg = _cfg()
+    m = Model(cfg, seed=6)
+    enc = m.encode(_src(10, 12, cfg))
+    cache = DecodeCache(n_layers)
+    with pytest.raises(UsageError, match=f"cache holds {n_layers} decoder layers, the model has 2"):
+        m.decode([BOS_ID, 5], enc, cache=cache)
+    assert cache.length == 0 and cache.readout is None
 
 
 def test_cache_rejects_mismatched_batch_and_rows():

@@ -418,7 +418,7 @@ def test_batched_decode_matches_per_row_decodes(t):
 
 def test_single_layer_identity_decoder_matches_scalar_oracle():
     cfg = _cfg(n_decoder_layers=1, n_bottom_up=0, n_top_down=0,
-               n_segment_layers=0, topdown_mode="none", tie_output=True)
+               n_segment_layers=0, topdown_mode="none")
     m = Model(cfg, seed=19)
     d = cfg.d_model
     layer = m.decoder[0]
@@ -463,12 +463,11 @@ def test_single_layer_identity_decoder_matches_scalar_oracle():
     assert np.max(np.abs(logits - expected)) <= 1e-10
 
 
-@pytest.mark.parametrize("tie", [True, False])
-def test_decoderless_model_builds_no_decoder_side_and_cannot_decode(tie):
-    cfg = _cfg(n_decoder_layers=0, tie_output=tie)
+def test_decoderless_model_builds_no_decoder_side_and_cannot_decode():
+    cfg = _cfg(n_decoder_layers=0)
     m = Model(cfg, seed=21)
-    assert m.decoder == [] and m.pos_dec is None and m.out_w is None
-    assert not {"embed.pos_dec", "out.weight"} & set(m.params)
+    assert m.decoder == [] and m.pos_dec is None
+    assert "embed.pos_dec" not in m.params
     enc = m.encode([3, 4, 5, 6])
     with pytest.raises(UsageError):
         m.decode([BOS_ID], enc)
@@ -479,9 +478,8 @@ def test_decoderless_model_builds_no_decoder_side_and_cannot_decode(tie):
 
 
 @pytest.mark.parametrize("mode", ["cross", "concat", "none"])
-@pytest.mark.parametrize("tie", [True, False])
-def test_decoderless_encode_reads_every_registered_parameter(mode, tie):
-    cfg = _cfg(n_decoder_layers=0, topdown_mode=mode, tie_output=tie)
+def test_decoderless_encode_reads_every_registered_parameter(mode):
+    cfg = _cfg(n_decoder_layers=0, topdown_mode=mode)
     m = Model(cfg, seed=22)
     tape = Tape()
     with recording(tape):
@@ -491,13 +489,14 @@ def test_decoderless_encode_reads_every_registered_parameter(mode, tie):
 
 
 def _rigged_model(column_id):
-    """Untied output projection pointing every logit argmax at one token."""
-    cfg = _cfg(tie_output=False, n_decoder_layers=1)
+    """A token table that points every logit argmax at one token: the tied
+    readout's column v is token row v, so with every other row zero the
+    chosen column reads the sum of the decoder state (positive at seed 20)
+    and every other column 0."""
+    cfg = _cfg(n_decoder_layers=1)
     m = Model(cfg, seed=20)
-    m.out_w.value.data[...] = 0.0
-    m.out_w.value.data[:, column_id] = 0.0
-    # bias the chosen column via a constant positive weight against ones
-    m.out_w.value.data[:, column_id] = 1.0
+    m.tok_emb.value.data[...] = 0.0
+    m.tok_emb.value.data[column_id] = 1.0
     return m
 
 
@@ -594,8 +593,12 @@ def test_config_from_dict_rejects_non_mapping_and_wrong_types():
     with pytest.raises(ConfigError):
         ModelConfig.from_dict([["d_model", 64]])
     for name, value in [("d_model", "x"), ("d_model", True), ("d_model", 64.0),
-                        ("window", "8"), ("tie_output", 1), ("pooling_mode", None)]:
+                        ("window", "8"), ("n_heads", True), ("pooling_mode", None)]:
         with pytest.raises(ConfigError, match=name):
+            ModelConfig.from_dict({name: value})
+    # retired fields: every model has one FFN width and reads out through its token table
+    for name, value in [("ffn_mult", 4), ("tie_output", True)]:
+        with pytest.raises(ConfigError, match=f"unknown config fields: \\['{name}'\\]"):
             ModelConfig.from_dict({name: value})
     assert ModelConfig.from_dict({"window": None}).window is None
     assert ModelConfig.from_dict(desk_config().to_dict()) == desk_config()

@@ -231,6 +231,11 @@ def test_a_head_of_no_outputs_is_refused(width):
         Tagger(desk_config(), seed=0, width=width)
 
 
+def test_a_wider_head_has_no_pooling_weights():
+    with pytest.raises(UsageError, match="width-1 head, not width 16"):
+        Tagger(desk_config(), seed=0, width=16).weights([3, 4, 5, 6])
+
+
 def test_head_accuracy_refuses_items_with_no_target_position():
     items = [([3, 4, 5, 6], [-1, -1, -1, -1], None)] * 2
     with pytest.raises(UsageError, match="no target position"):
@@ -296,9 +301,8 @@ def _unread(params: dict, tape) -> list[str]:
 
 
 @pytest.mark.parametrize("mode", ["cross", "concat", "none"])
-@pytest.mark.parametrize("tie", [True, False])
-def test_loss_and_tagger_read_every_parameter(mode, tie):
-    cfg = desk_config(topdown_mode=mode, tie_output=tie)
+def test_loss_and_tagger_read_every_parameter(mode):
+    cfg = desk_config(topdown_mode=mode)
     m = Model(cfg, seed=1)
     batch = [gen_copy_task(RngStream(j), (12, 12), cfg.vocab_size) for j in range(2)]
     tape = Tape()
