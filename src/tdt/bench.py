@@ -10,16 +10,15 @@ and tables among them), so it counts what one encode allocates. Cells
 that exhaust memory are recorded as failed and the sweep continues.
 
 Variants mirror the ablation rows: "full" is unwindowed self-attention with
-no segment level, "local-only" drops the top-down update, "topdown-cross"
-is the complete model, "topdown-concat" replaces cross-attention with the
-concatenation update.
+no segment level, "local-only" drops the top-down update, and
+"topdown-cross" is the complete model.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +30,13 @@ from .tasks import N_VALUES, VALUE_BASE, TaskInstance, gen_keyvalue_task
 from .tensor import ConfigError, TdtError
 from .training import Tagger, head_accuracy, train_head
 
-VARIANTS = ("full", "local-only", "topdown-cross", "topdown-concat")
+# variant -> (whether it attends within the sweep's window, top-down mode)
+_VARIANTS = {
+    "full": (False, "none"),
+    "local-only": (True, "none"),
+    "topdown-cross": (True, "cross"),
+}
+VARIANTS = tuple(_VARIANTS)
 
 CSV_COLUMNS = ("variant", "N", "w", "M", "score_evals", "wall_ms_median", "peak_bytes", "seed")
 
@@ -65,16 +70,8 @@ class BenchRecord:
 def variant_config(variant: str, window: int | None, base: ModelConfig) -> ModelConfig:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown bench variant {variant!r} (use one of {VARIANTS})")
-    d = base.to_dict()
-    if variant == "full":
-        d.update(window=None, topdown_mode="none")
-    elif variant == "local-only":
-        d.update(window=window, topdown_mode="none")
-    elif variant == "topdown-cross":
-        d.update(window=window, topdown_mode="cross")
-    else:
-        d.update(window=window, topdown_mode="concat")
-    return ModelConfig.from_dict(d)
+    windowed, mode = _VARIANTS[variant]
+    return replace(base, window=window if windowed else None, topdown_mode=mode)
 
 
 def bench_cell(
@@ -178,9 +175,9 @@ def probe_item(inst: TaskInstance) -> tuple:
 
 def ablate(seeds, windows=(4, 8, 16), base_window: int = 8, steps: int = 600,
            n_tokens: int = 64, n_eval: int = 64, base: ModelConfig | None = None) -> dict:
-    """Train a ``N_VALUES``-way encoder probe for {cross, concat, none} at
-    the base window plus cross at each other sweep window (once each) on
-    the key-value task; report its accuracy at the query position per
+    """Train a ``N_VALUES``-way encoder probe for cross and none at the base
+    window plus cross at each other sweep window (once each) on the
+    key-value task; report its accuracy at the query position per
     (variant, pooling, window), seed by seed, beside the chance level.
 
     The probe reads the encoder alone (the base's decoder fields are
@@ -195,7 +192,7 @@ def ablate(seeds, windows=(4, 8, 16), base_window: int = 8, steps: int = 600,
         raise ConfigError("ablation requires at least 3 seeds")
     if base is None:
         base = ModelConfig()
-    grid = [("cross", base_window), ("concat", base_window), ("none", base_window)]
+    grid = [("cross", base_window), ("none", base_window)]
     grid += [("cross", w) for w in dict.fromkeys(windows) if w != base_window]
     configs = [
         ModelConfig.from_dict(

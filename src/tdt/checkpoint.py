@@ -18,7 +18,9 @@ load / save round trip is byte-identical. Version 2 dropped the ``dropout``
 config field and the parameters nothing reads (the segment and top-down
 tables of ``topdown_mode="none"``, a tagger's decoder); version 3 dropped
 the ``ffn_mult`` and ``tie_output`` fields and the untied ``out.weight``.
-Older versions, and every malformed file, raise :class:`CheckpointError`.
+Older versions, and every malformed file, raise :class:`CheckpointError`;
+so does a header whose config is no longer valid, such as the retired
+``topdown_mode="concat"``, or one whose tables cannot be allocated.
 """
 
 from __future__ import annotations
@@ -147,18 +149,18 @@ def save_model(model, path, dtype: str = "f64") -> None:
 def load_checkpoint(path, kind: str, build):
     """Read a ``kind`` checkpoint, build ``build(ModelConfig)`` from its
     header and assign the stored arrays to the result's ``params``. A header
-    config that is not a valid :class:`ModelConfig` is a malformed file and
-    raises :class:`CheckpointError`, like every other."""
+    config that is not a valid :class:`ModelConfig`, or that ``build``
+    refuses (a table too large to allocate), is a malformed file and raises
+    :class:`CheckpointError`, like every other."""
     from .model import ModelConfig
 
     found, config, arrays, _ = read_checkpoint(path)
     if found != kind:
         raise CheckpointError(f"{path}: expected a {kind} checkpoint, got kind={found!r}")
     try:
-        config = ModelConfig.from_dict(config)
+        obj = build(ModelConfig.from_dict(config))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid config in header: {exc}") from exc
-    obj = build(config)
     assign_params(obj.params, arrays, path)
     return obj
 

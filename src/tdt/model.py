@@ -7,8 +7,8 @@ Encoding runs in three stages over token states of shape [N, d_model]:
 2. segment level: token states are pooled into M overlapping fixed-length
    segments which are updated by N2 layers of full self-attention;
 3. top-down: N3 layers in which tokens attend the segment states through
-   cross-attention (or a concatenation projection in the ablation variant),
-   injecting document-global context back into every position.
+   cross-attention, injecting document-global context back into every
+   position.
 
 A standard causal decoder attends the final token states only and reads
 out through the token table (tied output weights). A model with
@@ -19,8 +19,8 @@ Every layer of all four stacks is one block: self-attention under the
 stack's mask, an update from the stack's context where the layer has one,
 and a feed-forward sublayer. The masks are the band, none, the band and
 causal for bottom-up, segment, top-down and decoder; the contexts are none,
-none, the segment states (cross-attention, or the concat ablation's
-projection) and the encoder output. With ``topdown_mode="none"`` only
+none, the segment states and the encoder output, each attended by
+cross-attention. With ``topdown_mode="none"`` only
 stage 1 runs, and the other stages' parameters are not built. Every
 sublayer has the form ``x + LayerNorm(branch)``: the residual stream is
 never normalized, so a zero-weight branch is exactly the identity.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -78,11 +77,13 @@ BRANCH_GAIN_INIT = 0.1
 FFN_MULT = 4  # feed-forward hidden width per model dimension
 
 POOLING_MODES = ("avg", "ada", "oracle_ada")
-TOPDOWN_MODES = ("cross", "concat", "none")
+TOPDOWN_MODES = ("cross", "none")
 
 # Value checks per ModelConfig field annotation; "X | None" also admits None.
+# An int field takes a Python int only: a bool is not a size, and a numpy
+# integer does not serialize into the config hash or a checkpoint header.
 _FIELD_CHECKS = {
-    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "int": lambda v: type(v) is int,
     "str": lambda v: isinstance(v, str),
 }
 
@@ -104,6 +105,11 @@ class ModelConfig:
     topdown_mode: str = "cross"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            base, _, optional = f.type.partition(" | ")
+            if not ((value is None and optional == "None") or _FIELD_CHECKS[base](value)):
+                raise ConfigError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must be >= 4 (pad/bos/eos reserved)")
         if self.pooling_mode not in POOLING_MODES:
@@ -131,14 +137,9 @@ class ModelConfig:
     def from_dict(d: dict) -> "ModelConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a mapping of fields, got {type(d).__name__}")
-        types = {f.name: f.type for f in fields(ModelConfig)}
-        unknown = set(d) - set(types)
+        unknown = set(d) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in d.items():
-            base, _, optional = types[name].partition(" | ")
-            if not ((value is None and optional == "None") or _FIELD_CHECKS[base](value)):
-                raise ConfigError(f"config field {name} must be {types[name]}, got {value!r}")
         return ModelConfig(**d)
 
     def config_hash(self) -> str:
@@ -191,17 +192,14 @@ class _FfnParams:
 
 @dataclass
 class _Layer:
-    """One block: self-attention, the context update the layer has
-    parameters for (cross-attention, or the concat projection), FFN."""
+    """One block: self-attention, cross-attention to a context where the
+    layer has parameters for it, FFN."""
 
     self_attn: AttentionParams
     ln_self: _LnParams
     ffn: _FfnParams
     cross: AttentionParams | None = None
     ln_cross: _LnParams | None = None
-    concat_w: Parameter | None = None
-    concat_b: Parameter | None = None
-    ln_concat: _LnParams | None = None
 
 
 class DecodeCache:
@@ -236,32 +234,6 @@ class DecodeCache:
             kv.select(rows)
 
 
-def token_segment_assignment(n_tokens: int, spec: SegmentationSpec) -> np.ndarray:
-    """For each token, the covering segment with the nearest window center
-    (ties to the lower segment index).
-
-    Segment j is centred at j*stride + (kernel-1)/2, so the nearest centre
-    to token i is j = round((i - (kernel-1)/2) / stride) with halves rounded
-    down, (2i - kernel + stride) // (2*stride) in integers. The segments
-    covering i are those with i - kernel < j*stride <= i; distance to the
-    centre is convex in j, so the nearest covering segment is that j clipped
-    into the covering range.
-    """
-    i = np.arange(n_tokens, dtype=np.int64)
-    k, d = spec.kernel, spec.stride
-    nearest = (2 * i - k + d) // (2 * d)
-    first = np.maximum(0, (i - k) // d + 1)  # lowest j with j*d > i - k
-    last = np.minimum(i // d, spec.n_segments(n_tokens) - 1)
-    return np.clip(nearest, first, last)
-
-
-def top_down_concat_update(e, segs, assignment, proj_w, proj_b, ln: _LnParams,
-                           eps: float = LN_EPS):
-    """Concat ablation update: e + LN(proj([e_i ; s_assign(i)]))."""
-    cat = ops.concat([e, ops.gather_rows(segs, assignment)], axis=-1)
-    return ops.residual_ln(e, ops.linear(cat, proj_w, proj_b), ln.gain, ln.bias, eps)
-
-
 # -----------------------------------------------------------------------------
 # Model
 # -----------------------------------------------------------------------------
@@ -286,29 +258,35 @@ class Model:
         # decoder layers the decoder position table.
         hierarchical = c.topdown_mode != "none"
 
-        self.tok_emb = self._emb(rng, "embed.token", (c.vocab_size, c.d_model))
-        self.pos_enc = self._emb(rng, "embed.pos_enc", (c.max_positions, c.d_model))
-        self.pos_dec = None
-        if c.n_decoder_layers > 0:
-            self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
-        self.pos_seg = None
-        if hierarchical:
-            m = c.segmentation.n_segments(c.max_positions)
-            self.pos_seg = self._emb(rng, "embed.pos_seg", (m, c.d_model))
+        # A table numpy cannot size (ValueError) or allocate (MemoryError)
+        # is refused before any of it is written: the config is at fault.
+        try:
+            self.tok_emb = self._emb(rng, "embed.token", (c.vocab_size, c.d_model))
+            self.pos_enc = self._emb(rng, "embed.pos_enc", (c.max_positions, c.d_model))
+            self.pos_dec = None
+            if c.n_decoder_layers > 0:
+                self.pos_dec = self._emb(rng, "embed.pos_dec", (c.max_positions, c.d_model))
+            self.pos_seg = None
+            if hierarchical:
+                m = c.segmentation.n_segments(c.max_positions)
+                self.pos_seg = self._emb(rng, "embed.pos_seg", (m, c.d_model))
 
-        self.bottom_up = [self._layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)]
-        self.segment_layers = [
-            self._layer(rng, f"segment.{i}")
-            for i in range(c.n_segment_layers if hierarchical else 0)
-        ]
-        self.top_down = [
-            self._layer(rng, f"top_down.{i}", c.topdown_mode)
-            for i in range(c.n_top_down if hierarchical else 0)
-        ]
-        self.decoder = [
-            self._layer(rng, f"decoder.{i}", "cross", ("self_attn", "ln_self"))
-            for i in range(c.n_decoder_layers)
-        ]
+            self.bottom_up = [self._layer(rng, f"bottom_up.{i}") for i in range(c.n_bottom_up)]
+            self.segment_layers = [
+                self._layer(rng, f"segment.{i}")
+                for i in range(c.n_segment_layers if hierarchical else 0)
+            ]
+            self.top_down = [
+                self._layer(rng, f"top_down.{i}", cross=True)
+                for i in range(c.n_top_down if hierarchical else 0)
+            ]
+            self.decoder = [
+                self._layer(rng, f"decoder.{i}", cross=True, self_names=("self_attn", "ln_self"))
+                for i in range(c.n_decoder_layers)
+            ]
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"cannot allocate the parameter tables of this config: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
     # -- construction helpers -------------------------------------------------
 
@@ -350,28 +328,20 @@ class Model:
             ln=self._ln(f"{prefix}.ln"),
         )
 
-    def _layer(self, rng, prefix, context: str = "none",
+    def _layer(self, rng, prefix, cross: bool = False,
                self_names: tuple[str, str] = ("attn", "ln_attn")) -> _Layer:
         """One block's parameters: self-attention and its layer norm under
         ``self_names`` (decoder layers are named "self_attn" and "ln_self"),
-        the FFN, and the ``context`` update's ("cross", "concat" or "none")."""
+        the FFN, and with ``cross`` the cross-attention and its layer norm."""
         attn, ln = self_names
         layer = _Layer(
             self_attn=self._attn(rng, f"{prefix}.{attn}"),
             ln_self=self._ln(f"{prefix}.{ln}"),
             ffn=self._ffn(rng, f"{prefix}.ffn"),
         )
-        if context == "cross":
+        if cross:
             layer.cross = self._attn(rng, f"{prefix}.cross")
             layer.ln_cross = self._ln(f"{prefix}.ln_cross")
-        if context == "concat":
-            d = self.config.d_model
-            r = rng.split(f"{prefix}.concat")
-            layer.concat_w = self._register(
-                Parameter(f"{prefix}.concat.w", r.normal((2 * d, d), std=1.0 / math.sqrt(2 * d)))
-            )
-            layer.concat_b = self._register(Parameter(f"{prefix}.concat.b", np.zeros(d)))
-            layer.ln_concat = self._ln(f"{prefix}.ln_concat")
         return layer
 
     def parameters(self) -> list[Parameter]:
@@ -404,11 +374,10 @@ class Model:
             raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
         return ops.add_rows(ops.gather_rows(self.tok_emb, ids), pos_table, start)
 
-    def _blocks(self, x, layers, mask, counter, context=None, assign=None, kvs=None):
+    def _blocks(self, x, layers, mask, counter, context=None, kvs=None):
         """Run each layer as one block: self-attention under ``mask``, then
-        the context update the layer has parameters for (cross-attention to
-        ``context``, or the concat projection of each token's ``assign``-ed
-        context row), then the FFN, and yield the layer's output. With the
+        cross-attention to ``context`` where the layer has parameters for
+        it, then the FFN, and yield the layer's output. With the
         layer caches ``kvs``, layer i reads and extends ``kvs[i]``. Each step
         rebinds ``x``, and each caller rebinds its own input to each output
         (``for x in self._blocks(x, ...)``), so the stack's input is freed
@@ -419,10 +388,6 @@ class Model:
             x = mha(x, None, layer.self_attn, layer.ln_self, h, mask, counter, kv)
             if layer.cross is not None:
                 x = mha(x, context, layer.cross, layer.ln_cross, h, None, counter, kv)
-            elif layer.concat_w is not None:
-                x = top_down_concat_update(
-                    x, context, assign, layer.concat_w, layer.concat_b, layer.ln_concat, LN_EPS
-                )
             f = layer.ffn
             x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias, LN_EPS)
             yield x
@@ -473,15 +438,11 @@ class Model:
         return segs
 
     def encode_top_down(self, x, segs, counter: OpCounter | None = None) -> Tensor:
-        """N3 blocks of local attention, the top-down update from the segment
-        states (token-segment cross-attention, or the concat ablation's
-        projection of [token ; nearest covering segment]), and FFN."""
-        assign = None
-        if self.config.topdown_mode == "concat":
-            assign = token_segment_assignment(x.shape[-2], self.config.segmentation)
+        """N3 blocks of local attention, token-segment cross-attention and
+        FFN."""
         if not self.top_down:
             return x
-        blocks = self._blocks(x, self.top_down, self._band(), counter, segs, assign)
+        blocks = self._blocks(x, self.top_down, self._band(), counter, segs)
         del x  # the stack frees its input after its first sublayer, not its first layer
         for x in blocks:
             pass
@@ -637,13 +598,11 @@ def encode_score_budget(config: ModelConfig, n_tokens: int) -> int:
     :func:`count_budget`'s per-layer counts (B local, M^2 segment, N * M
     cross):
 
-    none:   N1 * B
-    cross:  N1 * B + N2 * M^2 + N3 * (B + N * M)
-    concat: N1 * B + N2 * M^2 + N3 * B
+    none:  N1 * B
+    cross: N1 * B + N2 * M^2 + N3 * (B + N * M)
     """
     b = count_budget(n_tokens, config.window, config.segmentation.n_segments(n_tokens))
     total = config.n_bottom_up * b.local
     if config.topdown_mode == "none":
         return total
-    cross = b.cross if config.topdown_mode == "cross" else 0
-    return total + config.n_segment_layers * b.segment + config.n_top_down * (b.local + cross)
+    return total + config.n_segment_layers * b.segment + config.n_top_down * (b.local + b.cross)

@@ -631,7 +631,9 @@ def residual_ln(x, branch, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
 
     The residual passes through untouched; only the branch is normalized, so a
     zero-weight branch leaves the input exactly unchanged. The residual is
-    added into the layer norm's output buffer.
+    added into the layer norm's output buffer. No model path calls it (the
+    sublayer ops fuse the same rule); the tests use it to check the layer
+    norm and its vjp on their own.
     """
     r, a = _data(x), _data(branch)
     if r.shape != a.shape:

@@ -1,9 +1,10 @@
 """Bit-identity digest of the model's observable outputs.
 
-Prints one sha256 over, for every top-down mode: encoder outputs (unbatched
-and batched), decode logits, the logits of a cached greedy decode step by
-step and of a cached step after ``DecodeCache.select``, greedy and beam-3
-generations, the batch loss and every gradient, and ``save_model`` bytes;
+Prints one sha256 over, for each top-down mode (``cross`` and ``none``):
+encoder outputs (unbatched and batched), decode logits, the logits of a
+cached greedy decode step by step and of a cached step after
+``DecodeCache.select``, greedy and beam-3 generations, the batch loss and
+every gradient, and ``save_model`` bytes;
 then one 2048-token encode of the ``encode_long`` shape, a 15-step training
 run, and the tagger's weights, training losses and checkpoint bytes. Two trees
 that print the same digest compute the same bits. Run against a tree with
@@ -88,7 +89,7 @@ def model_outputs() -> None:
     prefix = np.array([[1, 5, 9, 13], [1, 6, 10, 14]])
     labels = np.zeros((2, 24), dtype=np.int64)
     labels[:, [2, 17]] = 1
-    for tag in ("cross", "concat", "none"):
+    for tag in ("cross", "none"):
         m = Model(desk_config(topdown_mode=tag), seed=3)
         feed(f"{tag}/encode1", m.encode(ids[0]).data)
         enc = m.encode(ids)

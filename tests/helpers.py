@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, dense attention, scalar loops,
-segment assignment, full-prefix generation; and the test-only readout ops
+full-prefix generation; and the test-only readout ops
 ``mul_const`` and ``sum_all``.
 
 The oracles here are deliberately independent of the library's compute paths:
@@ -171,20 +171,6 @@ def layer_norm_oracle(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
         var = ((row - mu) ** 2).mean()
         of[i] = (row - mu) / math.sqrt(var + eps) * gain + bias
     return out
-
-
-def reference_segment_assignment(n_tokens: int, spec) -> np.ndarray:
-    """Token-by-token nearest covering window centre, ties to the lower
-    segment index."""
-    from tdt.pooling import segment_index_map
-
-    starts = np.array([s for s, _ in segment_index_map(n_tokens, spec)])
-    centers = starts + (spec.kernel - 1) / 2.0
-    assign = np.zeros(n_tokens, dtype=np.int64)
-    for i in range(n_tokens):
-        covering = np.nonzero((starts <= i) & (i < starts + spec.kernel))[0]
-        assign[i] = covering[np.argmin(np.abs(i - centers[covering]))]
-    return assign
 
 
 def random_params_attention(rng: RngStream, d_model: int, prefix: str = "t"):

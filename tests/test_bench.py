@@ -49,7 +49,6 @@ def test_variant_config_mapping():
     assert variant_config("full", 32, base).topdown_mode == "none"
     assert variant_config("local-only", 32, base).window == 32
     assert variant_config("topdown-cross", 32, base).topdown_mode == "cross"
-    assert variant_config("topdown-concat", 32, base).topdown_mode == "concat"
     with pytest.raises(ConfigError):
         variant_config("nope", 32, base)
 
@@ -177,8 +176,7 @@ def test_ablate_reports_one_row_per_cell_and_no_ordering_flags(monkeypatch):
                          base=desk_config(pooling_mode="oracle_ada"))
     assert sorted(table) == ABLATE_KEYS
     assert [(r["variant"], r["pooling"], r["window"]) for r in table["rows"]] == [
-        ("cross", "oracle_ada", 8), ("concat", "oracle_ada", 8), ("none", "avg", 8),
-        ("cross", "oracle_ada", 4)]
+        ("cross", "oracle_ada", 8), ("none", "avg", 8), ("cross", "oracle_ada", 4)]
     assert all(r["per_seed"] == [0.5, 0.5, 0.5] for r in table["rows"])
 
 
@@ -192,7 +190,7 @@ def test_ablate_json_keys_and_chance_level(tmp_path):
     table = json.loads(outs[0].read_text())
     assert sorted(table) == ABLATE_KEYS
     assert table["chance"] == 1 / N_VALUES
-    assert [sorted(row) for row in table["rows"]] == [ROW_KEYS] * 3
+    assert [sorted(row) for row in table["rows"]] == [ROW_KEYS] * 2
     assert all(len(row["per_seed"]) == 3 for row in table["rows"])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tdt import CheckpointError, Model, RngStream, desk_config, load_model, save_model
 from tdt.checkpoint import read_checkpoint, write_checkpoint
+from tdt.cli import run_cli
 from helpers import first_param_offsets
 
 
@@ -111,14 +112,15 @@ def test_f32_storage_round_trip(tmp_path):
         )
 
 
-def test_loading_preserves_concat_variant_params(tmp_path):
-    m = _model(seed=11, topdown_mode="concat")
+def test_a_retired_concat_checkpoint_is_refused(tmp_path, capsys):
+    # the concat top-down variant is retired; the file layout is unchanged
+    m = _model(seed=11)
     path = tmp_path / "m.tdtx"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert loaded.config.topdown_mode == "concat"
-    ids = RngStream(2).randint(3, m.config.vocab_size, 16)
-    np.testing.assert_array_equal(m.encode(ids).data, loaded.encode(ids).data)
+    write_checkpoint(path, "model", {**m.config.to_dict(), "topdown_mode": "concat"}, m.params)
+    with pytest.raises(CheckpointError, match="topdown_mode"):
+        load_model(path)
+    assert run_cli(["generate", "--ckpt", str(path), "--source", "3,4,5"]) == 3
+    assert "topdown_mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("version", [1, 2])

@@ -432,7 +432,10 @@ def test_wrong_typed_config_exits_2(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("bad", [{"d_model": "x"}, {"n_heads": 3}], ids=["wrong-type", "indivisible"])
+# the last two build tables numpy refuses before allocating (ValueError, MemoryError)
+@pytest.mark.parametrize("bad", [{"d_model": "x"}, {"n_heads": 3}, {"vocab_size": 2**70},
+                                 {"d_model": 2**40, "n_heads": 1}],
+                         ids=["wrong-type", "indivisible", "unsizable", "unallocatable"])
 def test_malformed_checkpoint_config_exits_3(tmp_path, capsys, bad):
     cfg = desk_config()
     assert cfg.d_model == 64
@@ -446,6 +449,7 @@ def test_malformed_checkpoint_config_exits_3(tmp_path, capsys, bad):
                  ("tag", "--mode", "run", "--ckpt", str(tagger_ckpt), "--doc", str(doc))):
         code, _, err = run(capsys, *argv)
         assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "invalid config in header" in err
 
 

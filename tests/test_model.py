@@ -20,10 +20,9 @@ from tdt import (
     encode_score_budget,
 )
 from tdt import ops
-from tdt.model import token_segment_assignment, top_down_concat_update, LN_EPS
-from tdt.pooling import SegmentationSpec
+from tdt.model import LN_EPS
 from tdt.tensor import Tape, Tensor, Parameter, recording
-from helpers import layer_norm_oracle, reference_segment_assignment
+from helpers import layer_norm_oracle
 
 
 def _ids(rng, n, cfg):
@@ -173,7 +172,7 @@ def test_missing_pooling_inputs_raise_config_error():
             m.encode(_ids(RngStream(4), 20, cfg))
 
 
-@pytest.mark.parametrize("topdown", ["cross", "concat", "none"])
+@pytest.mark.parametrize("topdown", ["cross", "none"])
 @pytest.mark.parametrize("mode, unread", [("avg", "weights"), ("oracle_ada", "weights"),
                                           ("ada", "labels")])
 def test_a_pooling_input_the_mode_does_not_read_raises_config_error(mode, unread, topdown):
@@ -217,9 +216,8 @@ def test_top_down_counter_contribution():
     assert counter.score_evals == expected
 
 
-@pytest.mark.parametrize("mode", ["cross", "concat"])
-def test_top_down_and_decode_reject_empty_context(mode):
-    cfg = _cfg(topdown_mode=mode)
+def test_top_down_and_decode_reject_empty_context():
+    cfg = _cfg()
     m = Model(cfg, seed=10)
     x = m.embed(_ids(RngStream(6), 12, cfg))
     empty = Tensor(np.zeros((0, cfg.d_model)))
@@ -247,67 +245,6 @@ def test_top_down_restores_long_range_flow():
 
 
 # -----------------------------------------------------------------------------
-# concat variant
-# -----------------------------------------------------------------------------
-
-
-def test_assignment_single_segment_maps_everything_to_it():
-    assign = token_segment_assignment(6, SegmentationSpec(8, 6))
-    np.testing.assert_array_equal(assign, np.zeros(6, dtype=np.int64))
-
-
-def test_assignment_prefers_nearest_center_lower_index_ties():
-    spec = SegmentationSpec(4, 2)  # centers at 1.5, 3.5, 5.5, ...
-    assign = token_segment_assignment(8, spec)
-    # token 3 is 1.5 from center0 and 0.5 from center1 -> segment 1
-    assert assign[3] == 1
-    # token 2 is covered by segments 0,1 at distances 0.5, 1.5 -> segment 0
-    assert assign[2] == 0
-    # tie: token 4 is 0.5 from centers 1 (3.5)? no: |4-3.5|=0.5, |4-5.5|=1.5 -> 1
-    assert assign[4] == 1
-
-
-def test_concat_update_identity_projection_keeps_token_half():
-    d = 6
-    rng = RngStream(11)
-    e = Tensor(rng.normal((5, d)))
-    segs = Tensor(rng.normal((2, d)))
-    w = Parameter("w", np.vstack([np.eye(d), np.zeros((d, d))]))
-    b = Parameter("b", np.zeros(d))
-    from tdt.model import _LnParams
-
-    ln = _LnParams(Parameter("g", np.ones(d)), Parameter("b", np.zeros(d)))
-    assign = np.array([0, 0, 1, 1, 1])
-    out = top_down_concat_update(e, segs, assign, w, b, ln).data
-    expected = e.data + layer_norm_oracle(e.data, np.ones(d), np.zeros(d), LN_EPS)
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_concat_update_matches_scalar_oracle():
-    d = 4
-    rng = RngStream(13)
-    e = rng.normal((6, d))
-    segs = rng.normal((2, d))
-    w = rng.normal((2 * d, d))
-    b = rng.normal((d,))
-    assign = token_segment_assignment(6, SegmentationSpec(4, 4))
-    from tdt.model import _LnParams
-
-    ln = _LnParams(Parameter("g", np.ones(d)), Parameter("b", np.zeros(d)))
-    out = top_down_concat_update(
-        Tensor(e), Tensor(segs), assign,
-        Parameter("w", w), Parameter("b", b), ln,
-    ).data
-    for i in range(6):
-        cat = np.concatenate([e[i], segs[assign[i]]])
-        proj = cat @ w + b
-        mu = proj.mean()
-        var = ((proj - mu) ** 2).mean()
-        expected = e[i] + (proj - mu) / math.sqrt(var + LN_EPS)
-        np.testing.assert_allclose(out[i], expected, atol=1e-12)
-
-
-# -----------------------------------------------------------------------------
 # encode composition
 # -----------------------------------------------------------------------------
 
@@ -328,7 +265,7 @@ def test_ablation_lattice_none_equals_cross_with_zero_topdown_layers():
     np.testing.assert_array_equal(cross0.encode(ids).data, none_out)
 
 
-@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+@pytest.mark.parametrize("mode", ["cross", "none"])
 def test_total_counter_matches_budget_composition(mode):
     cfg = _cfg(topdown_mode=mode)
     m = Model(cfg, seed=14)
@@ -346,7 +283,7 @@ def test_encode_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+@pytest.mark.parametrize("mode", ["cross", "none"])
 def test_batched_encode_matches_per_instance_bitwise(mode):
     cfg = _cfg(topdown_mode=mode)
     m = Model(cfg, seed=16)
@@ -477,7 +414,7 @@ def test_decoderless_model_builds_no_decoder_side_and_cannot_decode():
     assert counter.score_evals == 0  # refused before the encode
 
 
-@pytest.mark.parametrize("mode", ["cross", "concat", "none"])
+@pytest.mark.parametrize("mode", ["cross", "none"])
 def test_decoderless_encode_reads_every_registered_parameter(mode):
     cfg = _cfg(n_decoder_layers=0, topdown_mode=mode)
     m = Model(cfg, seed=22)
@@ -573,20 +510,8 @@ def test_local_encode_peak_memory_scales_linearly_not_quadratically():
 
 
 # -----------------------------------------------------------------------------
-# closed-form segment assignment and config validation
+# config validation
 # -----------------------------------------------------------------------------
-
-
-def test_assignment_closed_form_matches_token_loop_on_grid():
-    for kernel in range(1, 17):
-        for stride in range(1, kernel + 1):
-            spec = SegmentationSpec(kernel, stride)
-            for n in list(range(1, 60)) + [127, 128, 129, 500]:
-                np.testing.assert_array_equal(
-                    token_segment_assignment(n, spec),
-                    reference_segment_assignment(n, spec),
-                    err_msg=f"kernel={kernel} stride={stride} N={n}",
-                )
 
 
 def test_config_from_dict_rejects_non_mapping_and_wrong_types():
@@ -602,3 +527,23 @@ def test_config_from_dict_rejects_non_mapping_and_wrong_types():
             ModelConfig.from_dict({name: value})
     assert ModelConfig.from_dict({"window": None}).window is None
     assert ModelConfig.from_dict(desk_config().to_dict()) == desk_config()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ModelConfig.from_dict({"n_heads": np.int64(4)}), "n_heads"),
+    (lambda: desk_config(d_model=np.int64(64)), "d_model"),
+    (lambda: desk_config(d_model="64"), "d_model"),
+    (lambda: ModelConfig(window=np.int32(8)), "window"),
+], ids=["from_dict-numpy", "desk_config-numpy", "desk_config-str", "constructor-numpy"])
+def test_every_config_path_refuses_a_field_that_is_not_its_python_type(build, name):
+    # a numpy integer would fail later, in config_hash's json.dumps
+    with pytest.raises(ConfigError, match=f"config field {name} must be"):
+        build()
+
+
+@pytest.mark.parametrize("fields", [{"vocab_size": 2**70}, {"d_model": 2**40, "n_heads": 1}],
+                         ids=["unsizable", "unallocatable"])
+def test_a_model_whose_tables_cannot_be_allocated_raises_config_error(fields):
+    # numpy refuses both before it allocates: a ValueError and a MemoryError
+    with pytest.raises(ConfigError, match="cannot allocate the parameter tables"):
+        Model(desk_config(**fields))
