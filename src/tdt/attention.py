@@ -149,20 +149,25 @@ class AttentionParams:
     wo: Parameter
     bo: Parameter
 
-    def all(self) -> list[Parameter]:
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
-
     def pairs(self) -> tuple:
         """The (weight, bias) pairs of the query, key and value projections."""
         return (self.wq, self.bq), (self.wk, self.bk), (self.wv, self.bv)
 
 
-def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02) -> AttentionParams:
+def init_attention_params(rng, d_model: int, prefix: str, init_std: float = 0.02,
+                          make=None) -> AttentionParams:
+    """The eight projections ``{prefix}.wq`` .. ``{prefix}.bo``, each made by
+    ``make(name, shape, draw)`` (a model's own) or ``Parameter(name, draw(shape))``."""
+    if make is None:
+        def make(name, shape, draw):
+            return Parameter(name, draw(shape))
+
     def w(name):
-        return Parameter(f"{prefix}.{name}", rng.split(name).normal((d_model, d_model), std=init_std))
+        return make(f"{prefix}.{name}", (d_model, d_model),
+                    lambda s: rng.split(name).normal(s, std=init_std))
 
     def b(name):
-        return Parameter(f"{prefix}.{name}", np.zeros(d_model))
+        return make(f"{prefix}.{name}", (d_model,), np.zeros)
 
     return AttentionParams(
         wq=w("wq"), bq=b("bq"), wk=w("wk"), bk=b("bk"),

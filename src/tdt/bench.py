@@ -89,7 +89,7 @@ def bench_cell(
         raise ConfigError("trials must be >= 1")
     cfg = variant_config(variant, window, base)
     if n_tokens > cfg.max_positions:
-        cfg = ModelConfig.from_dict({**cfg.to_dict(), "max_positions": n_tokens})
+        cfg = replace(cfg, max_positions=n_tokens)
     m = cfg.segmentation.n_segments(n_tokens)
     rng = RngStream(seed).split(f"bench/{variant}/{n_tokens}")
     ids = rng.randint(3, cfg.vocab_size, n_tokens)
@@ -195,10 +195,8 @@ def ablate(seeds, windows=(4, 8, 16), base_window: int = 8, steps: int = 600,
     grid = [("cross", base_window), ("none", base_window)]
     grid += [("cross", w) for w in dict.fromkeys(windows) if w != base_window]
     configs = [
-        ModelConfig.from_dict(
-            {**base.to_dict(), "topdown_mode": variant, "window": window,
-             "pooling_mode": "avg" if variant == "none" else base.pooling_mode}
-        )
+        replace(base, topdown_mode=variant, window=window,
+                pooling_mode="avg" if variant == "none" else base.pooling_mode)
         for variant, window in grid
     ]
     if base.pooling_mode == "ada":

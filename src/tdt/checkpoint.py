@@ -14,13 +14,16 @@ Layout (all integers little-endian):
         bytes little-endian flat data
 
 Compute always runs in f64; the f32 tag is a storage-only option. A save /
-load / save round trip is byte-identical. Version 2 dropped the ``dropout``
-config field and the parameters nothing reads (the segment and top-down
-tables of ``topdown_mode="none"``, a tagger's decoder); version 3 dropped
-the ``ffn_mult`` and ``tie_output`` fields and the untied ``out.weight``.
-Older versions, and every malformed file, raise :class:`CheckpointError`;
-so does a header whose config is no longer valid, such as the retired
-``topdown_mode="concat"``, or one whose tables cannot be allocated.
+load / save round trip is byte-identical. Loading builds the header's model
+once, each parameter taking its stored array (:func:`~tdt.model.make_param`
+checks the name and shape first), so nothing is drawn. Version 2 dropped the
+``dropout`` config field and the parameters nothing reads (the segment and
+top-down tables of ``topdown_mode="none"``, a tagger's decoder); version 3
+dropped the ``ffn_mult`` and ``tie_output`` fields and the untied
+``out.weight``. Older versions, and every malformed file, raise
+:class:`CheckpointError`: a name repeated or out of order, a header config
+that is no longer valid (the retired ``topdown_mode="concat"``) or does not
+describe the table, and a stored name the model does not build.
 """
 
 from __future__ import annotations
@@ -66,53 +69,56 @@ def write_checkpoint(path, kind: str, config: dict, params: dict, dtype: str = "
             fh.write(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """Read ``n`` bytes, refusing before the read when fewer are left."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise CheckpointError(f"checkpoint truncated: {n} bytes wanted, {left} left")
-    return fh.read(n)
-
-
 def read_checkpoint(path) -> tuple[str, dict, dict, str]:
     """Returns (kind, config dict, name -> f64 array, storage dtype)."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            """Read ``n`` bytes, refusing before the read when fewer are left."""
+            left = size - fh.tell()
+            if n > left:
+                raise CheckpointError(f"checkpoint truncated: {n} bytes wanted, {left} left")
+            return fh.read(n)
+
+        if read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read(4))
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version} (expected {VERSION})"
             )
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
+        (hlen,) = struct.unpack("<I", read(4))
         try:
-            header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
+            header = json.loads(read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from exc
         if not isinstance(header, dict) or "kind" not in header or "config" not in header:
             raise CheckpointError(f"{path}: header missing kind/config")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (count,) = struct.unpack("<I", read(4))
         arrays = {}
         storage = "f64"
+        last = None
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
+            (nlen,) = struct.unpack("<I", read(4))
             try:
-                name = _read_exact(fh, nlen).decode("utf-8")
+                name = read(nlen).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: parameter name is not UTF-8: {exc}") from exc
-            (tag,) = struct.unpack("<B", _read_exact(fh, 1))
+            if last is not None and name <= last:  # the writer writes each name once, sorted
+                raise CheckpointError(f"{path}: parameter {name}: repeated or out of order")
+            last = name
+            (tag,) = struct.unpack("<B", read(1))
             if tag not in (0, 1):
                 raise CheckpointError(f"{path}: parameter {name}: unknown dtype tag {tag}")
             storage = "f64" if tag == 0 else "f32"
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
+            (ndim,) = struct.unpack("<I", read(4))
             if ndim > _MAX_NDIM:
                 raise CheckpointError(f"{path}: parameter {name}: ndim {ndim} > {_MAX_NDIM}")
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
-            )
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
             np_dtype = "<f8" if tag == 0 else "<f4"
             nbytes = math.prod(shape) * (8 if tag == 0 else 4)
-            data = np.frombuffer(_read_exact(fh, nbytes), dtype=np_dtype)
+            data = np.frombuffer(read(nbytes), dtype=np_dtype)
             try:  # a zero extent lets any other extent through the size check
                 data = data.reshape(shape)
             except ValueError as exc:
@@ -125,43 +131,27 @@ def read_checkpoint(path) -> tuple[str, dict, dict, str]:
     return header["kind"], header["config"], arrays, storage
 
 
-def assign_params(params: dict, arrays: dict, path="checkpoint") -> None:
-    """Copy loaded arrays onto a parameter registry, validating the shape table."""
-    missing = sorted(set(params) - set(arrays))
-    extra = sorted(set(arrays) - set(params))
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: parameter table mismatch (missing={missing[:5]}, extra={extra[:5]})"
-        )
-    for name, p in params.items():
-        arr = arrays[name]
-        if arr.shape != p.value.shape:
-            raise CheckpointError(
-                f"{path}: parameter {name}: shape {arr.shape} != expected {p.value.shape}"
-            )
-        p.assign(arr)
-
-
 def save_model(model, path, dtype: str = "f64") -> None:
     write_checkpoint(path, "model", model.config.to_dict(), model.params, dtype)
 
 
 def load_checkpoint(path, kind: str, build):
-    """Read a ``kind`` checkpoint, build ``build(ModelConfig)`` from its
-    header and assign the stored arrays to the result's ``params``. A header
-    config that is not a valid :class:`ModelConfig`, or that ``build``
-    refuses (a table too large to allocate), is a malformed file and raises
-    :class:`CheckpointError`, like every other."""
+    """Read a ``kind`` checkpoint and return ``build(config, arrays=table)``,
+    which takes every parameter from the table and draws nothing. A header
+    config that is not a valid :class:`ModelConfig` or does not describe the
+    table, and a stored name ``build`` leaves over, raise
+    :class:`CheckpointError`, like every other malformed file."""
     from .model import ModelConfig
 
     found, config, arrays, _ = read_checkpoint(path)
     if found != kind:
         raise CheckpointError(f"{path}: expected a {kind} checkpoint, got kind={found!r}")
     try:
-        obj = build(ModelConfig.from_dict(config))
+        obj = build(ModelConfig.from_dict(config), arrays=arrays)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid config in header: {exc}") from exc
-    assign_params(obj.params, arrays, path)
+    if arrays:
+        raise CheckpointError(f"{path}: parameter table mismatch (extra={sorted(arrays)[:5]})")
     return obj
 
 

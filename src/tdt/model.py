@@ -172,8 +172,22 @@ def paper_config(**overrides) -> ModelConfig:
 
 
 # -----------------------------------------------------------------------------
-# Parameter bundles
+# Parameters
 # -----------------------------------------------------------------------------
+
+
+def make_param(name: str, shape: tuple, draw, arrays: dict | None = None) -> Parameter:
+    """The one constructor of model parameters: ``Parameter(name,
+    draw(shape))``, or given a table ``arrays`` its entry ``name``, popped,
+    and nothing drawn. A table without ``name``, or whose entry has another
+    shape, raises :class:`ConfigError`."""
+    if arrays is None:
+        return Parameter(name, draw(shape))
+    if name not in arrays:
+        raise ConfigError(f"parameter table mismatch: {name} missing")
+    if arrays[name].shape != shape:
+        raise ConfigError(f"parameter {name}: shape {arrays[name].shape} != expected {shape}")
+    return Parameter(name, arrays.pop(name))
 
 
 class _LnParams(NamedTuple):
@@ -244,12 +258,15 @@ class Model:
 
     Construction is deterministic in (config, seed); the parameter registry
     preserves creation order so training and checkpointing are reproducible.
+    With ``arrays`` (name -> array, e.g. a checkpoint's table) every
+    parameter pops its entry there instead of drawing (:func:`make_param`).
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, arrays: dict | None = None):
         self.config = config
         self.params: dict[str, Parameter] = {}
         self.init_std = 1.0 / math.sqrt(config.d_model)
+        self._arrays = arrays
         rng = RngStream(seed).split("init")
         c = config
 
@@ -287,44 +304,41 @@ class Model:
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"cannot allocate the parameter tables of this config: "
                               f"{type(exc).__name__}: {exc}") from exc
+        del self._arrays
 
     # -- construction helpers -------------------------------------------------
 
-    def _register(self, p: Parameter) -> Parameter:
-        if p.name in self.params:
-            raise ConfigError(f"duplicate parameter name {p.name}")
-        self.params[p.name] = p
+    def _param(self, name, shape, draw) -> Parameter:
+        if name in self.params:
+            raise ConfigError(f"duplicate parameter name {name}")
+        self.params[name] = p = make_param(name, shape, draw, self._arrays)
         return p
 
     def _emb(self, rng, name, shape) -> Parameter:
-        return self._register(
-            Parameter(name, rng.split(name).normal(shape, std=self.init_std))
-        )
+        return self._param(name, shape, lambda s: rng.split(name).normal(s, std=self.init_std))
 
     def _ln(self, prefix) -> _LnParams:
-        d = self.config.d_model
+        d = (self.config.d_model,)
         return _LnParams(
-            gain=self._register(
-                Parameter(f"{prefix}.gain", np.full(d, BRANCH_GAIN_INIT))
-            ),
-            bias=self._register(Parameter(f"{prefix}.bias", np.zeros(d))),
+            gain=self._param(f"{prefix}.gain", d, lambda s: np.full(s, BRANCH_GAIN_INIT)),
+            bias=self._param(f"{prefix}.bias", d, np.zeros),
         )
 
     def _attn(self, rng, prefix) -> AttentionParams:
-        ap = init_attention_params(rng.split(prefix), self.config.d_model, prefix, self.init_std)
-        for p in ap.all():
-            self._register(p)
-        return ap
+        return init_attention_params(rng.split(prefix), self.config.d_model, prefix,
+                                     self.init_std, make=self._param)
 
     def _ffn(self, rng, prefix) -> _FfnParams:
         d = self.config.d_model
         hidden = d * FFN_MULT
         r = rng.split(prefix)
         return _FfnParams(
-            w1=self._register(Parameter(f"{prefix}.w1", r.split("w1").normal((d, hidden), std=self.init_std))),
-            b1=self._register(Parameter(f"{prefix}.b1", np.zeros(hidden))),
-            w2=self._register(Parameter(f"{prefix}.w2", r.split("w2").normal((hidden, d), std=1.0 / math.sqrt(hidden)))),
-            b2=self._register(Parameter(f"{prefix}.b2", np.zeros(d))),
+            w1=self._param(f"{prefix}.w1", (d, hidden),
+                           lambda s: r.split("w1").normal(s, std=self.init_std)),
+            b1=self._param(f"{prefix}.b1", (hidden,), np.zeros),
+            w2=self._param(f"{prefix}.w2", (hidden, d),
+                           lambda s: r.split("w2").normal(s, std=1.0 / math.sqrt(hidden))),
+            b2=self._param(f"{prefix}.b2", (d,), np.zeros),
             ln=self._ln(f"{prefix}.ln"),
         )
 

@@ -203,17 +203,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def assign(self, data: np.ndarray) -> None:
-        """Overwrite the value in place (optimizer / checkpoint loading only)."""
-        if data.shape != self.value.shape:
-            raise ShapeError(
-                f"parameter {self.name}: cannot assign shape {data.shape} "
-                f"over {self.value.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise NumericsError(f"parameter {self.name}: non-finite assignment")
-        self.value.data[...] = data
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 

@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .model import BOS_ID, EOS_ID, PAD_ID, Model, ModelConfig
+from .model import BOS_ID, EOS_ID, PAD_ID, Model, ModelConfig, make_param
 from .optim import Adam, check_lr
 from .rng import RngStream
 from .tensor import (
     ConfigError,
     NumericsError,
-    Parameter,
     Tape,
     Tensor,
     UsageError,
@@ -244,17 +243,20 @@ class Tagger:
     at every token; ``params`` is exactly what :meth:`logits` reads. Under
     ``oracle_ada`` the encoder pools with the labels given to :meth:`logits`.
     The importance tagger is the width-1 case, whose raw ``z`` are its pooling
-    weights (the per-window softmax does its own normalization)."""
+    weights (the per-window softmax does its own normalization). Given
+    ``arrays``, the encoder and the head take their values from it as
+    :class:`Model` does, popping the entries they use."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, width: int = 1):
+    def __init__(self, config: ModelConfig, seed: int = 0, width: int = 1,
+                 arrays: dict | None = None):
         if width < 1:
             raise ConfigError(f"a head needs width >= 1, got {width}")
         self.config = config = replace(config, n_decoder_layers=0)
-        self.encoder = Model(config, seed=seed)
+        self.encoder = Model(config, seed=seed, arrays=arrays)
         rng = RngStream(seed).split("tagger")
-        w = rng.split("w").normal((config.d_model, width), std=0.02)
-        self.head_w = Parameter("tagger.head.w", w)
-        self.head_b = Parameter("tagger.head.b", np.zeros(width))
+        self.head_w = make_param("tagger.head.w", (config.d_model, width),
+                                 lambda s: rng.split("w").normal(s, std=0.02), arrays)
+        self.head_b = make_param("tagger.head.b", (width,), np.zeros, arrays)
         self.params = {**self.encoder.params, "tagger.head.w": self.head_w,
                        "tagger.head.b": self.head_b}
 

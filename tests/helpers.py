@@ -253,3 +253,34 @@ def first_param_offsets(blob: bytes) -> tuple[int, int]:
     nlen = int.from_bytes(blob[at : at + 4], "little")
     name_at = at + 4
     return name_at, name_at + nlen + 1 + 4
+
+
+def checkpoint_fields(blob: bytes) -> tuple[list[int], list[tuple[int, int]]]:
+    """The offset at which each field of a checkpoint starts, plus its end,
+    and the (start, end) byte span of each parameter record, parsed
+    independently of the reader."""
+
+    def u32(at):
+        return int.from_bytes(blob[at : at + 4], "little")
+
+    at = 12 + u32(8)  # the parameter count
+    starts = [0, 4, 8, 12, at, at + 4]
+    count = u32(at)
+    at += 4
+    records = []
+    for _ in range(count):
+        first = at
+        nlen = u32(at)
+        starts += [at + 4, at + 4 + nlen, at + 5 + nlen]
+        tag, ndim = blob[at + 4 + nlen], u32(at + 5 + nlen)
+        at += 9 + nlen
+        size = 8 if tag == 0 else 4
+        for _ in range(ndim):
+            starts.append(at)
+            size *= int.from_bytes(blob[at : at + 8], "little")
+            at += 8
+        starts.append(at)  # the data
+        at += size
+        records.append((first, at))
+        starts.append(at)  # the next record, or the end of the file
+    return starts, records

@@ -311,7 +311,7 @@ def test_local_attention_gradient_check():
         out = sum_all(mul_const(multi_head_attention(x, None, p, ln, 2, band), probe))
         return out if tape else out.item()
 
-    check_param_grads(loss_fn, p.all() + list(ln))
+    check_param_grads(loss_fn, list(vars(p).values()) + list(ln))
 
 
 @pytest.mark.parametrize("n", [16, 13], ids=["whole-blocks", "tail-pads"])
@@ -412,7 +412,7 @@ def test_cross_attention_gradient_check():
         out = sum_all(mul_const(out, probe))
         return out if tape else out.item()
 
-    check_param_grads(loss_fn, p.all() + [g, b])
+    check_param_grads(loss_fn, list(vars(p).values()) + [g, b])
 
 
 def test_mha_gradient_check_with_mask():
@@ -429,7 +429,7 @@ def test_mha_gradient_check_with_mask():
         out = sum_all(mul_const(out, probe))
         return out if tape else out.item()
 
-    check_param_grads(loss_fn, p.all() + list(ln))
+    check_param_grads(loss_fn, list(vars(p).values()) + list(ln))
 
 
 def test_attention_config_validation():

@@ -1,12 +1,15 @@
 """Checkpoint format: round trips, validation, storage dtypes."""
 
+import time
+
 import numpy as np
 import pytest
 
-from tdt import CheckpointError, Model, RngStream, desk_config, load_model, save_model
-from tdt.checkpoint import read_checkpoint, write_checkpoint
+import tdt
+from tdt import CheckpointError, Model, RngStream, Tagger, desk_config, load_model, save_model
+from tdt.checkpoint import load_checkpoint, read_checkpoint, write_checkpoint
 from tdt.cli import run_cli
-from helpers import first_param_offsets
+from helpers import checkpoint_fields, first_param_offsets
 
 
 def _model(seed=0, **kw):
@@ -214,3 +217,119 @@ def test_truncated_or_bit_flipped_file_raises_only_checkpoint_error(tmp_path):
         except Exception as exc:  # anything else escapes the format's contract
             escaped.append(f"{what}: {type(exc).__name__}: {exc}")
     assert not escaped, escaped[:5]
+
+
+def _with_count(blob, table, count):
+    """``table`` (the bytes after the parameter count) under a new count."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    return blob[: 12 + hlen] + count.to_bytes(4, "little") + table
+
+
+@pytest.mark.parametrize("where", ["appended", "adjacent"])
+def test_repeated_or_out_of_order_parameter_name_refused(tmp_path, where):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=17), path)
+    blob = path.read_bytes()
+    _, records = checkpoint_fields(blob)
+    table_at = records[0][0]
+    record = blob[slice(*records[0])]
+    if where == "appended":  # bottom_up.0.attn.bk again after the last name
+        table = blob[table_at:] + record
+    else:  # the first record twice in a row
+        table = record + blob[table_at:]
+    path.write_bytes(_with_count(blob, table, len(records) + 1))
+    with pytest.raises(CheckpointError,
+                       match=r"parameter bottom_up\.0\.attn\.bk: repeated or out of order"):
+        read_checkpoint(path)
+    with pytest.raises(CheckpointError, match="repeated or out of order"):
+        load_model(path)
+
+
+def test_a_header_wider_than_its_table_is_refused_before_allocating(tmp_path):
+    m = _model(seed=18)
+    path = tmp_path / "m.tdtx"
+    write_checkpoint(path, "model", {**m.config.to_dict(), "d_model": 384}, m.params)
+    live = tdt.reset_peak()
+    t0 = time.perf_counter()
+    with pytest.raises(CheckpointError,
+                       match=r"embed\.token: shape \(64, 64\) != expected \(64, 384\)"):
+        load_model(path)
+    assert time.perf_counter() - t0 < 0.05
+    assert tdt.peak_bytes() == live  # no tensor was made
+
+
+def _refuse_draws(monkeypatch):
+    """Make every normal draw raise: what runs after this draws nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random draw")
+
+    monkeypatch.setattr(RngStream, "normal", refuse)
+
+
+def test_loading_draws_nothing(tmp_path, monkeypatch):
+    m, t = _model(seed=19), Tagger(desk_config(), seed=19)
+    model_path, tagger_path = tmp_path / "m.tdtx", tmp_path / "t.tdtx"
+    save_model(m, model_path)
+    write_checkpoint(tagger_path, "tagger", t.config.to_dict(), t.params)
+    _refuse_draws(monkeypatch)
+    for saved, loaded in ((m, load_model(model_path)),
+                          (t, load_checkpoint(tagger_path, "tagger", Tagger))):
+        assert list(loaded.params) == list(saved.params)
+        for name, p in saved.params.items():
+            np.testing.assert_array_equal(loaded.params[name].value.data, p.value.data)
+
+
+def test_a_header_with_one_more_layer_names_the_missing_one(tmp_path, monkeypatch):
+    m = _model(seed=20)
+    path = tmp_path / "m.tdtx"
+    write_checkpoint(path, "model", {**m.config.to_dict(), "n_bottom_up": 3}, m.params)
+    _refuse_draws(monkeypatch)
+    with pytest.raises(CheckpointError,
+                       match=r"parameter table mismatch: bottom_up\.2\.attn\.wq missing"):
+        load_model(path)
+
+
+def test_checkpoint_mutations_load_or_raise_checkpoint_error_quickly(tmp_path):
+    """A d_model 8 checkpoint truncated at every field boundary, each byte
+    before its table XORed with 0x01 and with 0x10, bytes of its table XORed
+    with seeded masks, and its first record repeated: each load returns a
+    model or raises CheckpointError, and within 50 ms."""
+    path, bad = tmp_path / "m.tdtx", tmp_path / "bad.tdtx"
+    save_model(_model(seed=21, d_model=8), path)
+    blob = path.read_bytes()
+    starts, records = checkpoint_fields(blob)
+    table_at = records[0][0]
+    rng = RngStream(21).split("mutations")
+
+    def xor(i, mask):
+        return f"byte {i} ^ {mask:#04x}", blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+
+    def cases():
+        for n in starts:
+            yield f"truncated to {n}", blob[:n]
+        for i in range(table_at):
+            yield xor(i, 0x01)
+            yield xor(i, 0x10)
+        spots = rng.randint(table_at, len(blob), 256)
+        masks = rng.randint(1, 256, 256)
+        for i, mask in zip(spots.tolist(), masks.tolist()):
+            yield xor(i, mask)
+        first = blob[slice(*records[0])]
+        yield "first record repeated", _with_count(blob, first + blob[table_at:], len(records) + 1)
+
+    escaped, slow, n_cases = [], [], 0
+    for what, data in cases():
+        n_cases += 1
+        bad.write_bytes(data)
+        t0 = time.perf_counter()
+        try:
+            load_model(bad)
+        except CheckpointError:
+            pass
+        except Exception as exc:  # anything else escapes the format's contract
+            escaped.append(f"{what}: {type(exc).__name__}: {exc}")
+        if time.perf_counter() - t0 > 0.05:
+            slow.append(what)
+    assert n_cases > 1000
+    assert not escaped, escaped[:5]
+    assert not slow, slow[:5]

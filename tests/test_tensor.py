@@ -16,7 +16,6 @@ from tdt import (
     NumericsError,
     Parameter,
     RngStream,
-    ShapeError,
     Tape,
     Tensor,
     UsageError,
@@ -161,14 +160,6 @@ def test_recording_nests_and_restores_the_outer_tape_also_on_raise():
         seen.append(current_tape())
     assert seen == [inner, None, inner, outer, outer]  # Tape compares by identity
     assert current_tape() is None
-
-
-def test_assign_validates_shape_and_finiteness():
-    p = Parameter("w", np.ones(3))
-    with pytest.raises(ShapeError):
-        p.assign(np.ones(4))
-    with pytest.raises(NumericsError):
-        p.assign(np.array([1.0, np.nan, 2.0]))
 
 
 def test_rejected_tensor_leaves_live_bytes_unchanged():
