@@ -16,7 +16,9 @@ Layout (all integers little-endian):
 Compute always runs in f64; the f32 tag is a storage-only option. A save /
 load / save round trip is byte-identical. Loading builds the header's model
 once, each parameter taking its stored array (:func:`~tdt.model.make_param`
-checks the name and shape first), so nothing is drawn. Version 2 dropped the
+checks the name and shape first), so nothing is drawn; each array is screened
+for NaN and Inf once, as it is read. A tagger's head width is that of its
+stored ``tagger.head.b``. Version 2 dropped the
 ``dropout`` config field and the parameters nothing reads (the segment and
 top-down tables of ``topdown_mode="none"``, a tagger's decoder); version 3
 dropped the ``ffn_mult`` and ``tie_output`` fields and the untied

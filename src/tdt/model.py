@@ -62,6 +62,7 @@ from .tensor import (
     Tensor,
     UsageError,
     _keep_heap,
+    _screened,
     recording,
 )
 
@@ -180,14 +181,16 @@ def make_param(name: str, shape: tuple, draw, arrays: dict | None = None) -> Par
     """The one constructor of model parameters: ``Parameter(name,
     draw(shape))``, or given a table ``arrays`` its entry ``name``, popped,
     and nothing drawn. A table without ``name``, or whose entry has another
-    shape, raises :class:`ConfigError`."""
+    shape, raises :class:`ConfigError`. The table's entries are float64
+    arrays already screened finite, as :func:`~tdt.checkpoint.read_checkpoint`
+    returns them, so they are wrapped without a second screen."""
     if arrays is None:
         return Parameter(name, draw(shape))
     if name not in arrays:
         raise ConfigError(f"parameter table mismatch: {name} missing")
     if arrays[name].shape != shape:
         raise ConfigError(f"parameter {name}: shape {arrays[name].shape} != expected {shape}")
-    return Parameter(name, arrays.pop(name))
+    return Parameter(name, _screened(arrays.pop(name)))
 
 
 class _LnParams(NamedTuple):

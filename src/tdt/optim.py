@@ -26,13 +26,20 @@ def check_lr(lr: float) -> None:
 
 
 class Adam:
-    """First and second moments for a parameter list, updated in place."""
+    """First and second moments for a parameter list, updated in place.
+
+    Building one makes the training state of its parameters in one place:
+    each parameter's gradient buffer (which :class:`~tdt.tensor.Parameter`
+    makes on first read), then the moments.
+    """
 
     def __init__(self, params, lr: float):
         check_lr(lr)
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.t = 0
+        for p in self.params:
+            p.grad  # noqa: B018 -- the read makes the buffer, before any backward
         self._m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
         self._v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
 

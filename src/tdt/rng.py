@@ -94,9 +94,12 @@ class RngStream:
         return int(self.randint(low, high, 1)[0])
 
     def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle of a copy of ``items``."""
+        """Fisher-Yates shuffle of a copy of ``items``. Its ``n - 1`` words
+        are drawn in one call; the swap at ``i`` takes ``word % (i + 1)``,
+        the index ``choice_int(0, i + 1)`` would draw from the same word."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.choice_int(0, i + 1)
+        words = self.u64(max(len(out) - 1, 0)).tolist()
+        for i, word in zip(range(len(out) - 1, 0, -1), words):
+            j = word % (i + 1)
             out[i], out[j] = out[j], out[i]
         return out

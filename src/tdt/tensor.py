@@ -5,6 +5,9 @@ Values are immutable once produced: every operation returns a fresh array
 which a fused op may reuse in place before one of them becomes its output.
 No tensor is written after it is made. Parameters are the only mutable
 objects and are touched exclusively by the optimizer and ``zero_grads``.
+A parameter's gradient buffer is made when training first reads it (an
+optimizer reads its parameters' when it is built), so a process that only
+infers holds the weights alone.
 
 A :class:`Tape` records one entry per differentiable op: its output, its
 inputs and its vjp closure, with the arrays that closure saved. ``backward``
@@ -187,21 +190,39 @@ def _view(arr: np.ndarray, x) -> Tensor:
 
 
 class Parameter:
-    """Named trainable value with a gradient buffer of the same shape."""
+    """Named trainable value with a gradient buffer of the same shape.
 
-    __slots__ = ("name", "value", "grad")
+    The buffer is training state, made on first use: the first read of
+    ``grad`` makes it as zeros of the value's shape (an :class:`~tdt.optim.Adam`
+    reads it for each of its parameters when it is built), so a parameter
+    that only serves inference holds its value alone. ``zero_grad`` leaves a
+    buffer that was never made unmade.
+    """
+
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, name: str, value):
         self.name = name
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = np.zeros(self.value.shape, dtype=np.float64)
+        self._grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
         return self.value.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape, dtype=np.float64)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:  # ``p.grad += g`` stores its buffer back
+        self._grad = value
+
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"

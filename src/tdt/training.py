@@ -245,10 +245,14 @@ class Tagger:
     The importance tagger is the width-1 case, whose raw ``z`` are its pooling
     weights (the per-window softmax does its own normalization). Given
     ``arrays``, the encoder and the head take their values from it as
-    :class:`Model` does, popping the entries they use."""
+    :class:`Model` does, popping the entries they use, and the width is that
+    of the stored ``tagger.head.b`` (a checkpoint's header does not hold it)."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, width: int = 1,
                  arrays: dict | None = None):
+        stored_b = (arrays or {}).get("tagger.head.b")
+        if stored_b is not None and stored_b.ndim == 1:
+            width = stored_b.shape[0]
         if width < 1:
             raise ConfigError(f"a head needs width >= 1, got {width}")
         self.config = config = replace(config, n_decoder_layers=0)

@@ -11,7 +11,9 @@ instead of stepping a key/value cache.
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -33,6 +35,19 @@ def sum_all(x) -> Tensor:
     a = ops._data(x)
     out = ops._result("sum_all", np.sum(a).reshape(()), (x,))
     return ops._record(out, (x,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def held_bytes(make):
+    """``make()`` and the bytes it left allocated, under ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        obj = make()
+        gc.collect()
+        return obj, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(a: float, b: float) -> float:

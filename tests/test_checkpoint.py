@@ -1,5 +1,7 @@
 """Checkpoint format: round trips, validation, storage dtypes."""
 
+import itertools
+import json
 import time
 
 import numpy as np
@@ -9,7 +11,7 @@ import tdt
 from tdt import CheckpointError, Model, RngStream, Tagger, desk_config, load_model, save_model
 from tdt.checkpoint import load_checkpoint, read_checkpoint, write_checkpoint
 from tdt.cli import run_cli
-from helpers import checkpoint_fields, first_param_offsets
+from helpers import checkpoint_fields, first_param_offsets, held_bytes
 
 
 def _model(seed=0, **kw):
@@ -54,6 +56,49 @@ def test_encode_identical_after_round_trip(tmp_path):
     save_model(m, path)
     after = load_model(path).encode(ids).data
     np.testing.assert_array_equal(before, after)
+
+
+def test_a_loaded_model_that_generates_holds_only_its_weights(tmp_path):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=7), path)
+    source = RngStream(7).randint(3, 64, 32)
+
+    def load_and_generate():
+        m = load_model(path)
+        m.generate(source, 4)
+        return m
+
+    m, held = held_bytes(load_and_generate)
+    weights = sum(p.value.data.nbytes for p in m.parameters())
+    assert held <= 1.1 * weights, (held, weights)
+
+
+def test_a_load_screens_each_stored_array_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.tdtx"
+    save_model(_model(seed=8), path)
+    checks = []
+
+    def counted(check):
+        def run(*args, **kwargs):
+            checks.append(check.__name__)
+            return check(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np, "isfinite", counted(np.isfinite))  # read_checkpoint's screen
+    monkeypatch.setattr(tdt.tensor, "_all_finite", counted(tdt.tensor._all_finite))  # Tensor's
+    m = load_model(path)
+    assert len(checks) == len(m.params), sorted(set(checks))
+
+
+def test_a_wide_probe_head_loads_back_bit_identical(tmp_path):
+    head = Tagger(desk_config(), seed=9, width=16)
+    path = tmp_path / "t.tdtx"
+    write_checkpoint(path, "tagger", head.config.to_dict(), head.params)
+    loaded = load_checkpoint(path, "tagger", Tagger)
+    ids = RngStream(9).randint(3, 64, 48).reshape(2, 24)
+    logits = loaded.logits(ids).data
+    assert logits.shape == (2, 24, 16)
+    np.testing.assert_array_equal(logits, head.logits(ids).data)
 
 
 def test_corrupted_magic_rejected(tmp_path):
@@ -292,17 +337,27 @@ def test_a_header_with_one_more_layer_names_the_missing_one(tmp_path, monkeypatc
 def test_checkpoint_mutations_load_or_raise_checkpoint_error_quickly(tmp_path):
     """A d_model 8 checkpoint truncated at every field boundary, each byte
     before its table XORed with 0x01 and with 0x10, bytes of its table XORed
-    with seeded masks, and its first record repeated: each load returns a
-    model or raises CheckpointError, and within 50 ms."""
+    with seeded masks, its first record repeated, and the values of every
+    pair of its header's config fields swapped: each load returns a model or
+    raises CheckpointError, and within 50 ms."""
     path, bad = tmp_path / "m.tdtx", tmp_path / "bad.tdtx"
     save_model(_model(seed=21, d_model=8), path)
     blob = path.read_bytes()
     starts, records = checkpoint_fields(blob)
     table_at = records[0][0]
     rng = RngStream(21).split("mutations")
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
 
     def xor(i, mask):
         return f"byte {i} ^ {mask:#04x}", blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+
+    def swapped(a, b):
+        config = {**header["config"], a: header["config"][b], b: header["config"][a]}
+        text = json.dumps({**header, "config": config}, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        return (f"header {a} <-> {b}",
+                blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen:])
 
     def cases():
         for n in starts:
@@ -316,6 +371,8 @@ def test_checkpoint_mutations_load_or_raise_checkpoint_error_quickly(tmp_path):
             yield xor(i, mask)
         first = blob[slice(*records[0])]
         yield "first record repeated", _with_count(blob, first + blob[table_at:], len(records) + 1)
+        for a, b in itertools.combinations(sorted(header["config"]), 2):
+            yield swapped(a, b)
 
     escaped, slow, n_cases = [], [], 0
     for what, data in cases():

@@ -76,6 +76,18 @@ def test_shuffled_is_permutation_and_deterministic():
     assert a != items  # astronomically unlikely to be identity
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 33])
+def test_shuffled_matches_one_choice_int_per_swap(n):
+    items = [f"item{i}" for i in range(n)]
+    ref, out = RngStream(29), list(items)
+    for i in range(n - 1, 0, -1):
+        j = ref.choice_int(0, i + 1)
+        out[i], out[j] = out[j], out[i]
+    stream = RngStream(29)
+    assert stream.shuffled(items) == out
+    assert stream.counter == ref.counter == max(n - 1, 0)
+
+
 def test_randint_rejects_empty_range():
     for low, high in ((3, 3), (5, 2)):
         with pytest.raises(UsageError):

@@ -28,7 +28,7 @@ from tdt import (
 from tdt import ops
 from tdt.tensor import TapeEntry, current_tape
 from tdt.training import batch_loss
-from helpers import sum_all
+from helpers import held_bytes, sum_all
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,10 +48,39 @@ def test_tensor_rejects_nan_and_inf():
 
 def test_parameter_grad_matches_shape_and_zeroing():
     p = Parameter("w", np.ones((3, 2)))
-    assert p.grad.shape == (3, 2)
+    assert p.grad.shape == (3, 2) and p.grad.dtype == np.float64
+    assert not p.grad.any() and p.grad is p.grad  # fresh zeros, made once
     p.grad += 1.0
     zero_grads([p])
     assert np.all(p.grad == 0.0)
+
+
+def test_zero_grads_on_a_model_that_never_ran_backward_makes_no_buffer():
+    def build():
+        m = Model(desk_config(), seed=0)
+        zero_grads(m.parameters())
+        return m
+
+    m, held = held_bytes(build)
+    weights = sum(p.value.data.nbytes for p in m.parameters())
+    assert held <= 1.1 * weights, (held, weights)
+
+
+def test_two_model_backward_passes_without_zero_grads_double_every_gradient():
+    cfg = desk_config()
+    m = Model(cfg, seed=5)
+    batch = [gen_keyvalue_task(RngStream(5).split(str(j)), 64, cfg.window, cfg.n_bottom_up,
+                               cfg.vocab_size) for j in range(2)]
+
+    def run():
+        tape = Tape()
+        backward(batch_loss(m, batch, tape), tape)
+
+    run()
+    once = {name: p.grad.copy() for name, p in m.params.items()}
+    run()
+    for name, p in m.params.items():
+        np.testing.assert_array_equal(p.grad, 2.0 * once[name], err_msg=name)
 
 
 def test_allocation_tracking_counts_live_tensors():
