@@ -7,8 +7,9 @@ attention one, cross attention two); a layer's decode cache (``_LayerKV``,
 the one owner of the cache layout) rebinds its self keys and values to
 their concat with the new positions', or reuses the context's.
 ``ops.attention_block`` then turns the heads into the sublayer's output
-x + LN(branch) as one op. A band that leaves some pair out is scored
-blocked, never N x N, so live memory grows with N * w. Masked slots get a
+x + LN(branch) as one op, over row tiles for a band or a context. A band
+that leaves some pair out is scored blocked, never N x N, so live memory
+grows with N * w. Masked slots get a
 -1e30 additive penalty whose exponent underflows to exactly zero, so
 tokens outside the mask cannot influence a row even at the bit level.
 
@@ -216,7 +217,9 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
 
     ``mask`` is a boolean [n, m] array shared across leading axes and heads,
     a :class:`MaskSpec`, or None (every pair admitted); a band that leaves
-    some pair out (w < 2(n-1)) is scored blocked, in O(n * w) memory. A
+    some pair out (w < 2(n-1)) is scored blocked, in O(n * w) memory.
+    Attention to a context runs in tiles of query rows, and dense
+    self-attention as one tile (``ops.attention_block``'s ``tiled``). A
     layer ``cache`` appends the new self keys and values to the cached ones
     (``ops.concat``), or projects the context's on its first call and
     reuses them; a later context must have the length and width of the
@@ -231,7 +234,8 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
         q, k, v = ops.heads_in(x, pairs, n_heads)
         if cache is not None:
             if cache.k is not None:
-                k, v = ops.concat([cache.k, k], axis=-2), ops.concat([cache.v, v], axis=-2)
+                k = ops.concat([cache.k, k], axis=-2, swapped=True)  # heads_in's key layout
+                v = ops.concat([cache.v, v], axis=-2)
             cache.k, cache.v = k, v
     else:
         (q,) = ops.heads_in(x, pairs[:1], n_heads)
@@ -265,7 +269,7 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
         bias = ops.NEG_MASK * (~mask)
     gain, shift = ln
     out = ops.attention_block(x, q, k, v, params.wo, params.bo, gain, shift, bias, window,
-                              1.0 / math.sqrt(dh))
+                              1.0 / math.sqrt(dh), tiled=context is not None)
     if counter is not None:
         if window is not None:
             admitted = band_popcount(n, window)

@@ -112,16 +112,17 @@ class ModelConfig:
             if not ((value is None and optional == "None") or _FIELD_CHECKS[base](value)):
                 raise ConfigError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.vocab_size < 4:
-            raise ConfigError("vocab_size must be >= 4 (pad/bos/eos reserved)")
-        if self.pooling_mode not in POOLING_MODES:
-            raise ConfigError(f"pooling_mode must be one of {POOLING_MODES}")
-        if self.topdown_mode not in TOPDOWN_MODES:
-            raise ConfigError(f"topdown_mode must be one of {TOPDOWN_MODES}")
-        if min(self.n_bottom_up, self.n_segment_layers, self.n_top_down,
-               self.n_decoder_layers) < 0:
-            raise ConfigError("layer counts must be non-negative")
-        if min(self.max_positions, self.d_model, self.n_heads) < 1:
-            raise ConfigError("max_positions, d_model and n_heads must be positive")
+            raise ConfigError(f"vocab_size must be >= 4 (pad/bos/eos reserved), "
+                              f"got {self.vocab_size}")
+        for name, modes in (("pooling_mode", POOLING_MODES), ("topdown_mode", TOPDOWN_MODES)):
+            if getattr(self, name) not in modes:
+                raise ConfigError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
+        for name in ("n_bottom_up", "n_segment_layers", "n_top_down", "n_decoder_layers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("max_positions", "d_model", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         _check_window(self.window)

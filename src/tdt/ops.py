@@ -38,9 +38,9 @@ LN_EPS = 1e-5
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-# ffn_block runs GELU over row tiles of about this many bytes: a tile stays
-# in L2 cache through all of the formula's elementwise passes.
-_GELU_TILE_BYTES = 1 << 18
+# attention_block and ffn_block run their forward stages over row tiles of
+# about this many bytes of scores or hidden units (see _tiles).
+_TILE_BYTES = 1 << 18
 
 
 def _data(x) -> np.ndarray:
@@ -95,9 +95,18 @@ def transpose(x, axes) -> Tensor:
     return _record(out, (x,), lambda g: (g.transpose(inv),))
 
 
-def concat(parts, axis: int) -> Tensor:
+def concat(parts, axis: int, swapped: bool = False) -> Tensor:
+    """The parts joined along ``axis``; ``swapped`` builds the result as
+    the view, last two axes swapped, of a C-order array: the layout of
+    ``heads_in``'s keys, which the dense scorer multiplies without a copy."""
     arrs = [_data(p) for p in parts]
-    out = _screened(np.concatenate(arrs, axis=axis))
+    if swapped:  # join the parts' transposes on the matching axis, in C order
+        nd = arrs[0].ndim
+        t_axis = {nd - 2: nd - 1, nd - 1: nd - 2}.get(axis % nd, axis)
+        joined = np.concatenate([a.swapaxes(-1, -2) for a in arrs], axis=t_axis)
+        out = _screened(joined.swapaxes(-1, -2))
+    else:
+        out = _screened(np.concatenate(arrs, axis=axis))
 
     def vjp(g):
         return tuple(np.split(g, np.cumsum([a.shape[axis] for a in arrs[:-1]]), axis=axis))
@@ -173,11 +182,12 @@ def _softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def _ln_forward(a: np.ndarray, gain, bias, eps: float):
-    """Layer norm of the array ``a`` over the last axis, shared by
-    :func:`residual_ln` and :func:`ffn_block`. Returns the output
-    ``xhat * gain + bias`` in a fresh buffer, the vjp's closure and the
-    arrays it saves; ``xhat`` is formed in place."""
+def _ln_rows(a: np.ndarray, gain, bias, eps: float, y: np.ndarray, xhat: np.ndarray,
+             inv: np.ndarray | None) -> None:
+    """Layer norm of the rows ``a`` over the last axis: writes
+    ``xhat * gain + bias`` into ``y``, ``xhat`` into ``xhat`` (which may be
+    ``a``) and 1/std into ``inv`` (None: a fresh array). Every step is per
+    row, so a tile of rows gets the bits of the whole array's."""
     d = a.shape[-1]
     if d < 2:
         raise ConfigError("layer_norm requires last-axis extent >= 2")
@@ -187,24 +197,25 @@ def _ln_forward(a: np.ndarray, gain, bias, eps: float):
     # np.add.reduce(...) / d is ndarray.mean's own sum and division without
     # its Python wrapper, which costs more than the arithmetic on one row.
     mu = np.add.reduce(a, axis=-1, keepdims=True) / d
-    xhat = a - mu
-    y = np.multiply(xhat, xhat)
+    np.subtract(a, mu, out=xhat)
+    np.multiply(xhat, xhat, out=y)
     var = np.add.reduce(y, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    xhat *= np.divide(1.0, np.sqrt(var + eps), out=inv)
     np.multiply(xhat, gd, out=y)
     y += bd
 
-    def vjp(g):
-        gg = g * gd
-        g_bias = g.reshape(-1, d).sum(axis=0)
-        g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
-        mean_gg = gg.mean(axis=-1, keepdims=True)
-        mean_ggx = (gg * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gg - mean_gg - xhat * mean_ggx)
-        return gx, g_gain, g_bias
 
-    return y, vjp, (xhat, inv)
+def _ln_vjp(g: np.ndarray, gain, xhat: np.ndarray, inv: np.ndarray) -> tuple:
+    """The input, gain and bias gradients of a layer norm from its output's
+    ``g`` and the ``xhat`` and 1/std its forward wrote."""
+    d = g.shape[-1]
+    gg = g * _data(gain)
+    g_bias = g.reshape(-1, d).sum(axis=0)
+    g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
+    mean_gg = gg.mean(axis=-1, keepdims=True)
+    mean_ggx = (gg * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (gg - mean_gg - xhat * mean_ggx)
+    return gx, g_gain, g_bias
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -396,19 +407,40 @@ def _zero_filled_add(total, shape: tuple, idx, g: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scorer_operands(dq: np.ndarray, dk: np.ndarray, scale: float) -> tuple:
-    """The scaled queries (the bits of a scale op before the scorer) and the
-    contiguous key transpose (``heads_in``'s keys' own memory) that the
-    dense scorer multiplies; its vjp rebuilds them bit for bit."""
-    return dq * scale if scale != 1.0 else dq, np.ascontiguousarray(dk.swapaxes(-1, -2))
+def _tiles(units: int, unit_bytes: int) -> tuple[int, list]:
+    """The row tiles of a sublayer over ``units`` (rows, or a band's query
+    blocks) of ``unit_bytes`` of scratch each: the most units in one tile,
+    and the tiles' [start, stop) bounds, which cover 0 .. units in order.
+
+    A tile holds about _TILE_BYTES in a multiple of 4 units, so every tile
+    starts on a multiple of 4 rows, and a last tile of fewer than 4 units
+    joins the tile before it. A product over a tile then runs the rows
+    through the same BLAS row blocks as the whole array's: numpy runs a
+    one-row product as gemv, and OpenBLAS's small-matrix dgemm kernel
+    rounds a tile of 2 or 3 rows differently from a block of 4 (seen with
+    16-wide operands). Where the whole product is large enough for
+    OpenBLAS's other dgemm kernel and a tile is not, the two kernels can
+    still differ in the last bit at some widths; tests/test_tiles.py
+    checks the desk model's shapes. The forward and the vjp's rebuilds use
+    the same tiles, so a vjp rebuilds the forward's values bit for bit."""
+    per = max(4, _TILE_BYTES // (unit_bytes or 1) // 4 * 4)
+    if units < per + 4:
+        return units, [(0, units)]
+    starts = list(range(0, units, per))
+    if units - starts[-1] < 4:
+        starts.pop()
+    return max(per, units - starts[-1]), list(zip(starts, starts[1:] + [units]))
 
 
 def _dense_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
-    """Query, key and value gradients of the dense context p v from its own."""
+    """Query, key and value gradients of the dense context p v from its own,
+    with the scaled queries and the contiguous key transpose rebuilt as the
+    forward made them."""
     gp = np.matmul(g, dv.swapaxes(-1, -2))
     gv = np.matmul(p.swapaxes(-1, -2), g)
     gs = _softmax_vjp(gp, p)
-    qs, kt = _scorer_operands(dq, dk, scale)
+    qs = dq * scale if scale != 1.0 else dq
+    kt = np.ascontiguousarray(dk.swapaxes(-1, -2))
     gq = np.matmul(gs, kt.swapaxes(-1, -2))
     if scale != 1.0:
         gq *= scale
@@ -426,9 +458,6 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     defined; their outputs are sliced away. The result depends on (n,
     window) only, so it is built once per pair and shared read-only.
     """
-    # The cached array's place in the heap decides whether glibc trims the
-    # heap top after each long encode (and faults it in again on the next):
-    # this build order keeps the 2048-token encode from doing so.
     half = window // 2
     block = half
     nb = -(-n // block)
@@ -446,12 +475,16 @@ def _band_block_bias(n: int, window: int) -> tuple[np.ndarray, int, int]:
     return bias, block, nb
 
 
-def _pad_rows(a: np.ndarray, before: int, after: int) -> np.ndarray:
-    """``a`` with zero rows added before and after its second-to-last axis."""
-    n = a.shape[-2]
-    out = np.zeros(a.shape[:-2] + (before + n + after, a.shape[-1]))
-    out[..., before : before + n, :] = a
-    return out
+def _band_rows(a: np.ndarray, lo: int, hi: int, block: int, scale: float = 1.0) -> np.ndarray:
+    """Rows lo .. hi-1 of ``a`` [..., n, e] times ``scale``, zero where they
+    fall outside 0 .. n-1, as blocks [..., (hi - lo) / block, block, e]: a
+    band's query blocks, or the key or value blocks they score, one block
+    more on each side. A product by 1.0 keeps every bit."""
+    n, e = a.shape[-2], a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (hi - lo, e))
+    first, last = max(lo, 0), min(hi, n)
+    np.multiply(a[..., first:last, :], scale, out=out[..., first - lo : last - lo, :])
+    return out.reshape(a.shape[:-2] + ((hi - lo) // block, block, e))
 
 
 def _blocks_from(s: int, nb: int) -> tuple:
@@ -469,53 +502,26 @@ def _key_blocks_t(dk: np.ndarray, s: int, nb: int) -> np.ndarray:
     return np.ascontiguousarray(dk[_blocks_from(s, nb)].swapaxes(-1, -2))
 
 
-def _band_q_blocks(dq: np.ndarray, block: int, nb: int, scale: float) -> np.ndarray:
-    """The queries scaled, the tail zero-padded, as [..., nb, block, d]."""
-    lead, n, d = dq.shape[:-2], dq.shape[-2], dq.shape[-1]
-    if nb * block == n:
-        return (dq * scale).reshape(lead + (nb, block, d))
-    qp = _pad_rows(dq, 0, nb * block - n)
-    qp *= scale  # the same products as scaling first: the pad stays 0.0
-    return qp.reshape(lead + (nb, block, d))
-
-
-def _band_kv_blocks(a: np.ndarray, block: int, nb: int) -> np.ndarray:
-    """Keys or values, one zero block more on each side, as [..., nb + 2, block, e]."""
-    pad = _pad_rows(a, block, nb * block - a.shape[-2] + block)
-    return pad.reshape(a.shape[:-2] + (nb + 2, block, a.shape[-1]))
-
-
-def _band_probs(dq: np.ndarray, dk: np.ndarray, window: int, scale: float) -> np.ndarray:
-    """Banded probabilities [..., nb, block, 3*block]: query block i scores key
-    blocks i, i+1 and i+2 into one buffer that takes bias and softmax in place."""
-    bias, block, nb = _band_block_bias(dq.shape[-2], window)
-    q_blk, k_blk = _band_q_blocks(dq, block, nb, scale), _band_kv_blocks(dk, block, nb)
-    p = np.empty(dq.shape[:-2] + (nb, block, 3 * block))
-    for s in range(3):
-        np.matmul(q_blk, _key_blocks_t(k_blk, s, nb), out=p[_slot(s, block)])
-    p += bias
-    return _softmax(p, p)
-
-
-def _band_context(p: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """The banded context [..., nb * block, e], padded rows included."""
+def _band_context(p: np.ndarray, v_blk: np.ndarray) -> np.ndarray:
+    """The banded context [..., nb * block, e], padded rows included, of the
+    probabilities [..., nb, block, 3*block] over their value blocks
+    [..., nb + 2, block, e]."""
     nb, block = p.shape[-3], p.shape[-2]
-    v_blk = _band_kv_blocks(dv, block, nb)
     ctx = np.matmul(p[_slot(0, block)], v_blk[_blocks_from(0, nb)])
     part = np.empty_like(ctx)
     for s in (1, 2):
         ctx += np.matmul(p[_slot(s, block)], v_blk[_blocks_from(s, nb)], out=part)
-    return ctx.reshape(dv.shape[:-2] + (nb * block, dv.shape[-1]))
+    return ctx.reshape(ctx.shape[:-3] + (nb * block, ctx.shape[-1]))
 
 
 def _band_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
     """Query, key and value gradients of the banded context from its own, with
     the scaled queries, keys and values padded again."""
-    lead, n, d, e = dq.shape[:-2], dq.shape[-2], dq.shape[-1], dv.shape[-1]
+    lead, n = dq.shape[:-2], dq.shape[-2]
     nb, block = p.shape[-3], p.shape[-2]
     n_pad = nb * block
-    g = _pad_rows(g, 0, n_pad - n).reshape(lead + (nb, block, e))
-    v_blk = _band_kv_blocks(dv, block, nb)
+    g = _band_rows(g, 0, n_pad, block)
+    v_blk = _band_rows(dv, -block, n_pad + block, block)
     gp = gv = None
     for s in (2, 1, 0):  # right, centre, left: the unfused tape's order
         ga = np.matmul(g, v_blk[_blocks_from(s, nb)].swapaxes(-1, -2))
@@ -524,14 +530,15 @@ def _band_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
         gv = _zero_filled_add(gv, v_blk.shape, _blocks_from(s, nb), gb)
     del v_blk
     gs = _softmax_vjp(gp, p)
-    q_blk, k_blk = _band_q_blocks(dq, block, nb, scale), _band_kv_blocks(dk, block, nb)
+    q_blk = _band_rows(dq, 0, n_pad, block, scale)
+    k_blk = _band_rows(dk, -block, n_pad + block, block)
     gq = gk = None
     for s in (2, 1, 0):
         ga = np.matmul(gs[_slot(s, block)], _key_blocks_t(k_blk, s, nb).swapaxes(-1, -2))
         gq = ga if gq is None else np.add(gq, ga, out=gq)
         gb = np.matmul(q_blk.swapaxes(-1, -2), gs[_slot(s, block)]).swapaxes(-1, -2)
         gk = _zero_filled_add(gk, k_blk.shape, _blocks_from(s, nb), gb)
-    gq = gq.reshape(lead + (n_pad, d))
+    gq = gq.reshape(lead + (n_pad, dq.shape[-1]))
     if n_pad > n:
         gq = np.ascontiguousarray(gq[..., :n, :])
     gq *= scale
@@ -541,7 +548,8 @@ def _band_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
 
 
 def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | None = None,
-                    window: int | None = None, scale: float = 1.0, eps: float = LN_EPS) -> Tensor:
+                    window: int | None = None, scale: float = 1.0, tiled: bool = False,
+                    eps: float = LN_EPS) -> Tensor:
     """The attention sublayer x + LN(merge(softmax((q * scale) k^T + mask) v) wo + bo)
     as one op, for the residual x [..., n, e] and the heads: queries
     [..., h, n, hd], keys [..., h, m, hd] and values [..., h, m, hv]. Keys
@@ -551,17 +559,29 @@ def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | Non
     The mask is the constant [n, m] penalty ``bias`` (None: every pair), or
     a self-attention band: ``window`` w admits |i - j| <= w/2. The band runs
     in query blocks of w/2 rows, each scoring its three neighbouring key
-    blocks, so nothing n x n exists and live memory is O(n * w).
+    blocks, so nothing n x n exists.
 
-    Each stage runs the unfused chain's numpy calls (scores, context, head
-    merge and projection, residual layer norm) and is screened as that chain
-    was: a non-finite result raises NumericsError naming the stage. The vjp
-    runs the stages backward in the chain's tape order, so outputs and
-    gradients keep its bits; the banded products keep them only while BLAS
-    computes a strided block view like its contiguous copy, which
-    tests/digest.py checks. The probabilities count as live bytes while they
-    exist. A recording keeps them and the layer norm's ``xhat`` and 1/std;
-    the vjp rebuilds the context from them with the same products.
+    The forward runs every stage (scores, softmax, context, head merge,
+    projection, layer norm and residual) over tiles of query rows, and
+    writes each tile's result into the output: a band's tiles are ranges
+    of query blocks, each padding only its own key and value window, and
+    with ``tiled`` (attention to a context) they are ranges of rows. So a
+    tile of scores, not the whole n x m or band, is live at a time, and
+    memory is O(n * w) or O(n). Dense self-attention (``tiled`` False, no
+    window) runs as one tile, its whole n x n scores: the reference that
+    the memory tests and ``tdt bench`` compare the hierarchy against. See
+    :func:`_tiles` for how the tiles keep the bits of the whole products.
+
+    Each stage runs the unfused chain's numpy calls and is screened as that
+    chain was: a non-finite result raises NumericsError naming the stage.
+    The vjp runs the stages backward over the whole array in the chain's
+    tape order, so outputs and gradients keep its bits; the banded products
+    keep them only while BLAS computes a strided block view like its
+    contiguous copy, which tests/digest.py checks. The probabilities count
+    as live bytes while the op holds them (without a tape, one tile's). A
+    recording writes them, the layer norm's ``xhat`` and 1/std tile by tile
+    into whole arrays that its entry keeps; the vjp rebuilds the context
+    from them over the forward's tiles with the same products.
     """
     inputs = (x, q, k, v, wo, bo, ln_gain, ln_bias)
     r, dq, dk, dv, dwo, dbo = (_data(t) for t in inputs[:6])
@@ -575,40 +595,84 @@ def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | Non
         raise ShapeError(f"attention_block: residual {r.shape}, queries {dq.shape}, keys "
                          f"{dk.shape}, values {dv.shape}, projection {dwo.shape} + {dbo.shape}")
     n = dq.shape[-2]
+    recording = current_tape() is not None
+    if window is None:  # a unit is one query row, scored against every key
+        kt = np.ascontiguousarray(dk.swapaxes(-1, -2))  # no copy for heads_in's keys
+        block, units, tail = 1, n, (slice(None),)
+        p_shape = dq.shape[:-1] + kt.shape[-1:]  # [..., h, n, m]
 
-    def screen(stage: str, arr: np.ndarray) -> np.ndarray:
-        _check_finite(f"attention_block ({stage})", arr, inputs)
-        return arr
+        def scores(u0: int, u1: int, p: np.ndarray) -> None:
+            qs = dq if u1 - u0 == n else dq[..., u0:u1, :]
+            np.matmul(qs * scale if scale != 1.0 else qs, kt, out=p)
+            if bias is not None:
+                p += bias if u1 - u0 == n else bias[u0:u1]
 
-    def context(p: np.ndarray) -> np.ndarray:  # [..., h, n or nb * block, hv]
-        return np.matmul(p, dv) if window is None else _band_context(p, dv)
+        def context(p: np.ndarray, u0: int, u1: int) -> np.ndarray:
+            return np.matmul(p, dv)
+    else:  # a unit is a block of w/2 queries, scored against 3 key blocks
+        band, block, units = _band_block_bias(n, window)
+        tail = (slice(None), slice(None))
+        p_shape = dq.shape[:-2] + band.shape  # [..., h, nb, block, 3 * block]
 
-    if window is None:  # scores, penalty and softmax in one buffer
-        p = np.matmul(*_scorer_operands(dq, dk, scale))
-        if bias is not None:
-            p += bias
-        _softmax(p, p)
+        def scores(u0: int, u1: int, p: np.ndarray) -> None:
+            q_blk = _band_rows(dq, u0 * block, u1 * block, block, scale)
+            k_blk = _band_rows(dk, (u0 - 1) * block, (u1 + 1) * block, block)
+            for s in range(3):
+                np.matmul(q_blk, _key_blocks_t(k_blk, s, u1 - u0), out=p[_slot(s, block)])
+            p += band[u0:u1]
+
+        def context(p: np.ndarray, u0: int, u1: int) -> np.ndarray:
+            return _band_context(p, _band_rows(dv, (u0 - 1) * block, (u1 + 1) * block, block))
+
+    if (tiled or window is not None) and units >= 8:  # fewer units are one tile
+        # 8 bytes per score: h * block * p_shape[-1] scores per unit and leading index
+        span, bounds = _tiles(units, 8 * dq.size // (n * dq.shape[-1] or 1) * block * p_shape[-1])
     else:
-        p = _band_probs(dq, dk, window, scale)
-    held = _screened(screen("softmax", p))  # counts the probabilities while they live
-    merged = _merge_heads(screen("context", context(p))[..., :n, :])
-    if current_tape() is None:
-        del held, p  # the sublayer's largest array: free it before the projection
-    z = _flat(merged) @ dwo
-    z += dbo
-    del merged
-    y, ln_vjp, ln_saved = _ln_forward(screen("projection", z).reshape(r.shape), ln_gain,
-                                      ln_bias, eps)
-    del z
-    y += r
-    out = _screened(screen("residual_ln", y))
-    if current_tape() is None:
+        span, bounds = units, [(0, units)]
+    whole = span == units  # one tile: it works on the whole arrays, not views
+    axis = dq.ndim - 2  # the units axis of the scores
+    p = np.empty(p_shape if recording or whole else p_shape[:axis] + (span,) + p_shape[axis + 1:])
+    held = _screened(p)  # counts the probabilities while they live
+    y = np.empty(r.shape)
+    xhat = inv = None
+    if recording:
+        xhat, inv = np.empty(r.shape), np.empty(r.shape[:-1] + (1,))
+    for u0, u1 in bounds:
+        pt = p if whole else p[(..., slice(u0, u1) if recording else slice(0, u1 - u0)) + tail]
+        scores(u0, u1, pt)
+        _check_finite("attention_block (softmax)", _softmax(pt, pt), inputs)
+        r0, r1 = u0 * block, n if u1 == units else u1 * block
+        ctx = context(pt, u0, u1)
+        _check_finite("attention_block (context)", ctx, inputs)
+        merged = _merge_heads(ctx if ctx.shape[-2] == r1 - r0 else ctx[..., : r1 - r0, :])
+        del ctx
+        z = _flat(merged) @ dwo
+        z += dbo
+        del merged
+        _check_finite("attention_block (projection)", z, inputs)
+        if whole:
+            yt, rt, xt, it = y, r, xhat, inv
+        else:
+            rows = (..., slice(r0, r1), slice(None))
+            yt, rt = y[rows], r[rows]
+            xt, it = (None, None) if xhat is None else (xhat[rows], inv[rows])
+        z = z.reshape(yt.shape)
+        _ln_rows(z, ln_gain, ln_bias, eps, yt, z if xt is None else xt, it)
+        yt += rt
+        _check_finite("attention_block (residual_ln)", yt, inputs)
+    del held  # a recording's entry counts them again
+    out = _screened(y)
+    if not recording:
         return out
-    del held  # the entry counts them from here
 
     def vjp(g):
-        gz, g_gain, g_bias = ln_vjp(g)
-        merged = _merge_heads(context(p)[..., :n, :])
+        gz, g_gain, g_bias = _ln_vjp(g, ln_gain, xhat, inv)
+        ctx = np.empty(dq.shape[:-1] + dv.shape[-1:])
+        for u0, u1 in bounds:  # the forward's tiles, so the forward's bits
+            r0, r1 = u0 * block, n if u1 == units else u1 * block
+            ctx[..., r0:r1, :] = context(p[(..., slice(u0, u1)) + tail], u0, u1)[..., : r1 - r0, :]
+        merged = _merge_heads(ctx)
+        del ctx
         g_merged, g_wo, g_bo = _affine_vjp(_flat(merged), merged.shape, dwo, gz)
         del merged
         h, hv = dq.shape[-3], dv.shape[-1]
@@ -618,7 +682,7 @@ def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | Non
             gk, gv = (a.sum(axis=broadcast, keepdims=True) for a in (gk, gv))
         return g, gq, gk, gv, g_wo, g_bo, g_gain, g_bias
 
-    return _record(out, inputs, vjp, (p,) + ln_saved)
+    return _record(out, inputs, vjp, (p, xhat, inv))
 
 
 # -----------------------------------------------------------------------------
@@ -638,18 +702,12 @@ def residual_ln(x, branch, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
     r, a = _data(x), _data(branch)
     if r.shape != a.shape:
         raise ShapeError(f"residual_ln: residual {r.shape} vs branch {a.shape}")
-    y, ln_vjp, saved = _ln_forward(a, ln_gain, ln_bias, eps)
+    y, xhat, inv = np.empty(a.shape), np.empty(a.shape), np.empty(a.shape[:-1] + (1,))
+    _ln_rows(a, ln_gain, ln_bias, eps, y, xhat, inv)
     y += r
     inputs = (x, branch, ln_gain, ln_bias)
     out = _result("residual_ln", y, inputs)
-    return _record(out, inputs, lambda g: (g,) + ln_vjp(g), saved)
-
-
-def _row_tiles(rows: int, width: int) -> tuple[int, range]:
-    """Rows per GELU tile of ``width`` float64 columns, and the tiles' first
-    rows."""
-    tile = max(1, _GELU_TILE_BYTES // (8 * width))
-    return tile, range(0, rows, tile)
+    return _record(out, inputs, lambda g: (g,) + _ln_vjp(g, ln_gain, xhat, inv), (xhat, inv))
 
 
 def _gelu_out(a: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
@@ -660,49 +718,33 @@ def _gelu_out(a: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
     a *= s
 
 
-def _gelu_tiles(h: np.ndarray, recording: bool, screen):
-    """GELU, tanh form 0.5*h*(1 + tanh(sqrt(2/pi)*(h + 0.044715*h^3))), in
-    place in the matrix ``h``, over row tiles, each tile through every step
-    in the formula's own operation order, so the bits match the unfused
-    expression.
+def _gelu(a: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
+    """GELU, tanh form 0.5*a*(1 + tanh(sqrt(2/pi)*(a + 0.044715*a^3))), in
+    place in the rows ``a``, through every step in the formula's own
+    operation order, so the bits match the unfused expression. The tanh
+    term goes into ``t``; ``s`` is scratch (which may be t)."""
+    np.multiply(a, a, out=t)
+    t *= _GELU_A
+    t *= a
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    _gelu_out(a, t, s)
 
-    It works with one tile of scratch and returns None unless
-    ``recording``; then it returns the tanh term, the one array the vjp
-    keeps. ``screen(stage, tile)`` checks each pre-activation tile and each
-    output tile while it is in cache."""
+
+def _gelu_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
+    """GELU's vjp over row tiles, written in place into the upstream
+    gradient ``g``: d = 0.5(1+t) + 0.5*C*h*(1 + 3A*h^2)*sech^2, with h*h
+    recomputed per tile (the same bits as keeping it). Each tile of the
+    pre-activation ``h`` then becomes GELU's output, by the forward's own
+    steps."""
     rows, hidden = h.shape
-    tile, starts = _row_tiles(rows, hidden)
-    scratch = np.empty((min(rows, tile), hidden))
-    th = np.empty_like(h) if recording else None
-    for r0 in starts:
-        a = h[r0 : r0 + tile]
-        screen("linear1", a)
-        s = scratch[: len(a)]
-        t = s if th is None else th[r0 : r0 + tile]
-        np.multiply(a, a, out=t)
-        t *= _GELU_A
-        t *= a
-        t += a
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        _gelu_out(a, t, s)
-        screen("gelu", a)
-    return th
-
-
-def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
-    """GELU's vjp over the row tiles of :func:`_gelu_tiles`, written in place
-    into the upstream gradient ``g``:
-    d = 0.5(1+t) + 0.5*C*h*(1 + 3A*h^2)*sech^2, with h*h recomputed per tile
-    (the same bits as keeping it). Each tile of the pre-activation ``h``
-    then becomes GELU's output, by the forward's own steps."""
-    rows, hidden = h.shape
-    tile, starts = _row_tiles(rows, hidden)
-    u_buf = np.empty((min(rows, tile), hidden))
+    span, bounds = _tiles(rows, 8 * hidden)
+    u_buf = np.empty((span, hidden))
     w_buf = np.empty_like(u_buf)
-    for r0 in starts:
-        a, t = h[r0 : r0 + tile], th[r0 : r0 + tile]
-        u, w = u_buf[: len(a)], w_buf[: len(a)]
+    for r0, r1 in bounds:
+        a, t = h[r0:r1], th[r0:r1]
+        u, w = u_buf[: r1 - r0], w_buf[: r1 - r0]
         np.multiply(a, a, out=u)
         u *= 3.0 * _GELU_A
         u += 1.0
@@ -714,7 +756,7 @@ def _gelu_tiles_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
         u += 0.5
         np.multiply(t, 0.5, out=w)
         u += w
-        gt = g[r0 : r0 + tile]
+        gt = g[r0:r1]
         np.multiply(u, gt, out=gt)
         _gelu_out(a, t, w)
 
@@ -723,19 +765,19 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = LN_EPS) -> Tenso
     """Position-wise feed-forward sublayer x + LN(W2 gelu(W1 x + b1) + b2),
     as one op.
 
-    The two products are each one whole GEMM, as :func:`linear` computes
-    them; they are not split into row tiles because a row-tiled BLAS product
-    can round differently (it does when a tile has one row). The GELU
-    between them runs in place in the hidden layer, over row tiles of about
-    256 KB that stay in cache through all of its steps (see
-    :func:`_gelu_tiles`). The residual and layer norm are
-    :func:`residual_ln`'s. Each stage's result is screened as the unfused
-    ops screened theirs, and a non-finite one raises NumericsError naming
-    the stage. The vjp runs the stages backward in the unfused tape's
-    order (layer norm, second linear, GELU, first linear), so outputs and
-    gradients are the bits of that four-op chain. Of the hidden layer it
-    keeps only the tanh term: it runs the first product again and rebuilds
-    the GELU output from the two, as the forward did.
+    The forward runs every stage (both products, the GELU between them, the
+    layer norm and the residual) over row tiles (see :func:`_tiles`), and
+    writes each tile's result into the output, so one tile of hidden units
+    is live at a time and each stays in cache through the GELU's steps.
+    Each stage's result is screened as the unfused ops screened theirs, and
+    a non-finite one raises NumericsError naming the stage. The vjp runs the
+    stages backward over the whole array in the unfused tape's order (layer
+    norm, second linear, GELU, first linear), so outputs and gradients are
+    the bits of that four-op chain. Of the hidden layer a recording keeps
+    only the tanh term, written tile by tile into one whole array beside
+    the layer norm's ``xhat`` and 1/std: the vjp runs the first product
+    again over the forward's tiles and rebuilds the GELU output from the
+    two, as the forward did.
     """
     inputs = (x, w1, b1, w2, b2, ln_gain, ln_bias)
     a, dw1, db1, dw2, db2 = (_data(v) for v in inputs[:5])
@@ -747,43 +789,50 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = LN_EPS) -> Tenso
             f"ffn_block: input {a.shape}, w1 {dw1.shape}, b1 {db1.shape}, "
             f"w2 {dw2.shape}, b2 {db2.shape}"
         )
-
-    def screen(stage: str, arr: np.ndarray) -> None:
-        _check_finite(f"ffn_block ({stage})", arr, inputs)
-
     flat = _flat(a)
-
-    def hidden_layer() -> np.ndarray:
-        h = flat @ dw1
+    rows = len(flat)
+    span, bounds = _tiles(rows, 8 * hidden)
+    s_buf = np.empty((span, hidden))  # the GELU's scratch, and without a tape its tanh term
+    y = np.empty(flat.shape)
+    th = xhat = inv = None
+    if current_tape() is not None:
+        th, xhat, inv = np.empty((rows, hidden)), np.empty(flat.shape), np.empty((rows, 1))
+    for r0, r1 in bounds:
+        h = flat[r0:r1] @ dw1
         h += db1
-        return h
-
-    h = hidden_layer()
-    th = _gelu_tiles(h, current_tape() is not None, screen)
-    z = h @ dw2
-    z += db2
-    screen("linear2", z)
-    y, ln_vjp, ln_saved = _ln_forward(z.reshape(a.shape), ln_gain, ln_bias, eps)
-    del z
-    y += a
-    screen("residual_ln", y)
-    out = _screened(y)
+        _check_finite("ffn_block (linear1)", h, inputs)
+        s = s_buf[: r1 - r0]
+        _gelu(h, s if th is None else th[r0:r1], s)
+        _check_finite("ffn_block (gelu)", h, inputs)
+        z = h @ dw2
+        z += db2
+        del h
+        _check_finite("ffn_block (linear2)", z, inputs)
+        yt = y[r0:r1]
+        _ln_rows(z, ln_gain, ln_bias, eps, yt, z if xhat is None else xhat[r0:r1],
+                 None if inv is None else inv[r0:r1])
+        yt += flat[r0:r1]
+        _check_finite("ffn_block (residual_ln)", yt, inputs)
+    out = _screened(y.reshape(a.shape))
     if th is None:
         return out
 
     def vjp(g):
-        gz, g_gain, g_bias = ln_vjp(g)
+        gz, g_gain, g_bias = _ln_vjp(g.reshape(flat.shape), ln_gain, xhat, inv)
         gzf = gz.reshape(-1, d)
         gh = gzf @ dw2.T
-        h = hidden_layer()
-        _gelu_tiles_vjp(h, th, gh)  # h is the GELU output after it
+        h = np.empty(th.shape)
+        for r0, r1 in bounds:  # the forward's tiles, so the forward's bits
+            np.matmul(flat[r0:r1], dw1, out=h[r0:r1])
+        h += db1
+        _gelu_vjp(h, th, gh)  # h is the GELU output after it
         gw2, gb2 = h.T @ gzf, gzf.sum(axis=0)
         del h
         gx, gw1, gb1 = _affine_vjp(flat, a.shape, dw1, gh)
         gx += g  # the residual's gradient plus the first linear's
         return gx, gw1, gb1, gw2, gb2, g_gain, g_bias
 
-    return _record(out, inputs, vjp, (th,) + ln_saved)
+    return _record(out, inputs, vjp, (th, xhat, inv))
 
 
 def cross_entropy(logits, target_ids: np.ndarray, pad_id: int = 0) -> Tensor:

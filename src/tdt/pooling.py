@@ -23,17 +23,19 @@ from .tensor import ConfigError, Tensor, UsageError
 
 @dataclass(frozen=True)
 class SegmentationSpec:
-    """Kernel size and stride of the segment windows."""
+    """Kernel size and stride of the segment windows: a model config's
+    ``kernel_size`` and ``stride``, the names its refusals give."""
 
     kernel: int
     stride: int
 
     def __post_init__(self):
-        if self.kernel < 1 or self.stride < 1:
-            raise ConfigError("kernel and stride must be positive")
+        for name, value in (("kernel_size", self.kernel), ("stride", self.stride)):
+            if value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.stride > self.kernel:
             raise ConfigError(
-                f"stride {self.stride} > kernel {self.kernel} would drop tokens"
+                f"stride {self.stride} > kernel_size {self.kernel} would drop tokens"
             )
 
     def n_segments(self, n_tokens: int) -> int:

@@ -16,8 +16,34 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tdt import RngStream, Tape, Tensor, backward, ops, recording
+
+# The build that tests/digest.py's recorded value was taken on: numpy, its
+# BLAS, and the CPU features by which a DYNAMIC_ARCH OpenBLAS picks its
+# kernels at run time. Another build may round a product differently, so
+# a test of exact bits across products of other shapes runs only here.
+RECORDED_ON = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
+
+
+def numpy_build() -> dict:
+    """This process's numpy build, in the terms of ``RECORDED_ON``."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "simd": config["SIMD Extensions"]["found"]}
+
+
+def skip_unless_recorded_build() -> None:
+    """Skip the calling test on any build but ``RECORDED_ON``."""
+    build = numpy_build()
+    if build != RECORDED_ON:
+        pytest.skip(f"the digest was recorded on {RECORDED_ON}; this build is {build}")
 
 FD_H = 1e-5
 FD_RTOL = 1e-4

@@ -1,6 +1,9 @@
 """Encoder stages, decoder, generation, and the complexity ledger."""
 
+import dataclasses
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -539,6 +542,30 @@ def test_every_config_path_refuses_a_field_that_is_not_its_python_type(build, na
     # a numpy integer would fail later, in config_hash's json.dumps
     with pytest.raises(ConfigError, match=f"config field {name} must be"):
         build()
+
+
+# One of each kind of value a caller or a header can hand a config field.
+_VALUE_KINDS = (None, True, 1.5, "8", np.int64(8), -1, 0, 1, 3, 2**70, [], {})
+
+
+def test_every_config_field_takes_each_value_kind_or_refuses_it_by_name():
+    # ROADMAP item 14's config third: each field x each kind through all
+    # three constructors yields a config that hashes, or a ConfigError
+    # naming the field and the value; no Model is built
+    start = time.perf_counter()
+    for f in dataclasses.fields(ModelConfig):
+        for value in _VALUE_KINDS:
+            for build in (functools.partial(ModelConfig, **{f.name: value}),
+                          functools.partial(ModelConfig.from_dict, {f.name: value}),
+                          functools.partial(desk_config, **{f.name: value})):
+                try:
+                    config = build()
+                except ConfigError as exc:
+                    assert f.name in str(exc) and repr(value) in str(exc), (f.name, value, exc)
+                else:
+                    assert getattr(config, f.name) == value
+                    assert len(config.config_hash()) == 64
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("fields", [{"vocab_size": 2**70}, {"d_model": 2**40, "n_heads": 1}],
