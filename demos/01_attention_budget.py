@@ -8,10 +8,11 @@ numbers the OpCounter measures during a real forward pass.
 
 import numpy as np
 
-from tdt import MaskSpec, band_popcount, build_mask, count_budget
+from tdt import band_popcount, count_budget
 
-print("The window-4 band over 9 tokens (dark = admitted):")
-mask = build_mask(MaskSpec.band(4), 9, 9)
+print("The window-4 band over 9 tokens (# = admitted: |i - j| <= 4/2):")
+i, j = np.indices((9, 9))
+mask = abs(i - j) <= 2
 for row in mask:
     print("   ", "".join("#" if v else "." for v in row))
 print("    admitted pairs:", mask.sum(), "= band_popcount:", band_popcount(9, 4))

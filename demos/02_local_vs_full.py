@@ -13,13 +13,11 @@ import numpy as np
 
 import tdt
 from tdt import (
-    MaskSpec,
     Model,
     OpCounter,
     Parameter,
     RngStream,
     Tensor,
-    build_mask,
     desk_config,
     encode_score_budget,
     multi_head_attention,
@@ -32,12 +30,14 @@ x = Tensor(rng.normal((n, d)))
 params = init_attention_params(rng.split("p"), d, "demo")
 ln = (Parameter("demo.ln.gain", np.ones(d)), Parameter("demo.ln.bias", np.zeros(d)))
 
-local = multi_head_attention(x, None, params, ln, heads, MaskSpec.band(w))
-dense = multi_head_attention(x, None, params, ln, heads, build_mask(MaskSpec.band(w), n, n))
+# the band as its window (scored blocked) and as a dense boolean array
+local = multi_head_attention(x, None, params, ln, heads, w)
+i, j = np.indices((n, n))
+dense = multi_head_attention(x, None, params, ln, heads, abs(i - j) <= w // 2)
 print(f"banded vs dense-masked, max abs diff: {np.abs(local.data - dense.data).max():.2e}")
 
 counter = OpCounter()
-multi_head_attention(x, None, params, ln, heads, MaskSpec.band(w), counter)
+multi_head_attention(x, None, params, ln, heads, w, counter)
 print(f"counter: {counter.score_evals}  (budget: {heads * tdt.band_popcount(n, w)})")
 
 print("\nPeak tracked allocation of one encoder forward at N=1024, d=64:")

@@ -4,11 +4,9 @@ tensor engine with reverse-mode gradients."""
 
 from . import attention, bench, checkpoint, model, ops, optim, pooling, rouge, tasks, training
 from .attention import (
-    MaskSpec,
     OpCounter,
     ScoreBudget,
     band_popcount,
-    build_mask,
     count_budget,
     multi_head_attention,
 )

@@ -1,6 +1,7 @@
 """Attention: one path, :func:`multi_head_attention`, for every attention
 sublayer the model runs (bottom-up local, segment full, token-segment cross,
-decoder self and cross); only the mask and the context differ.
+decoder self and cross); only the mask (a band's window, a boolean array,
+or None) and the context differ.
 
 ``ops.heads_in`` projects straight into heads, one op per source (self
 attention one, cross attention two); a layer's decode cache (``_LayerKV``,
@@ -50,68 +51,21 @@ class OpCounter:
 
 
 # -----------------------------------------------------------------------------
-# Masks and budgets
+# Budgets
 # -----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Admissibility pattern: band(w) or causal. No mask at all (None)
-    admits every pair."""
-
-    kind: str
-    window: int | None = None
-
-    @staticmethod
-    def band(window: int) -> "MaskSpec":
-        if window is None:
-            raise ConfigError("a band mask needs a window")
-        _check_window(window)
-        return MaskSpec("band", window=window)
-
-    @staticmethod
-    def causal() -> "MaskSpec":
-        return MaskSpec("causal")
-
-
-def build_mask(spec: MaskSpec, n_rows: int, n_cols: int) -> np.ndarray:
-    """Boolean admissibility matrix for ``spec``.
-
-    A band admits columns j with |i - j| <= w/2, clipped to the sequence, so
-    interior rows see w+1 positions and boundary rows fewer. A causal mask
-    treats its rows as the last ``n_rows`` of ``n_cols`` positions: row i
-    admits columns j <= i + n_cols - n_rows.
-    """
-    if n_rows < 1 or n_cols < 1:
-        raise UsageError("mask dimensions must be >= 1")
-    if spec.kind == "band":
-        if n_rows != n_cols:
-            raise UsageError("band masks are defined for square attention only")
-        half = spec.window // 2
-        i = np.arange(n_rows)[:, None]
-        j = np.arange(n_cols)[None, :]
-        return np.abs(i - j) <= half
-    if spec.kind == "causal":
-        if n_rows > n_cols:
-            raise UsageError("causal masks need at least as many columns as rows")
-        i = np.arange(n_rows)[:, None] + (n_cols - n_rows)
-        j = np.arange(n_cols)[None, :]
-        return j <= i
-    raise UsageError(f"unknown mask kind {spec.kind!r}")
-
-
 def band_popcount(n: int, window: int | None) -> int:
-    """Number of admitted pairs in a band mask, without materializing it."""
+    """Number of admitted pairs in a band of ``n`` positions, in closed
+    form: n(w+1) - (w/2)(w/2+1) for a band that leaves some pair out
+    (w < 2(n-1)), n^2 otherwise."""
     if n < 1:
         raise UsageError("sequence length must be >= 1")
     _check_window(window)
     if window is None or window >= 2 * (n - 1):
         return n * n
     half = window // 2
-    i = np.arange(n, dtype=np.int64)
-    lo = np.maximum(0, i - half)
-    hi = np.minimum(n - 1, i + half)
-    return int(np.sum(hi - lo + 1))
+    return n * (window + 1) - half * (half + 1)
 
 
 @dataclass(frozen=True)
@@ -208,16 +162,18 @@ class _LayerKV:
 
 
 def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
-                         mask: np.ndarray | MaskSpec | None, counter: OpCounter | None = None,
+                         mask: int | np.ndarray | None, counter: OpCounter | None = None,
                          cache: _LayerKV | None = None):
     """The attention sublayer x + LN(attention of x [..., n, d] to itself
     (``context`` None) or to ``context`` [..., m, d]) under ``mask``, with
     ``ln`` its layer norm's (gain, bias). A batch-one context serves every
     batch row of x.
 
-    ``mask`` is a boolean [n, m] array shared across leading axes and heads,
-    a :class:`MaskSpec`, or None (every pair admitted); a band that leaves
-    some pair out (w < 2(n-1)) is scored blocked, in O(n * w) memory.
+    ``mask`` is one of three things: a band window, an even int w >= 2
+    that admits |i - j| <= w/2 and needs n == m (UsageError otherwise); a
+    boolean [n, m] array shared across leading axes and heads; or None,
+    every pair admitted. A band that leaves some pair out (w < 2(n-1)) is
+    scored blocked, in O(n * w) memory; a wider one is scored as None.
     Attention to a context runs in tiles of query rows, and dense
     self-attention as one tile (``ops.attention_block``'s ``tiled``). A
     layer ``cache`` appends the new self keys and values to the cached ones
@@ -254,26 +210,25 @@ def multi_head_attention(x, context, params: AttentionParams, ln, n_heads: int,
     if m < 1:
         raise UsageError("attention requires at least one key")
     window = bias = None
-    if isinstance(mask, MaskSpec):
-        if mask.kind == "band" and n == m and mask.window < 2 * (n - 1):
-            window, mask = mask.window, None
-        else:
-            mask = build_mask(mask, n, m)
+    admitted = n * m
+    if isinstance(mask, int):
+        admitted = band_popcount(n, mask)
+        if n != m:
+            raise UsageError(f"a band of window {mask} needs square attention, got {n} x {m}")
+        if mask < 2 * (n - 1):
+            window = mask
     elif mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, m):
             raise ShapeError(f"mask shape {mask.shape} != ({n}, {m})")
         if not mask.any(axis=1).all():
             raise UsageError("attention row with no admitted positions")
-    if mask is not None and not mask.all():
-        bias = ops.NEG_MASK * (~mask)
+        admitted = int(mask.sum())
+        if admitted < n * m:
+            bias = ops.NEG_MASK * (~mask)
     gain, shift = ln
     out = ops.attention_block(x, q, k, v, params.wo, params.bo, gain, shift, bias, window,
                               1.0 / math.sqrt(dh), tiled=context is not None)
     if counter is not None:
-        if window is not None:
-            admitted = band_popcount(n, window)
-        else:
-            admitted = n * m if mask is None else int(mask.sum())
         counter.add(math.prod(lead) * h * admitted)
     return out

@@ -54,7 +54,7 @@ def _resolve_seed(args) -> int:
 def _load_config(args, **overrides) -> ModelConfig:
     base = paper_config() if args.preset == "paper" else desk_config()
     d = base.to_dict()
-    if args.config:
+    if args.config is not None:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, encoding="utf-8") as fh:
@@ -70,7 +70,7 @@ def _load_config(args, **overrides) -> ModelConfig:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -107,7 +107,7 @@ def _cmd_train(args) -> int:
     report = train(
         model, fn, steps=args.steps, seed=seed, lr=args.lr, batch_size=args.batch_size
     )
-    out_dir = args.out or "."
+    out_dir = "." if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, "checkpoint.tdtx")
     save_model(model, ckpt)
@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
     fn = _task_fn(args.task, cfg, args.n_tokens)
     rng = RngStream(seed)
     instances = [fn(rng.split(f"eval/{j}")) for j in range(args.n_instances)]
-    tagger = load_checkpoint(args.tagger, "tagger", Tagger) if args.tagger else None
+    tagger = None if args.tagger is None else load_checkpoint(args.tagger, "tagger", Tagger)
     metrics = eval_accuracy(
         model, instances, strategy=args.strategy, beam_size=args.beam, tagger=tagger
     )
@@ -134,7 +134,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_generate(args) -> int:
     model = load_model(args.ckpt)
-    if args.source_file:
+    if args.source_file is not None:
         with open(args.source_file, encoding="utf-8") as fh:
             source = _ints(fh.read().split())
     else:
@@ -169,7 +169,7 @@ def _cmd_tag(args) -> int:
             raise ConfigError(
                 f"doc file has {len(docs)} lines but ref file has {len(refs)}"
             )
-        stop = load_stopwords(args.stopwords) if args.stopwords else DEFAULT_STOPWORDS
+        stop = DEFAULT_STOPWORDS if args.stopwords is None else load_stopwords(args.stopwords)
         lines = []
         for doc, ref in zip(docs, refs):
             labels = build_importance_labels(doc, ref, stop)
@@ -178,7 +178,7 @@ def _cmd_tag(args) -> int:
         return 0
     # mode == "run": emit tagger weights for id sequences
     tagger = load_checkpoint(args.ckpt, "tagger", Tagger)
-    vocab = _load_vocab(args.vocab) if args.vocab else None
+    vocab = None if args.vocab is None else _load_vocab(args.vocab)
     lines = []
     for toks in _read_token_lines(args.doc):
         if vocab is not None:
@@ -240,7 +240,7 @@ def _cmd_train_tagger(args) -> int:
         return inst.source, inst.labels
 
     tagger, report = train_tagger(cfg, doc_fn, steps=args.steps, seed=seed)
-    out = args.out or "tagger.tdtx"
+    out = "tagger.tdtx" if args.out is None else args.out
     write_checkpoint(out, "tagger", tagger.config.to_dict(), tagger.params)
     print(json.dumps({"tagger": out, "aborted": report.aborted,
                       "steps_completed": len(report.losses)}))

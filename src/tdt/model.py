@@ -17,10 +17,10 @@ and its ``decode`` and ``generate`` raise :class:`UsageError`.
 
 Every layer of all four stacks is one block: self-attention under the
 stack's mask, an update from the stack's context where the layer has one,
-and a feed-forward sublayer. The masks are the band, none, the band and
-causal for bottom-up, segment, top-down and decoder; the contexts are none,
-none, the segment states and the encoder output, each attended by
-cross-attention. With ``topdown_mode="none"`` only
+and a feed-forward sublayer. The masks are the band (the config's window),
+none, the band and causal (a boolean array) for bottom-up, segment, top-down
+and decoder; the contexts are none, none, the segment states and the encoder
+output, each attended by cross-attention. With ``topdown_mode="none"`` only
 stage 1 runs, and the other stages' parameters are not built. Every
 sublayer has the form ``x + LayerNorm(branch)``: the residual stream is
 never normalized, so a zero-weight branch is exactly the identity.
@@ -39,11 +39,9 @@ import numpy as np
 from . import ops
 from .attention import (
     AttentionParams,
-    MaskSpec,
     OpCounter,
     _LayerKV,
     _check_window,
-    build_mask,
     count_budget,
     init_attention_params,
     multi_head_attention,
@@ -70,7 +68,6 @@ PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 
-LN_EPS = ops.LN_EPS
 # Branch layer-norm gains start small so the residual stream is dominated by
 # token content rather than normalized init noise; the gains are trainable
 # and grow as branches become useful.
@@ -374,22 +371,34 @@ class Model:
         """
         return self._embed_ids(token_ids, self.pos_enc, 0, "source")
 
-    def _embed_ids(self, token_ids, pos_table: Parameter, start: int, side: str) -> Tensor:
-        """Token embeddings of ids [T] or [B, T] plus rows start .. start+T-1
-        of ``pos_table``: the one input path of encoder and decoder. ``side``
-        ("source" or "prefix") names the input in each error."""
-        ids = np.asarray(token_ids, dtype=np.int64)
+    def _ids(self, token_ids, side: str) -> np.ndarray:
+        """``token_ids`` as a non-empty int64 array [T] or [B, T] of ids in the
+        vocabulary, or UsageError naming ``side`` ("source" or "prefix"), also
+        for ragged rows, an int past 64 bits, or a float or bool dtype."""
+        try:
+            ids = np.asarray(token_ids)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{side} ids are not an array of integers: {exc}") from None
         if ids.ndim not in (1, 2):
             raise UsageError(f"{side} ids must be [T] or [B, T], got shape {ids.shape}")
         if ids.size < 1:
             raise UsageError(f"{side} must be non-empty, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise UsageError(f"{side} ids must be integers, got dtype {ids.dtype}")
+        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
+            raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
+        return ids.astype(np.int64, copy=False)
+
+    def _embed_ids(self, token_ids, pos_table: Parameter, start: int, side: str) -> Tensor:
+        """Token embeddings of ids [T] or [B, T] (:meth:`_ids`) plus rows
+        start .. start+T-1 of ``pos_table``: the one input path of encoder
+        and decoder."""
+        ids = self._ids(token_ids, side)
         t = ids.shape[-1]
         if start + t > self.config.max_positions:
             raise UsageError(
                 f"{side} length {start + t} exceeds max_positions {self.config.max_positions}"
             )
-        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise UsageError(f"{side} token id out of range [0, {self.config.vocab_size})")
         return ops.add_rows(ops.gather_rows(self.tok_emb, ids), pos_table, start)
 
     def _blocks(self, x, layers, mask, counter, context=None, kvs=None):
@@ -407,17 +416,12 @@ class Model:
             if layer.cross is not None:
                 x = mha(x, context, layer.cross, layer.ln_cross, h, None, counter, kv)
             f = layer.ffn
-            x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias, LN_EPS)
+            x = ops.ffn_block(x, f.w1, f.b1, f.w2, f.b2, f.ln.gain, f.ln.bias)
             yield x
-
-    def _band(self) -> MaskSpec | None:
-        """The token stacks' self-attention mask: the band, or none."""
-        w = self.config.window
-        return None if w is None else MaskSpec.band(w)
 
     def encode_bottom_up(self, x, counter: OpCounter | None = None) -> Tensor:
         """N1 blocks of local self-attention + feed-forward."""
-        for x in self._blocks(x, self.bottom_up, self._band(), counter):
+        for x in self._blocks(x, self.bottom_up, self.config.window, counter):
             pass
         return x
 
@@ -460,7 +464,7 @@ class Model:
         FFN."""
         if not self.top_down:
             return x
-        blocks = self._blocks(x, self.top_down, self._band(), counter, segs)
+        blocks = self._blocks(x, self.top_down, self.config.window, counter, segs)
         del x  # the stack frees its input after its first sublayer, not its first layer
         for x in blocks:
             pass
@@ -511,7 +515,7 @@ class Model:
         batch, t = y.shape[:-2], y.shape[-2]
         if past and batch != cache.batch_shape:
             raise ShapeError(f"prefix batch {batch} != cached batch {cache.batch_shape}")
-        mask = None if t == 1 else build_mask(MaskSpec.causal(), t, past + t)
+        mask = None if t == 1 else np.tri(t, past + t, past, dtype=bool)
         kvs = None if cache is None else [replace(kv) for kv in cache.layers]
         for y in self._blocks(y, self.decoder, mask, counter, enc_out, kvs=kvs):
             pass
@@ -551,7 +555,8 @@ class Model:
             raise UsageError(f"unknown generation strategy {strategy!r}")
         if strategy == "greedy" and beam_size != 1:
             raise UsageError(f"beam_size={beam_size} needs strategy 'beam', not 'greedy'")
-        if np.ndim(source_ids) != 1:
+        source_ids = self._ids(source_ids, "source")
+        if source_ids.ndim != 1:
             raise UsageError("generate expects one source sequence [N]")
         with recording(None):
             enc = self.encode(source_ids, counter, weights=weights, labels=labels)

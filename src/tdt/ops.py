@@ -182,7 +182,7 @@ def _softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def _ln_rows(a: np.ndarray, gain, bias, eps: float, y: np.ndarray, xhat: np.ndarray,
+def _ln_rows(a: np.ndarray, gain, bias, y: np.ndarray, xhat: np.ndarray,
              inv: np.ndarray | None) -> None:
     """Layer norm of the rows ``a`` over the last axis: writes
     ``xhat * gain + bias`` into ``y``, ``xhat`` into ``xhat`` (which may be
@@ -200,7 +200,7 @@ def _ln_rows(a: np.ndarray, gain, bias, eps: float, y: np.ndarray, xhat: np.ndar
     np.subtract(a, mu, out=xhat)
     np.multiply(xhat, xhat, out=y)
     var = np.add.reduce(y, axis=-1, keepdims=True) / d
-    xhat *= np.divide(1.0, np.sqrt(var + eps), out=inv)
+    xhat *= np.divide(1.0, np.sqrt(var + LN_EPS), out=inv)
     np.multiply(xhat, gd, out=y)
     y += bd
 
@@ -548,8 +548,7 @@ def _band_vjp(g: np.ndarray, p: np.ndarray, dq, dk, dv, scale: float) -> tuple:
 
 
 def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | None = None,
-                    window: int | None = None, scale: float = 1.0, tiled: bool = False,
-                    eps: float = LN_EPS) -> Tensor:
+                    window: int | None = None, scale: float = 1.0, tiled: bool = False) -> Tensor:
     """The attention sublayer x + LN(merge(softmax((q * scale) k^T + mask) v) wo + bo)
     as one op, for the residual x [..., n, e] and the heads: queries
     [..., h, n, hd], keys [..., h, m, hd] and values [..., h, m, hv]. Keys
@@ -657,7 +656,7 @@ def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | Non
             yt, rt = y[rows], r[rows]
             xt, it = (None, None) if xhat is None else (xhat[rows], inv[rows])
         z = z.reshape(yt.shape)
-        _ln_rows(z, ln_gain, ln_bias, eps, yt, z if xt is None else xt, it)
+        _ln_rows(z, ln_gain, ln_bias, yt, z if xt is None else xt, it)
         yt += rt
         _check_finite("attention_block (residual_ln)", yt, inputs)
     del held  # a recording's entry counts them again
@@ -690,7 +689,7 @@ def attention_block(x, q, k, v, wo, bo, ln_gain, ln_bias, bias: np.ndarray | Non
 # -----------------------------------------------------------------------------
 
 
-def residual_ln(x, branch, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
+def residual_ln(x, branch, ln_gain, ln_bias) -> Tensor:
     """The sublayer rule x + LN(branch), as one op.
 
     The residual passes through untouched; only the branch is normalized, so a
@@ -703,7 +702,7 @@ def residual_ln(x, branch, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
     if r.shape != a.shape:
         raise ShapeError(f"residual_ln: residual {r.shape} vs branch {a.shape}")
     y, xhat, inv = np.empty(a.shape), np.empty(a.shape), np.empty(a.shape[:-1] + (1,))
-    _ln_rows(a, ln_gain, ln_bias, eps, y, xhat, inv)
+    _ln_rows(a, ln_gain, ln_bias, y, xhat, inv)
     y += r
     inputs = (x, branch, ln_gain, ln_bias)
     out = _result("residual_ln", y, inputs)
@@ -761,7 +760,7 @@ def _gelu_vjp(h: np.ndarray, th: np.ndarray, g: np.ndarray) -> None:
         _gelu_out(a, t, w)
 
 
-def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = LN_EPS) -> Tensor:
+def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias) -> Tensor:
     """Position-wise feed-forward sublayer x + LN(W2 gelu(W1 x + b1) + b2),
     as one op.
 
@@ -809,7 +808,7 @@ def ffn_block(x, w1, b1, w2, b2, ln_gain, ln_bias, eps: float = LN_EPS) -> Tenso
         del h
         _check_finite("ffn_block (linear2)", z, inputs)
         yt = y[r0:r1]
-        _ln_rows(z, ln_gain, ln_bias, eps, yt, z if xhat is None else xhat[r0:r1],
+        _ln_rows(z, ln_gain, ln_bias, yt, z if xhat is None else xhat[r0:r1],
                  None if inv is None else inv[r0:r1])
         yt += flat[r0:r1]
         _check_finite("ffn_block (residual_ln)", yt, inputs)

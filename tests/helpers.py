@@ -132,6 +132,12 @@ def check_param_grads(loss_fn, params, seed: int = 0, n_coords: int = 20,
 # -----------------------------------------------------------------------------
 
 
+def band_mask(n: int, window: int) -> np.ndarray:
+    """The dense [n, n] band: position i admits j with |i - j| <= window/2."""
+    i, j = np.indices((n, n))
+    return abs(i - j) <= window // 2
+
+
 def dense_attention_oracle(xq, xk, xv, ap, n_heads: int, mask) -> np.ndarray:
     """Brute-force multi-head attention: per-head row loops over a boolean mask."""
 

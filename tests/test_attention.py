@@ -5,14 +5,12 @@ import pytest
 
 from tdt import (
     ConfigError,
-    MaskSpec,
     ModelConfig,
     OpCounter,
     RngStream,
     Tensor,
     UsageError,
     band_popcount,
-    build_mask,
     count_budget,
     multi_head_attention,
 )
@@ -21,6 +19,7 @@ from tdt.ops import LN_EPS
 from tdt.tensor import Parameter, Tape, recording
 from tdt import ops
 from helpers import (
+    band_mask,
     check_param_grads,
     cross_attention_oracle,
     dense_attention_oracle,
@@ -58,43 +57,67 @@ def _constant_value_params(seed, d, c, b0):
 
 
 # -----------------------------------------------------------------------------
-# build_mask
+# masks: a band window, a boolean array, or None
 # -----------------------------------------------------------------------------
 
 
 def test_band_mask_9_tokens_window_4():
-    m = build_mask(MaskSpec.band(4), 9, 9)
-    assert set(np.nonzero(m[0])[0]) == {0, 1, 2}
-    assert set(np.nonzero(m[4])[0]) == {2, 3, 4, 5, 6}
-    assert set(np.nonzero(m[8])[0]) == {6, 7, 8}
+    # moving token j changes exactly the rows whose band of window 4 holds it
+    n, d = 9, 4
+    x = RngStream(14).normal((n, d))
+    p = _params(15, d)
+    base = multi_head_attention(Tensor(x), None, p, _ln(d), 1, 4).data
+    seen = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        moved = x.copy()
+        moved[j] += 1.0
+        seen[:, j] = (multi_head_attention(Tensor(moved), None, p, _ln(d), 1, 4).data
+                      != base).any(axis=-1)
+    assert set(np.nonzero(seen[0])[0]) == {0, 1, 2}
+    assert set(np.nonzero(seen[4])[0]) == {2, 3, 4, 5, 6}
+    assert set(np.nonzero(seen[8])[0]) == {6, 7, 8}
+    np.testing.assert_array_equal(seen, band_mask(n, 4))
 
 
 def test_band_mask_saturates_to_full():
-    n = 7
-    m = build_mask(MaskSpec.band(2 * (n - 1)), n, n)
-    assert m.all()
+    # a band of w >= 2(n-1) admits every pair: scored as None, counted n^2
+    n, d = 7, 8
+    x = RngStream(17).normal((n, d))
+    p = _params(18, d)
+    full = multi_head_attention(Tensor(x), None, p, _ln(d), 2, None).data
+    for w in (2 * (n - 1), 4 * n):
+        counter = OpCounter()
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), 2, w, counter)
+        assert out.data.tobytes() == full.tobytes()
+        assert counter.score_evals == 2 * n * n == 2 * band_popcount(n, w)
 
 
 def test_causal_mask_lower_triangular():
-    m = build_mask(MaskSpec.causal(), 3, 3)
-    np.testing.assert_array_equal(m, np.tril(np.ones((3, 3), dtype=bool)))
+    # the decoder's causal mask is a boolean array: np.tri's lower triangle
+    x = RngStream(16).normal((6, 8))
+    mask = np.tri(6, dtype=bool)
+    _assert_weights_row_stochastic_and_zero_outside(x, mask, mask, 2)
 
 
 def test_band_mask_rejects_non_square():
-    with pytest.raises(UsageError):
-        build_mask(MaskSpec.band(4), 4, 6)
+    d = 4
+    x, s = Tensor(RngStream(4).normal((4, d))), Tensor(RngStream(5).normal((6, d)))
+    with pytest.raises(UsageError, match="square"):
+        multi_head_attention(x, s, _params(0, d), _ln(d), 1, 4)
 
 
 def test_band_spec_rejects_odd_or_tiny_window():
-    with pytest.raises(ConfigError):
-        MaskSpec.band(3)
-    with pytest.raises(ConfigError):
-        MaskSpec.band(0)
+    x = Tensor(RngStream(4).normal((4, 4)))
+    for w in (3, 0):
+        with pytest.raises(ConfigError):
+            multi_head_attention(x, None, _params(0, 4), _ln(4), 1, w)
 
 
 @pytest.mark.parametrize("w", [3, -4, 0, 1])
 def test_one_window_rule_for_config_mask_popcount_and_budget(w):
-    for build in (lambda: ModelConfig(d_model=8, n_heads=2, window=w), lambda: MaskSpec.band(w),
+    x = Tensor(RngStream(4).normal((9, 8)))
+    for build in (lambda: ModelConfig(d_model=8, n_heads=2, window=w),
+                  lambda: multi_head_attention(x, None, _params(0, 8), _ln(8), 2, w),
                   lambda: band_popcount(9, w), lambda: count_budget(9, w, 2)):
         with pytest.raises(ConfigError, match="window"):
             build()
@@ -103,28 +126,36 @@ def test_one_window_rule_for_config_mask_popcount_and_budget(w):
 def test_an_unbounded_window_is_full_attention_but_no_band():
     assert ModelConfig(d_model=8, n_heads=2, window=None).window is None
     assert band_popcount(9, None) == count_budget(9, None, 2).local == 81
-    with pytest.raises(ConfigError):
-        MaskSpec.band(None)
 
 
 def test_every_band_row_admits_self():
+    # zero query weights score every admitted key alike, so with identity
+    # values and output each row's branch is the mean of the rows its band
+    # admits, itself among them
+    d = 4
     for n in (1, 2, 5, 9):
+        x = RngStream(n).normal((n, d))
         for w in (2, 4, 8):
-            m = build_mask(MaskSpec.band(w), n, n)
-            assert np.diagonal(m).all()
+            p = _identity_params(d)
+            p.wq.value.data[...] = 0.0
+            out = multi_head_attention(Tensor(x), None, p, _ln(d), 1, w)
+            band = band_mask(n, w)
+            mean = band @ x / band.sum(axis=1, keepdims=True)
+            assert np.max(np.abs(out.data - _sublayer(x, mean))) <= 1e-10, (n, w)
 
 
 def test_band_popcount_matches_mask_popcount():
     for n in (1, 2, 3, 9, 17, 64):
-        for w in (2, 4, 8, 30):
-            m = build_mask(MaskSpec.band(w), n, n)
-            assert band_popcount(n, w) == int(m.sum())
+        for w in (2, 4, 8, 30, 126, 128):
+            assert band_popcount(n, w) == int(band_mask(n, w).sum())
     assert band_popcount(16, None) == 256
 
 
 def test_band_popcount_closed_form_interior_dominated():
     # N(w+1) - w(w+2)/4 for N=1024, w=64
     assert band_popcount(1024, 64) == 1024 * 65 - 64 * 66 // 4
+    # closed form, so a length no array could hold is counted exactly
+    assert band_popcount(10**20, 4) == 5 * 10**20 - 6
 
 
 # -----------------------------------------------------------------------------
@@ -136,7 +167,7 @@ def test_count_budget_figure_pattern_case():
     # Frozen from the band mask popcount oracle: rows of the 9-token,
     # window-4 pattern admit 3+4+5+5+5+5+5+4+3 = 39 pairs.
     b = count_budget(9, 4, 2)
-    assert b.local == int(build_mask(MaskSpec.band(4), 9, 9).sum()) == 39
+    assert b.local == int(band_mask(9, 4).sum()) == 39
     assert b.segment == 4
     assert b.cross == 18
 
@@ -233,7 +264,7 @@ def _assert_weights_row_stochastic_and_zero_outside(x, mask, mask_arg, heads):
 def test_attention_weights_row_stochastic():
     # a dense boolean band mask: the dense scorer with a penalty
     x = RngStream(11).normal((10, 8))
-    mask = build_mask(MaskSpec.band(4), 10, 10)
+    mask = band_mask(10, 4)
     _assert_weights_row_stochastic_and_zero_outside(x, mask, mask, 2)
 
 
@@ -248,9 +279,9 @@ def test_saturated_window_bit_matches_full_attention():
     x = RngStream(21).normal((n, d))
     p = _params(9, d)
     full = multi_head_attention(Tensor(x), None, p, _ln(d), 2, None)
-    local = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(2 * (n - 1)))
+    local = multi_head_attention(Tensor(x), None, p, _ln(d), 2, 2 * (n - 1))
     np.testing.assert_array_equal(local.data, full.data)
-    wider = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(4 * n))
+    wider = multi_head_attention(Tensor(x), None, p, _ln(d), 2, 4 * n)
     np.testing.assert_array_equal(wider.data, local.data)
 
 
@@ -258,8 +289,8 @@ def test_local_attention_matches_banded_dense_oracle_9_4():
     d = 8
     x = RngStream(33).normal((9, d))
     p = _params(13, d)
-    out = multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(4))
-    mask = build_mask(MaskSpec.band(4), 9, 9)
+    out = multi_head_attention(Tensor(x), None, p, _ln(d), 2, 4)
+    mask = band_mask(9, 4)
     expected = _sublayer(x, dense_attention_oracle(x, x, x, p, 2, mask))
     assert np.max(np.abs(out.data - expected)) <= 1e-10
 
@@ -274,8 +305,8 @@ def test_local_attention_oracle_equivalence_many_configs():
         w = 2 * int(rng.randint(1, w_half_max + 1, 1)[0])
         x = rng.normal((n, d))
         p = _params(1000 + trial, d)
-        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, MaskSpec.band(w))
-        mask = build_mask(MaskSpec.band(w), n, n)
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, w)
+        mask = band_mask(n, w)
         expected = _sublayer(x, dense_attention_oracle(x, x, x, p, heads, mask))
         assert np.max(np.abs(out.data - expected)) <= 1e-10, (n, heads, w)
 
@@ -286,7 +317,7 @@ def test_local_attention_counter_equals_popcount():
     x = RngStream(3).normal((n, d))
     p = _params(4, d)
     counter = OpCounter()
-    multi_head_attention(Tensor(x), None, p, _ln(d), 2, MaskSpec.band(w), counter)
+    multi_head_attention(Tensor(x), None, p, _ln(d), 2, w, counter)
     assert counter.score_evals == 2 * band_popcount(n, w)
 
 
@@ -295,7 +326,7 @@ def test_local_attention_weights_match_band_mask():
     n, w = 9, 4
     x = RngStream(8).normal((n, 4))
     _assert_weights_row_stochastic_and_zero_outside(
-        x, build_mask(MaskSpec.band(w), n, n), MaskSpec.band(w), 1)
+        x, band_mask(n, w), w, 1)
 
 
 def test_local_attention_gradient_check():
@@ -304,11 +335,10 @@ def test_local_attention_gradient_check():
     x = Tensor(rng.normal((10, d)))
     p = _params(71, d)
     ln = _ln(d)
-    band = MaskSpec.band(4)
     probe = rng.normal((10, d))
 
     def loss_fn(tape=False):
-        out = sum_all(mul_const(multi_head_attention(x, None, p, ln, 2, band), probe))
+        out = sum_all(mul_const(multi_head_attention(x, None, p, ln, 2, 4), probe))
         return out if tape else out.item()
 
     check_param_grads(loss_fn, list(vars(p).values()) + list(ln))
@@ -323,7 +353,7 @@ def test_banded_local_attention_records_one_entry_for_the_band(n):
     x = Tensor(RngStream(4).normal((n, d)))
     tape = Tape()
     with recording(tape):
-        multi_head_attention(x, None, _params(5, d), _ln(d), 2, MaskSpec.band(8))
+        multi_head_attention(x, None, _params(5, d), _ln(d), 2, 8)
     heads_in, block = tape.entries
     assert len(heads_in.out) == 3 and block.inputs[1:4] == heads_in.out
     assert block.inputs[0] is x
@@ -421,7 +451,7 @@ def test_mha_gradient_check_with_mask():
     x = Tensor(rng.normal((6, d)))
     p = _params(96, d)
     ln = _ln(d)
-    mask = build_mask(MaskSpec.band(4), 6, 6)
+    mask = band_mask(6, 4)
     probe = rng.normal((6, d))
 
     def loss_fn(tape=False):
@@ -485,8 +515,8 @@ def test_banded_core_matches_dense_oracle_with_batch_axes(lead):
         x = RngStream(trial).normal(lead + (n, d))
         p = _params(500 + trial, d)
         counter = OpCounter()
-        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, MaskSpec.band(w), counter)
-        mask = build_mask(MaskSpec.band(w), n, n)
+        out = multi_head_attention(Tensor(x), None, p, _ln(d), heads, w, counter)
+        mask = band_mask(n, w)
         rows, got = x.reshape(-1, n, d), out.data.reshape(-1, n, d)
         for b in range(rows.shape[0]):
             expected = _sublayer(rows[b], dense_attention_oracle(rows[b], rows[b], rows[b], p,

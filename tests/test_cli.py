@@ -2,11 +2,12 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from tdt import Model, desk_config, load_model, save_model
+from tdt import Model, RngStream, desk_config, load_model, save_model
 from tdt.cli import build_parser, run_cli
 from tdt.checkpoint import load_checkpoint, read_checkpoint, write_checkpoint
 from tdt.training import DEFAULT_LR, Tagger
@@ -531,3 +532,106 @@ def test_keyvalue_on_a_null_window_config_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert err.strip() == "error: key-value task needs a finite window"
     assert not (tmp_path / "out").exists()
+
+
+# A source id or a length past 64 bits: no numpy integer holds it.
+OVERFLOW = "99999999999999999999"
+
+
+def test_budget_of_a_length_no_array_could_hold_is_exact(capsys):
+    n = int(OVERFLOW)
+    code, out, err = run(capsys, "budget", "--N", OVERFLOW, "--w", "4", "--M", "1")
+    assert code == 0 and err == ""
+    assert out.strip() == f"local={5 * n - 6} segment=1 cross={n}"
+
+
+def test_a_source_id_past_64_bits_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "model.tdtx"
+    save_model(Model(desk_config(), seed=0), ckpt)
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt), "--source", OVERFLOW)
+    assert code == 2 and out == ""
+    assert err == "error: source ids must be integers, got dtype object\n"
+
+
+# -----------------------------------------------------------------------------
+# argv mutations: junk in the value of one flag at a time
+# -----------------------------------------------------------------------------
+
+# The bound on every case's wall time, set before the first run.
+ARGV_CASE_SECONDS = 1.0
+# Junk values; "{missing}" and "{dir}" stand for a missing path and a directory.
+ARGV_JUNK = ("x", "", "1.5", "-1", "nan", "3,,x", "{missing}", "{dir}")
+# Drawn junk is made of these characters: no nonzero digit, so no drawn value
+# asks for a positive count of steps, trials or instances.
+ARGV_ALPHABET = "0-.,xe"
+
+
+def _fast_argvs(root) -> list:
+    """One argv per subcommand (two for generate's sources and for tag's
+    modes), run from ``root``, that exits 0 fast: a d_model 8 model, and
+    --steps 0 where the subcommand trains. Each flag takes one value."""
+    fields = dict(vocab_size=64, d_model=8, n_heads=2, n_bottom_up=1, n_segment_layers=1,
+                  n_top_down=1, n_decoder_layers=1, window=4, kernel_size=4, stride=2,
+                  max_positions=32)
+    (root / "cfg.json").write_text(json.dumps(fields))
+    cfg = desk_config(**fields)
+    save_model(Model(cfg, seed=0), root / "model.tdtx")
+    tagger = Tagger(cfg, seed=0)
+    write_checkpoint(root / "tagger.tdtx", "tagger", tagger.config.to_dict(), tagger.params)
+    for name, text in (("ids.txt", "3 4 5\n"), ("doc.txt", "a b c\n"), ("ref.txt", "b c\n"),
+                       ("stop.txt", "a\n"), ("vocab.txt", "<pad>\n<bos>\n<eos>\na\nb\nc\n")):
+        (root / name).write_text(text)
+    shared = ["--config", "cfg.json", "--preset", "desk", "--seed", "0"]
+    return [
+        ["budget", "--N", "9", "--w", "4", "--M", "2"],
+        ["train", *shared, "--out", "run", "--task", "copy", "--steps", "0", "--n-tokens", "6",
+         "--lr", "0.001", "--batch-size", "2"],
+        ["eval", "--seed", "0", "--out", "eval.json", "--ckpt", "model.tdtx", "--task", "copy",
+         "--n-instances", "1", "--n-tokens", "6", "--strategy", "greedy", "--beam", "1"],
+        ["generate", "--ckpt", "model.tdtx", "--source", "3,4,5", "--max-len", "2",
+         "--strategy", "greedy", "--beam", "1"],
+        ["generate", "--ckpt", "model.tdtx", "--source-file", "ids.txt", "--max-len", "2"],
+        ["tag", "--out", "tags.txt", "--mode", "labels", "--doc", "doc.txt", "--ref", "ref.txt",
+         "--stopwords", "stop.txt"],
+        ["tag", "--out", "weights.txt", "--mode", "run", "--doc", "doc.txt",
+         "--ckpt", "tagger.tdtx", "--vocab", "vocab.txt"],
+        ["train-tagger", *shared, "--out", "tagger2.tdtx", "--steps", "0", "--n-tokens", "32"],
+        ["bench", *shared, "--out", "bench.json", "--format", "json", "--N-list", "8",
+         "--w", "4", "--variants", "topdown-cross", "--trials", "3"],
+        ["ablate", *shared, "--out", "ablate.json", "--seeds", "3", "--windows", "4",
+         "--steps", "0", "--n-tokens", "32"],
+    ]
+
+
+def test_junk_in_any_flag_exits_0_2_or_3_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TDT_SEED", raising=False)
+    bases = _fast_argvs(tmp_path)
+    for argv in bases:
+        assert run_cli(argv) == 0, argv
+    capsys.readouterr()
+    paths = {"{missing}": str(tmp_path / "missing" / "none"), "{dir}": str(tmp_path)}
+    rng = RngStream(14).split("argv")
+    cases = [["budget", "--N", OVERFLOW, "--w", "4", "--M", "1"],
+             ["generate", "--ckpt", "model.tdtx", "--source", OVERFLOW]]
+    for b, argv in enumerate(bases):
+        for i in range(2, len(argv), 2):  # the value of each flag
+            draw = rng.split(f"{b}/{i}")
+            drawn = ["".join(ARGV_ALPHABET[k] for k in
+                             draw.randint(0, len(ARGV_ALPHABET), draw.choice_int(1, 5)))
+                     for _ in range(2)]
+            for token in ARGV_JUNK + tuple(drawn):
+                cases.append(argv[:i] + [paths.get(token, token)] + argv[i + 1:])
+    for argv in cases:
+        start = time.perf_counter()
+        try:
+            code = run_cli(argv)
+        except Exception as exc:  # the process would exit 1 with a traceback
+            pytest.fail(f"{argv} raised {exc!r}")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert elapsed <= ARGV_CASE_SECONDS, (argv, elapsed)
+        if code:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+            assert "Traceback" not in err, argv

@@ -23,7 +23,7 @@ from tdt import (
     encode_score_budget,
 )
 from tdt import ops
-from tdt.model import LN_EPS
+from tdt.ops import LN_EPS
 from tdt.tensor import Tape, Tensor, Parameter, recording
 from helpers import layer_norm_oracle
 
@@ -85,6 +85,27 @@ def test_encoder_and_decoder_refuse_bad_ids_naming_their_side(ids, message):
     with pytest.raises(UsageError, match="source " + message):
         m.embed(ids)
     with pytest.raises(UsageError, match="prefix " + message):
+        m.decode(ids, enc)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [([3.7, 4.2], "must be integers, got dtype float64"),
+     ([3, float("nan")], "must be integers, got dtype float64"),
+     ([True, False], "must be integers, got dtype bool"), (["3", "4"], "must be integers"),
+     ([None, 3], "must be integers, got dtype object"),
+     ([3, 10**20], "must be integers, got dtype object"),
+     ([[3, 4], [5]], "are not an array of integers"), (None, r"must be \[T\] or \[B, T\]")],
+    ids=["float", "nan", "bool", "str", "none-id", "huge", "ragged", "none"],
+)
+def test_ids_that_are_not_integers_are_refused_naming_their_side(ids, message):
+    # floats are not truncated to ids, and no conversion error escapes
+    m = Model(_cfg(max_positions=16, vocab_size=64), seed=0)
+    enc = m.encode([3, 4, 5])
+    for call in (lambda: m.encode(ids), lambda: m.generate(ids, 4)):
+        with pytest.raises(UsageError, match="source ids " + message):
+            call()
+    with pytest.raises(UsageError, match="prefix ids " + message):
         m.decode(ids, enc)
 
 
@@ -272,7 +293,7 @@ def test_ablation_lattice_none_equals_cross_with_zero_topdown_layers():
 def test_total_counter_matches_budget_composition(mode):
     cfg = _cfg(topdown_mode=mode)
     m = Model(cfg, seed=14)
-    for n in (10, 24, 47):
+    for n in (1, 5, 10, 24, 47):  # up to n = 5 the window-8 band admits every pair
         counter = OpCounter()
         m.encode(_ids(RngStream(n), n, cfg), counter)
         assert counter.score_evals == cfg.n_heads * encode_score_budget(cfg, n)

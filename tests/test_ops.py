@@ -121,31 +121,32 @@ def _ln_params(d):
     return Parameter("g", np.ones(d)), Parameter("b", np.zeros(d))
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """LN(x) as ``residual_ln(0, x)``: the residual passes through untouched."""
     x = np.asarray(x, dtype=np.float64)
-    return ops.residual_ln(T(np.zeros_like(x)), T(x), gain, bias, eps)
+    return ops.residual_ln(T(np.zeros_like(x)), T(x), gain, bias)
 
 
 def test_layer_norm_constant_row_zeroed_by_eps():
     g, b = _ln_params(4)
-    out = layer_norm([[5.0, 5.0, 5.0, 5.0]], g, b, eps=1e-12)
+    out = layer_norm([[5.0, 5.0, 5.0, 5.0]], g, b)
     np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-12)
 
 
 def test_layer_norm_already_standardized():
+    # a row of variance one is divided by sqrt(1 + eps) only
     g, b = _ln_params(2)
-    out = layer_norm([[1.0, -1.0]], g, b, eps=1e-300)
-    np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-9)
+    out = layer_norm([[1.0, -1.0]], g, b)
+    np.testing.assert_allclose(out.data, [[1.0, -1.0]] / np.sqrt(1.0 + ops.LN_EPS), atol=1e-15)
 
 
 def test_layer_norm_statistics_random_row():
     rng = RngStream(31)
     x = rng.normal((1, 16), std=3.0)
     g, b = _ln_params(16)
-    out = layer_norm(x, g, b, eps=1e-12).data
+    out = layer_norm(x, g, b).data
     assert abs(out.mean()) <= 1e-12
-    assert abs(out.var() - 1.0) <= 1e-6
+    assert abs(out.var() - x.var() / (x.var() + ops.LN_EPS)) <= 1e-12
 
 
 def test_layer_norm_statistics_property_over_widths():
@@ -153,9 +154,10 @@ def test_layer_norm_statistics_property_over_widths():
     for d in (4, 8, 16, 32, 64):
         x = rng.normal((5, d), std=2.0)
         g, b = _ln_params(d)
-        out = layer_norm(x, g, b, eps=1e-12).data
+        out = layer_norm(x, g, b).data
+        v = x.var(axis=-1)
         assert np.max(np.abs(out.mean(axis=-1))) <= 1e-10
-        assert np.max(np.abs(out.var(axis=-1) - 1.0)) <= 1e-5
+        assert np.max(np.abs(out.var(axis=-1) - v / (v + ops.LN_EPS))) <= 1e-12
 
 
 def test_layer_norm_matches_scalar_oracle():
@@ -164,7 +166,7 @@ def test_layer_norm_matches_scalar_oracle():
     gain = rng.normal((6,))
     bias = rng.normal((6,))
     g, b = Parameter("g", gain), Parameter("b", bias)
-    out = layer_norm(x, g, b, eps=1e-5).data
+    out = layer_norm(x, g, b).data
     np.testing.assert_allclose(out, layer_norm_oracle(x, gain, bias, 1e-5), atol=1e-12)
 
 
@@ -181,7 +183,7 @@ def test_residual_ln_matches_the_unfused_expression_bitwise():
     xc = branch - branch.sum(axis=-1, keepdims=True) / 8
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / 8 + 1e-5)
     expected = x + ((xc * inv) * gain + bias)
-    out = ops.residual_ln(T(x), T(branch), Parameter("g", gain), Parameter("c", bias), 1e-5)
+    out = ops.residual_ln(T(x), T(branch), Parameter("g", gain), Parameter("c", bias))
     assert out.data.tobytes() == expected.tobytes()
 
 
@@ -385,7 +387,7 @@ def test_gradients_random_shapes(name):
             eye = Tensor(np.eye(5)[None])
             out = sublayer(ops.reshape(w, (1, 4, 5)), eye, eye, scale=1.0)
         elif name == "layer_norm":  # LN(w) as residual_ln(0, w)
-            out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b, 1e-5)
+            out = ops.residual_ln(Tensor(np.zeros((4, 5))), w, ln_g, ln_b)
             out = sum_all(mul_const(out, rng_fixed))
         elif name == "logsumexp":  # cross_entropy's log-sum-exp and pick, no padding
             out = ops.cross_entropy(w, np.array([1, 0, 4, 2]), pad_id=-1)
@@ -404,7 +406,7 @@ def test_gradients_random_shapes(name):
         elif name == "transpose_reshape":
             out = sum_all(mul_const(ops.reshape(ops.transpose(w, (1, 0)), (2, 10)), tr_w))
         elif name == "residual_ln":
-            out = ops.residual_ln(w, mul_const(w, rng_fixed), ln_g, ln_b, 1e-5)
+            out = ops.residual_ln(w, mul_const(w, rng_fixed), ln_g, ln_b)
             out = sum_all(mul_const(out, emb_w))
         elif name in ("attention_probs", "attention_probs_bias"):
             # the dense scorer: two heads of queries [2, 5] and keys [2, 5],
